@@ -44,25 +44,31 @@ EXIT_HYPOTHESIS = 2
 EXIT_NEGATIVE = 3
 
 
-def _env_int(name):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise StackDataError(f"environment variable {name} must be an integer") from None
+def _bound(args, option, env):
+    """A search bound from the command-line option, else from the
+    environment variable, else None; negative bounds are input errors."""
+    value = getattr(args, option, None)
+    source = "--" + option.replace("_", "-")
+    if value is None:
+        raw = os.environ.get(env)
+        if raw is None:
+            return None
+        source = f"environment variable {env}"
+        try:
+            value = int(raw)
+        except ValueError:
+            raise StackDataError(f"{source} must be an integer") from None
+    if value < 0:
+        raise StackDataError(f"{source} must be non-negative, got {value}")
+    return value
 
 
 def _connected_bound(args):
-    if getattr(args, "bound", None) is not None:
-        return args.bound
-    return _env_int("KSTACKS_CONNECTED_BOUND")
+    return _bound(args, "bound", "KSTACKS_CONNECTED_BOUND")
+
 
 def _macaulay_bound(args):
-    if getattr(args, "macaulay_bound", None) is not None:
-        return args.macaulay_bound
-    return _env_int("KSTACKS_MACAULAY_BOUND")
+    return _bound(args, "macaulay_bound", "KSTACKS_MACAULAY_BOUND")
 
 
 def _load_input(args):

@@ -10,9 +10,11 @@ remainders in [0, lc), and ``normal_form(f) == 0`` decides ideal membership.
 Z-module invariants of a quotient are computed two independent ways: from
 the standard monomials of the basis together with their leading-coefficient
 relations (exact when the standard monomial set is finite), and from a
-truncated Macaulay lattice built from raw shifts of the input generators,
-with a stabilization check at two bounds.  The reported status only claims
-exactness when the two routes agree.
+truncated Macaulay lattice built from raw shifts of the input generators.
+The lattice is read at a bound B and again after it is extended by the
+shifts whose largest free coordinate has magnitude B + 1; the reported
+status only claims exactness when both readings agree with the
+standard-monomial route.  Bounds must be non-negative.
 """
 
 from __future__ import annotations
@@ -68,9 +70,6 @@ class IntPolynomial:
         exp = max(self.terms, key=_grevlex_key)
         return exp, self.terms[exp]
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def __add__(self, other):
         terms = dict(self.terms)
         for exp, coeff in other.terms.items():
@@ -117,12 +116,11 @@ class IntPolynomial:
 
 
 class PolyPresentation:
-    """Polynomial model of a group ring, or a plain polynomial ring.
+    """Polynomial model of a group ring.
 
-    For a group, the variable order is y1, y1', ..., yr, yr', s1, ..., sk
-    and the structural relations are always part of every ideal built over
-    the presentation.  ``free_variables`` gives an ordinary polynomial ring
-    with no structural relations (used for raw polynomial ideals).
+    The variable order is y1, y1', ..., yr, yr', s1, ..., sk and the
+    structural relations are always part of every ideal built over the
+    presentation.
     """
 
     __slots__ = ("group", "names", "num_vars", "structural")
@@ -157,15 +155,9 @@ class PolyPresentation:
             )
         return cls(group, names, structural)
 
-    @classmethod
-    def free_variables(cls, names):
-        return cls(None, tuple(names), ())
-
     def exponent_element(self, exp):
         """Group element of a presentation monomial (yi exponents minus yi'
         exponents on the free part, sj exponents as torsion residues)."""
-        if self.group is None:
-            raise ValueError("presentation has no underlying group")
         r = self.group.free_rank
         free = [exp[2 * i] - exp[2 * i + 1] for i in range(r)]
         residues = [exp[2 * r + j] for j in range(len(self.group.torsion))]
@@ -184,8 +176,6 @@ def present(e, presentation):
     monomial is a unit of the group ring, so classes are tracked up to unit.
     """
     p = presentation
-    if p.group is None:
-        raise ValueError("present() needs a group presentation")
     p.group.require_same(e.group)
     r = p.group.free_rank
     nvars = p.num_vars
@@ -214,10 +204,7 @@ def unpresent(f, presentation, clearing=None):
     """Map a presentation polynomial back to the group ring, optionally
     multiplying by the recorded clearing unit."""
     p = presentation
-    group = p.group
-    if group is None:
-        raise ValueError("unpresent() needs a group presentation")
-    out = GroupRingElement.zero(group)
+    out = GroupRingElement.zero(p.group)
     for exp, coeff in f.terms.items():
         out = out + GroupRingElement.monomial(p.exponent_element(exp), coeff)
     if clearing is not None and any(clearing):
@@ -494,159 +481,179 @@ def _primary_invariants(gb, standard):
     return group_from_relations(len(standard), rows).invariants()
 
 
-def _echelon_insert(pivots, row, colkey):
-    row = dict(row)
-    while row:
-        c = min(row, key=colkey)
-        piv = pivots.get(c)
-        if piv is None:
-            if row[c] < 0:
-                row = {k: -v for k, v in row.items()}
-            pivots[c] = row
-            return
-        a, b = piv[c], row[c]
-        if b % a == 0:
-            q = b // a
-            for k, v in piv.items():
-                nv = row.get(k, 0) - q * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-        else:
-            g, x, y = xgcd(a, b)
-            new_piv = {}
-            for k in set(piv) | set(row):
-                v = x * piv.get(k, 0) + y * row.get(k, 0)
-                if v:
-                    new_piv[k] = v
-            new_row = {}
-            for k in set(piv) | set(row):
-                v = (a // g) * row.get(k, 0) - (b // g) * piv.get(k, 0)
-                if v:
-                    new_row[k] = v
-            pivots[c] = new_piv
-            row = new_row
+class _MacaulayLattice:
+    """Integer echelon of the lattice spanned by the shifts t^beta * q of
+    group-ring generators q, grown one shell of free shifts at a time.
 
+    Each group element the lattice can reach gets an integer column: a
+    mixed-radix code of its free coordinates and residues, whose natural
+    order is the lexicographic order of the keys (free, residues), with the
+    ``inside`` elements placed after all others.  A row's leading column is
+    then ``min(row)``.  Pivot rows have distinct leading columns and
+    positive leading entries, so whatever the insertion order, the rows
+    that lead with an inside column span the lattice's intersection with
+    the inside coordinates.
+    """
 
-def _echelon_reduce(pivots, row, colkey):
-    """Reduce a row against an echelon; returns the (possibly nonzero) rest."""
-    row = dict(row)
-    while row:
-        c = min(row, key=colkey)
-        piv = pivots.get(c)
-        if piv is None or row[c] % piv[c]:
-            return row
-        q = row[c] // piv[c]
-        for k, v in piv.items():
-            nv = row.get(k, 0) - q * v
-            if nv:
-                row[k] = nv
+    __slots__ = ("bound", "pivots", "_lo", "_free_strides", "_res_strides",
+                 "_inside", "_offset", "_shift_rows")
+
+    def __init__(self, group, zgens, max_bound, inside):
+        """``max_bound`` is the largest bound the lattice will grow to;
+        ``inside`` holds the keys (free, residues) of the inside elements."""
+        torsion = group.torsion
+        shifted = [elem.free for q in zgens for elem in q.terms]
+        fixed = [free for free, _ in inside]
+        size = 1
+        self._res_strides = []
+        for m in reversed(torsion):
+            self._res_strides.insert(0, size)
+            size *= m
+        self._lo = []
+        self._free_strides = []
+        for i in reversed(range(group.free_rank)):
+            lo = min(itertools.chain((f[i] - max_bound for f in shifted), (f[i] for f in fixed)))
+            hi = max(itertools.chain((f[i] + max_bound for f in shifted), (f[i] for f in fixed)))
+            self._lo.insert(0, lo)
+            self._free_strides.insert(0, size)
+            size *= hi - lo + 1
+        self._offset = size
+        self._inside = frozenset(self._code(key) for key in inside)
+        # one template per generator and torsion shift; a free shift adds a constant
+        self._shift_rows = [
+            [
+                (self._code((elem.free, [(x + s) % m for x, s, m in zip(elem.residues, shift, torsion)])), c)
+                for elem, c in q.terms.items()
+            ]
+            for q in zgens
+            for shift in itertools.product(*(range(m) for m in torsion))
+        ]
+        self.bound = -1
+        self.pivots = {}
+
+    def _code(self, key):
+        free, residues = key
+        return sum((x - lo) * s for x, lo, s in zip(free, self._lo, self._free_strides)) + sum(
+            x * s for x, s in zip(residues, self._res_strides)
+        )
+
+    def grow(self, bound):
+        """Insert the shifts whose largest free coordinate magnitude lies in
+        (self.bound, bound]."""
+        inside, offset = self._inside, self._offset
+        strides = self._free_strides
+        for b in range(self.bound + 1, bound + 1):
+            for beta in itertools.product(range(-b, b + 1), repeat=len(strides)):
+                if max(map(abs, beta), default=0) != b:
+                    continue
+                delta = sum(x * s for x, s in zip(beta, strides))
+                for terms in self._shift_rows:
+                    row = {}
+                    for k, c in terms:
+                        k += delta
+                        row[k + offset if k in inside else k] = c
+                    self._insert(row)
+        self.bound = bound
+
+    def _insert(self, row):
+        pivots = self.pivots
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                if row[c] < 0:
+                    row = {k: -v for k, v in row.items()}
+                pivots[c] = row
+                return
+            a, b = piv[c], row[c]
+            if b % a == 0:
+                _subtract(row, b // a, piv)
             else:
-                row.pop(k, None)
-    return row
+                g, x, y = xgcd(a, b)
+                a, b = a // g, b // g
+                new_piv = {}
+                new_row = {}
+                for k in piv.keys() | row.keys():
+                    p, r = piv.get(k, 0), row.get(k, 0)
+                    v = x * p + y * r
+                    if v:
+                        new_piv[k] = v
+                    v = a * r - b * p
+                    if v:
+                        new_row[k] = v
+                pivots[c] = new_piv
+                row = new_row
+
+    def contains(self, e):
+        """Whether a group-ring element supported on the inside elements is
+        in the lattice."""
+        pivots = self.pivots
+        row = {self._code(elem.key()) + self._offset: c for elem, c in e.terms.items()}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None or row[c] % piv[c]:
+                return False
+            _subtract(row, row[c] // piv[c], piv)
+        return True
+
+    def inside_invariants(self):
+        """Invariants of Z^inside modulo the inside part of the lattice."""
+        offset = self._offset
+        index = {code + offset: i for i, code in enumerate(sorted(self._inside))}
+        rows = []
+        for c, piv in self.pivots.items():
+            if c >= offset:
+                row = [0] * len(index)
+                for k, v in piv.items():
+                    row[index[k]] = v
+                rows.append(row)
+        return group_from_relations(len(index), rows).invariants()
 
 
-def _group_shift_rows(zgens, bound):
-    """All shifts t^beta * q with beta in the centered box of the bound."""
-    group = zgens[0].group
-    r = group.free_rank
-    free_ranges = [range(-bound, bound + 1)] * r
-    torsion_ranges = [range(m) for m in group.torsion]
-    for q in zgens:
-        for free in itertools.product(*free_ranges):
-            for res in itertools.product(*torsion_ranges):
-                beta = group.element_canonical(free, res)
-                yield {(elem + beta).key(): c for elem, c in q.terms.items()}
+def _subtract(row, q, piv):
+    """row -= q * piv, in place, dropping zero entries."""
+    for k, v in piv.items():
+        nv = row.get(k, 0) - q * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
 
 
-def _macaulay_invariants_group(zgens, inside_keys, bound):
-    inside = set(inside_keys)
-
-    def colkey(k):
-        return (1, k) if k in inside else (0, k)
-
-    pivots = {}
-    for row in _group_shift_rows(zgens, bound):
-        _echelon_insert(pivots, row, colkey)
-    index = {k: i for i, k in enumerate(sorted(inside_keys))}
-    rows = []
-    for c, piv in pivots.items():
-        if c in inside:
-            row = [0] * len(index)
-            for k, v in piv.items():
-                row[index[k]] = v
-            rows.append(row)
-    return group_from_relations(len(index), rows).invariants()
+def _check_bound(bound):
+    if bound < 0:
+        raise ValueError(f"the Macaulay bound must be non-negative, got {bound}")
 
 
-def _poly_shift_rows(gens, nvars, bound):
-    for g in gens:
-        deg = g.total_degree()
-        if deg > bound:
-            continue
-        for total in range(bound - deg + 1):
-            for F in _compositions(total, nvars):
-                yield {tuple(a + b for a, b in zip(E, F)): c for E, c in g.terms.items()}
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _macaulay_invariants_poly(gens, inside_keys, bound, nvars):
-    inside = set(inside_keys)
-
-    def colkey(k):
-        return (1, _grevlex_key(k)) if k in inside else (0, _grevlex_key(k))
-
-    pivots = {}
-    for row in _poly_shift_rows(gens, nvars, bound):
-        _echelon_insert(pivots, row, colkey)
-    index = {k: i for i, k in enumerate(sorted(inside_keys, key=_grevlex_key))}
-    rows = []
-    for c, piv in pivots.items():
-        if c in inside:
-            row = [0] * len(index)
-            for k, v in piv.items():
-                row[index[k]] = v
-            rows.append(row)
-    return group_from_relations(len(index), rows).invariants()
+def _lattice_invariants(group, zgens, inside_keys, bounds):
+    """Oracle invariants at each of the increasing ``bounds``, each reading
+    extending the lattice of the one before."""
+    lattice = _MacaulayLattice(group, zgens, bounds[-1], inside_keys)
+    out = []
+    for b in bounds:
+        lattice.grow(b)
+        out.append(lattice.inside_invariants())
+    return out
 
 
 def _nonzero_input_elements(gb):
-    p = gb.presentation
-    if p.group is None:
-        return [g for g in gb.input_generators if not g.is_zero()]
     out = []
     for g in gb.input_generators:
-        e = unpresent(g, p)
+        e = unpresent(g, gb.presentation)
         if not e.is_zero():
             out.append(e)
     return out
 
 
 def default_macaulay_bound(gb):
-    """Heuristic truncation: twice the largest generator degree plus four.
-
-    Degree means the largest free-coordinate magnitude of the support for
-    group-ring generators, total degree for plain polynomial generators.
-    """
-    p = gb.presentation
+    """Heuristic truncation: twice the largest generator degree plus four,
+    where degree is the largest free-coordinate magnitude of the support."""
     sizes = [1]
-    if p.group is None:
-        sizes += [g.total_degree() for g in gb.input_generators]
-    else:
-        for g in gb.input_generators:
-            e = unpresent(g, p)
-            for elem in e.terms:
-                sizes.append(max((abs(x) for x in elem.free), default=0))
+    for g in gb.input_generators:
+        e = unpresent(g, gb.presentation)
+        for elem in e.terms:
+            sizes.append(max((abs(x) for x in elem.free), default=0))
     return 2 * max(sizes) + 4
 
 
@@ -654,25 +661,23 @@ def macaulay_member(e, zgens, bound):
     """Truncated-lattice membership of a group-ring element in the ideal
     generated by ``zgens``: conservative (may say False for members whose
     certificates need shifts beyond the bound), never falsely True."""
+    _check_bound(bound)
     zgens = [q for q in zgens if not q.is_zero()]
     if e.is_zero():
         return True
     if not zgens:
         return False
-
-    def colkey(k):
-        return k
-
-    pivots = {}
-    for row in _group_shift_rows(zgens, bound):
-        _echelon_insert(pivots, row, colkey)
-    rest = _echelon_reduce(pivots, {elem.key(): c for elem, c in e.terms.items()}, colkey)
-    return not rest
+    lattice = _MacaulayLattice(e.group, zgens, bound, [elem.key() for elem in e.terms])
+    lattice.grow(bound)
+    return lattice.contains(e)
 
 
 def zmodule_invariants(gb, bound=None):
     """Abelian-group invariants of (polynomial ring)/(basis ideal) as a
-    Z-module, with the dual-route status described in the module docstring."""
+    Z-module, with the dual-route status described in the module docstring.
+    A negative ``bound`` raises ValueError."""
+    if bound is not None:
+        _check_bound(bound)
     try:
         standard = _standard_monomials(gb)
     except _BoxTooLarge:
@@ -683,26 +688,12 @@ def zmodule_invariants(gb, bound=None):
     rank, torsion = _primary_invariants(gb, standard)
 
     p = gb.presentation
-    gens = _nonzero_input_elements(gb)
     if bound is None:
         bound = default_macaulay_bound(gb)
-    if p.group is None:
-        inside = list(standard)
-        oracle = [
-            _macaulay_invariants_poly(gens, inside, b, p.num_vars)
-            for b in (bound, bound + 1)
-        ]
-    else:
-        inside = [p.exponent_element(E).key() for E in standard]
-        if len(set(inside)) != len(inside):
-            raise AssertionError("standard monomials do not embed in the group")
-        if gens:
-            oracle = [
-                _macaulay_invariants_group(gens, inside, b) for b in (bound, bound + 1)
-            ]
-        else:
-            free = (len(inside), ())
-            oracle = [free, free]
+    inside = [p.exponent_element(E).key() for E in standard]
+    if len(set(inside)) != len(inside):
+        raise AssertionError("standard monomials do not embed in the group")
+    oracle = _lattice_invariants(p.group, _nonzero_input_elements(gb), inside, (bound, bound + 1))
 
     if oracle[0] == oracle[1] == (rank, torsion):
         return AbGroupInvariants(rank, torsion, AbGroupInvariants.EXACT, bound)

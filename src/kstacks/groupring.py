@@ -189,12 +189,3 @@ def component_product(data, m):
     for name in components[m - 1]:
         out = out * one_minus(data.variable(name).degree)
     return out
-
-
-def full_product(data):
-    """Product of (1 - t^deg(x)) over all non-inverted variables."""
-    out = GroupRingElement.one(data.group)
-    for var in data.variables:
-        if not var.inverted:
-            out = out * one_minus(var.degree)
-    return out

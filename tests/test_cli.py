@@ -227,6 +227,38 @@ def test_env_bound_override(tmp_path, capsys, monkeypatch):
     assert code == 3 and "not_connected" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["k0", "--example", "wps", "1", "1", "--invariants", "--macaulay-bound", "-1"],
+        ["k0", "--example", "wps", "1", "1", "--bound", "-1"],
+        ["check-connected", "--example", "wps", "1", "1", "--bound", "-3"],
+    ],
+)
+def test_negative_bound_flag_is_input_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert "must be non-negative" in err and not out
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ("KSTACKS_MACAULAY_BOUND", ["k0", "--example", "wps", "1", "1", "--invariants"]),
+        ("KSTACKS_CONNECTED_BOUND", ["check-connected", "--example", "wps", "1", "1"]),
+    ],
+)
+def test_negative_bound_env_is_input_error(env, argv, capsys, monkeypatch):
+    monkeypatch.setenv(env, "-1")
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert env in err and "must be non-negative" in err
+    # bound zero is a valid, if small, search
+    monkeypatch.setenv(env, "0")
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+
+
 def test_k0_zero_ideal_reports_not_finitely_generated(tmp_path, capsys):
     data_path = tmp_path / "free.json"
     data_path.write_text(

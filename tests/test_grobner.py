@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from kstacks.abelian import FgAbelianGroup, group_from_relations
 from kstacks.groupring import GroupRingElement, one_minus
 from kstacks.grobner import (
@@ -7,6 +9,9 @@ from kstacks.grobner import (
     IntPolynomial,
     PolyPresentation,
     _grevlex_key,
+    _lattice_invariants,
+    _primary_invariants,
+    _standard_monomials,
     in_ideal,
     macaulay_member,
     normal_form,
@@ -81,11 +86,11 @@ def test_present_roundtrip_random():
 
 
 def test_gcd_completion_over_int():
-    p = PolyPresentation.free_variables(["x"])
-    two_x = IntPolynomial({(1,): 2})
-    three_x = IntPolynomial({(1,): 3})
-    gb = strong_groebner([two_x, three_x], p)
-    assert IntPolynomial({(1,): 1}) in gb.elements
+    # {2(1-t), 3(1-t)} completes to a basis holding t - 1 itself
+    Z, p = laurent_presentation()
+    t = GroupRingElement.monomial(Z.element([1]))
+    gb = strong_groebner([present(2 * (1 - t), p)[0], present(3 * (1 - t), p)[0]], p)
+    assert present(t - 1, p)[0] in gb.elements
 
 
 def test_structural_alone_is_its_own_basis():
@@ -212,9 +217,10 @@ def test_invariants_not_finitely_generated():
 
 
 def test_invariants_torsion_quotient():
-    # Z[t]/(5, t): five torsion classes of the constants
-    p = PolyPresentation.free_variables(["x"])
-    gb = strong_groebner([IntPolynomial({(0,): 5}), IntPolynomial({(1,): 1})], p)
+    # Z[t, 1/t]/(5, 1 - t): five torsion classes of the constants
+    Z, p = laurent_presentation()
+    t = GroupRingElement.monomial(Z.element([1]))
+    gb = strong_groebner([present(GroupRingElement.constant(Z, 5), p)[0], present(1 - t, p)[0]], p)
     inv = zmodule_invariants(gb)
     assert inv.invariants() == (0, (5,))
     assert inv.status == AbGroupInvariants.EXACT
@@ -228,6 +234,64 @@ def test_invariants_unknown_at_tiny_bound():
     # the truncated lattice cannot certify at bound 0, status stays honest
     assert inv.invariants() == (2, ())
     assert inv.status in (AbGroupInvariants.EXACT, AbGroupInvariants.UNKNOWN)
+
+
+def test_negative_bound_is_rejected():
+    Z, p = laurent_presentation()
+    t = GroupRingElement.monomial(Z.element([1]))
+    gb = strong_groebner([present((1 - t) * (1 - t), p)[0]], p)
+    with pytest.raises(ValueError):
+        zmodule_invariants(gb, bound=-1)
+    with pytest.raises(ValueError):
+        macaulay_member(1 - t, [(1 - t) * (1 - t)], -1)
+
+
+def _random_element(rng, G, spread):
+    e = GroupRingElement.zero(G)
+    for _ in range(rng.randint(1, 3)):
+        coords = [rng.randint(-spread, spread) for _ in range(G.num_generators)]
+        e = e + GroupRingElement.monomial(G.element(coords), rng.choice([-3, -2, -1, 1, 1, 2, 3]))
+    return e
+
+
+def _shift_size(elem):
+    return max((abs(x) for x in elem.free), default=0)
+
+
+@pytest.mark.parametrize(
+    "group", [(1, ()), (2, ()), (1, (2,)), (1, (3,))], ids=["Z", "Z2", "ZxZ2", "ZxZ3"]
+)
+def test_incremental_lattice_property(group):
+    rng = random.Random(f"lattice/{group}")
+    G = FgAbelianGroup.canonical(*group)
+    p = PolyPresentation.for_group(G)
+    exact = 0
+    for _ in range(12):
+        gens = [g for g in (_random_element(rng, G, 1) for _ in range(rng.randint(1, 3))) if not g.is_zero()]
+        if not gens:
+            continue
+        gb = strong_groebner([present(g, p)[0] for g in gens], p)
+        standard = _standard_monomials(gb)
+        if standard is None:
+            continue
+        inside = [p.exponent_element(E).key() for E in standard]
+        bound = rng.randint(0, 3)
+        incremental = _lattice_invariants(G, gens, inside, (bound, bound + 1))
+        separate = [_lattice_invariants(G, gens, inside, (b,))[0] for b in (bound, bound + 1)]
+        assert incremental == separate
+        inv = zmodule_invariants(gb, bound=bound)
+        if inv.status == AbGroupInvariants.EXACT:
+            exact += 1
+            assert incremental == [inv.invariants()] * 2
+            assert inv.invariants() == _primary_invariants(gb, standard)
+        # every combination of generator shifts inside the box is a member
+        f = GroupRingElement.zero(G)
+        for q in gens:
+            shift = _random_element(rng, G, bound)
+            if all(_shift_size(elem) <= bound for elem in shift.terms):
+                f = f + shift * q
+        assert macaulay_member(f, gens, bound)
+    assert exact >= 3
 
 
 def test_invariants_invariance_under_generators_presentation():
