@@ -399,7 +399,11 @@ def build_parser():
     _add_input_options(k0)
     k0.add_argument("--invariants", action="store_true", help="also compute abelian-group invariants")
     k0.add_argument("--bound", type=int, help="connectedness search bound")
-    k0.add_argument("--macaulay-bound", type=int, help="invariants oracle truncation bound")
+    k0.add_argument(
+        "--macaulay-bound",
+        type=int,
+        help="cross-check invariants against a truncated Macaulay lattice at this bound and the next",
+    )
     k0.add_argument("--override-hypothesis", action="store_true")
     k0.set_defaults(func=cmd_k0)
 

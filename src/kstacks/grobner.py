@@ -7,14 +7,18 @@ available.  Over the integers a Groebner basis must be closed under both
 S-polynomials and GCD-polynomials; reduction then leaves coefficient
 remainders in [0, lc), and ``normal_form(f) == 0`` decides ideal membership.
 
-Z-module invariants of a quotient are computed two independent ways: from
-the standard monomials of the basis together with their leading-coefficient
-relations (exact when the standard monomial set is finite), and from a
-truncated Macaulay lattice built from raw shifts of the input generators.
-The lattice is read at a bound B and again after it is extended by the
-shifts whose largest free coordinate has magnitude B + 1; the reported
-status only claims exactness when both readings agree with the
-standard-monomial route.  Bounds must be non-negative.
+Z-module invariants of a quotient are read off the standard monomials of
+the basis together with their leading-coefficient relations.  They are
+``exact`` when the standard monomial set is finite and the basis passes
+Buchberger's criterion over the integers (Kandri-Rody & Kapur 1988;
+Lichtblau 2012): every input generator and structural relation reduces to
+zero, and so does the S-polynomial and the G-polynomial of every pair of
+basis elements.  An explicit Macaulay bound B adds an independent
+cross-check: a truncated lattice built from raw shifts of the input
+generators, read at B and again after it is extended by the shifts whose
+largest free coordinate has magnitude B + 1.  With a bound the status only
+claims exactness when both readings agree with the standard-monomial route.
+Bounds must be non-negative.
 """
 
 from __future__ import annotations
@@ -381,9 +385,13 @@ def in_ideal(f, gb):
 class AbGroupInvariants:
     """Abelian-group structure of a quotient ring, with an honesty status.
 
-    status is "exact" (standard-monomial method and the Macaulay oracle
-    agree), "not_finitely_generated" (the standard monomial set is provably
-    infinite), or "unknown" (the routes disagree at the searched bound).
+    status is "exact" (a verified strong basis with a finite standard
+    monomial set, and, when a Macaulay bound was given, the oracle agrees
+    at that bound and the next), "not_finitely_generated" (a verified
+    strong basis whose standard monomial set is infinite), or "unknown"
+    (the basis fails the check, the oracle disagrees, or the standard
+    monomial box exceeds BOX_LIMIT).  bound is the Macaulay bound of the
+    cross-check, or None when none ran.
     """
 
     EXACT = "exact"
@@ -646,15 +654,25 @@ def _nonzero_input_elements(gb):
     return out
 
 
-def default_macaulay_bound(gb):
-    """Heuristic truncation: twice the largest generator degree plus four,
-    where degree is the largest free-coordinate magnitude of the support."""
-    sizes = [1]
-    for g in gb.input_generators:
-        e = unpresent(g, gb.presentation)
-        for elem in e.terms:
-            sizes.append(max((abs(x) for x in elem.free), default=0))
-    return 2 * max(sizes) + 4
+def _is_strong_basis(gb):
+    """Buchberger's criterion for a strong basis over the integers.
+
+    Passes only if every element has a positive leading coefficient, every
+    input generator and structural relation reduces to zero, and every pair
+    of elements has an S-polynomial and a G-polynomial that reduce to zero.
+    The elements lie in the input ideal by construction, so passing proves
+    that they form a strong Groebner basis of it.
+    """
+    basis = list(gb.elements)
+    if any(f.leading_term()[1] < 0 for f in basis):
+        return False
+    pairs = itertools.combinations(basis, 2)
+    must_vanish = itertools.chain(
+        gb.input_generators,
+        gb.presentation.structural,
+        (h for f, g in pairs for h in (_spoly(f, g), _gpoly(f, g)) if h is not None),
+    )
+    return not any(_reduce_terms(h.terms, basis) for h in must_vanish)
 
 
 def macaulay_member(e, zgens, bound):
@@ -674,22 +692,27 @@ def macaulay_member(e, zgens, bound):
 
 def zmodule_invariants(gb, bound=None):
     """Abelian-group invariants of (polynomial ring)/(basis ideal) as a
-    Z-module, with the dual-route status described in the module docstring.
-    A negative ``bound`` raises ValueError."""
+    Z-module, with the status described in the module docstring.  With
+    ``bound=None`` the status rests on the criterion check alone and no
+    Macaulay lattice is built; an explicit ``bound`` adds the lattice
+    cross-check at ``bound`` and ``bound + 1``.  A negative ``bound`` raises
+    ValueError."""
     if bound is not None:
         _check_bound(bound)
     try:
         standard = _standard_monomials(gb)
     except _BoxTooLarge:
         return AbGroupInvariants(None, (), AbGroupInvariants.UNKNOWN, bound)
+    if not _is_strong_basis(gb):
+        return AbGroupInvariants(None, (), AbGroupInvariants.UNKNOWN, bound)
     if standard is None:
         return AbGroupInvariants(None, (), AbGroupInvariants.NOT_FG)
 
     rank, torsion = _primary_invariants(gb, standard)
+    if bound is None:
+        return AbGroupInvariants(rank, torsion, AbGroupInvariants.EXACT)
 
     p = gb.presentation
-    if bound is None:
-        bound = default_macaulay_bound(gb)
     inside = [p.exponent_element(E).key() for E in standard]
     if len(set(inside)) != len(inside):
         raise AssertionError("standard monomials do not embed in the group")

@@ -203,7 +203,11 @@ def class_of_intersection(pres, components):
 
 
 def invariants(pres, bound=None):
-    """Abelian-group invariants of the K-group presentation."""
+    """Abelian-group invariants of the K-group presentation.
+
+    The status is certified by checking the presentation's strong Groebner
+    basis; a ``bound`` adds the Macaulay-lattice cross-check at that bound
+    (see ``zmodule_invariants``)."""
     return zmodule_invariants(pres.basis, bound=bound)
 
 

@@ -227,6 +227,18 @@ def test_env_bound_override(tmp_path, capsys, monkeypatch):
     assert code == 3 and "not_connected" in out
 
 
+def test_k0_invariants_cross_check_is_opt_in(capsys):
+    argv = ["k0", "--example", "wps", "1", "1", "--invariants", "--json", "-"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    assert report["invariants"] == {"rank": 2, "torsion": [], "status": "exact", "bound": None}
+    code, out, _ = run(argv + ["--macaulay-bound", "3"], capsys)
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    assert report["invariants"] == {"rank": 2, "torsion": [], "status": "exact", "bound": 3}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,13 +1,17 @@
 import random
+import time
 
 import pytest
 
+from kstacks import grobner
 from kstacks.abelian import FgAbelianGroup, group_from_relations
+from kstacks.exprs import parse_element
 from kstacks.groupring import GroupRingElement, one_minus
 from kstacks.grobner import (
     AbGroupInvariants,
     IntPolynomial,
     PolyPresentation,
+    StrongGroebnerBasis,
     _grevlex_key,
     _lattice_invariants,
     _primary_invariants,
@@ -226,6 +230,44 @@ def test_invariants_torsion_quotient():
     assert inv.status == AbGroupInvariants.EXACT
 
 
+def test_unit_ideal_default_path_does_not_stall():
+    # the Macaulay lattice of these generators blows up; the default path
+    # builds none and certifies the unit ideal from its checked basis
+    Z2, p = laurent2_presentation()
+    gens = [
+        parse_element(s, Z2)
+        for s in ("3*t^[0,-2]", "-2*t^[-2,-1] - t^[-1,0] - 2*t^[0,2]", "-t^[-2,-2] + 1 + t^[0,1]")
+    ]
+    gb = strong_groebner([present(g, p)[0] for g in gens], p)
+    started = time.perf_counter()
+    inv = zmodule_invariants(gb)
+    assert time.perf_counter() - started < 1.0
+    assert inv.invariants() == (0, ())
+    assert inv.status == AbGroupInvariants.EXACT
+    assert inv.bound is None
+
+
+def _no_lattice(*args):
+    raise AssertionError("the default path built a Macaulay lattice")
+
+
+def test_unverified_basis_is_unknown(monkeypatch):
+    # Z[t, 1/t]/(t^2 - 1): the uncompleted inputs y^2 - 1, y'^2 - 1 and
+    # y*y' - 1 leave the standard monomials 1, y, y' (rank 3, not 2), and
+    # the S-polynomial y' - y of the first and last does not reduce to zero;
+    # the criterion check alone must catch it, with no lattice to fall back on
+    monkeypatch.setattr(grobner, "_MacaulayLattice", _no_lattice)
+    Z, p = laurent_presentation()
+    gens = [IntPolynomial({(2, 0): 1, (0, 0): -1}), IntPolynomial({(0, 2): 1, (0, 0): -1})]
+    unfinished = StrongGroebnerBasis(p, gens + list(p.structural), gens)
+    assert len(_standard_monomials(unfinished)) == 3
+    inv = zmodule_invariants(unfinished)
+    assert inv.status == AbGroupInvariants.UNKNOWN
+    assert inv.free_rank is None
+    completed = zmodule_invariants(strong_groebner(gens, p))
+    assert (completed.invariants(), completed.status) == ((2, ()), AbGroupInvariants.EXACT)
+
+
 def test_invariants_unknown_at_tiny_bound():
     Z, p = laurent_presentation()
     t = GroupRingElement.monomial(Z.element([1]))
@@ -279,6 +321,11 @@ def test_incremental_lattice_property(group):
         incremental = _lattice_invariants(G, gens, inside, (bound, bound + 1))
         separate = [_lattice_invariants(G, gens, inside, (b,))[0] for b in (bound, bound + 1)]
         assert incremental == separate
+        # the checked basis alone certifies the standard-monomial invariants
+        default = zmodule_invariants(gb)
+        assert (default.invariants(), default.status, default.bound) == (
+            _primary_invariants(gb, standard), AbGroupInvariants.EXACT, None
+        )
         inv = zmodule_invariants(gb, bound=bound)
         if inv.status == AbGroupInvariants.EXACT:
             exact += 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kstacks import grobner
 from kstacks.abelian import FgAbelianGroup
 from kstacks.groupring import GroupRingElement, one_minus
 from kstacks.grobner import AbGroupInvariants
@@ -250,6 +251,35 @@ def test_invariants_examples():
     inv = invariants(k0_presentation(builtin_example("wps", (1, 1))))
     assert inv.invariants() == (2, ())
     assert inv.status == AbGroupInvariants.EXACT
+
+
+class _LatticeBuilt(Exception):
+    pass
+
+
+def _no_lattice(*args):
+    raise _LatticeBuilt
+
+
+def test_default_invariants_build_no_lattice(monkeypatch):
+    monkeypatch.setattr(grobner, "_MacaulayLattice", _no_lattice)
+    names = ["t0", "t1", "x0", "x1"]
+    Z2 = FgAbelianGroup.canonical(2)
+    Z2xZ3 = FgAbelianGroup.canonical(2, (3,))
+    hirzebruch = [[1, 0], [1, 0], [-2, 1], [0, 1]]
+    p1p1_z3 = [[1, 0, 1], [1, 0, 1], [0, 1, 0], [0, 1, 0]]
+    cases = [
+        (builtin_example("wps", (2, 3)), (5, ())),
+        (make_stack_data(Z2, [(v, d) for v, d in zip(names, hirzebruch)], [names[:2], names[2:]]), (4, ())),
+        (make_stack_data(Z2xZ3, [(v, d) for v, d in zip(names, p1p1_z3)], [names[:2], names[2:]]), (12, ())),
+    ]
+    for data, expected in cases:
+        pres = k0_presentation(data)
+        inv = invariants(pres)
+        assert (inv.invariants(), inv.status, inv.bound) == (expected, AbGroupInvariants.EXACT, None)
+        # an explicit bound still runs the lattice cross-check
+        with pytest.raises(_LatticeBuilt):
+            invariants(pres, bound=1)
 
 
 def test_induced_maps_rugby():
