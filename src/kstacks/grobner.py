@@ -6,6 +6,21 @@ structural relations yi*yi' - 1 and sj^mj - 1, which makes a monomial order
 available.  Over the integers a Groebner basis must be closed under both
 S-polynomials and GCD-polynomials; reduction then leaves coefficient
 remainders in [0, lc), and ``normal_form(f) == 0`` decides ideal membership.
+Exponent vectors must have one entry per presentation variable;
+``strong_groebner``, ``normal_form`` and ``in_ideal`` raise ValueError
+otherwise.
+
+Completion keeps every pair (i, j) of basis elements in a queue ordered by
+the grevlex key of L = lcm(LM_i, LM_j), then by (i, j).  The chain
+criterion of Gebauer & Moeller (1988), which holds over the integers
+(Lichtblau 2012), skips the S-polynomial of a pair only when its
+G-polynomial is trivial (one leading coefficient divides the other), some
+other element k has LM_k | L and lc_k | lcm(lc_i, lc_j), the pairs (i, k)
+and (j, k) have already been popped, and neither lcm(LM_i, LM_k) nor
+lcm(LM_j, LM_k) equals L.  G-polynomials are never skipped, and the
+certificate ``_is_strong_basis`` checks every pair.  Reduction takes terms
+largest first from a heap and reads each basis element's leading term,
+cached on the immutable ``IntPolynomial``, once per call.
 
 Z-module invariants of a quotient are read off the standard monomials of
 the basis together with their leading-coefficient relations.  They are
@@ -26,6 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from math import gcd, prod
+from operator import add, sub
 
 from .abelian import group_from_relations, xgcd
 from .groupring import GroupRingElement
@@ -42,10 +58,20 @@ def _divides(B, E):
     return all(b <= e for b, e in zip(B, E))
 
 
-class IntPolynomial:
-    """Sparse polynomial with integer coefficients and nonnegative exponents."""
+def _lcm_exponent(A, B):
+    return tuple(map(max, A, B))
 
-    __slots__ = ("terms",)
+
+class IntPolynomial:
+    """Sparse polynomial with integer coefficients and nonnegative exponents.
+
+    Immutable by contract: ``terms`` is never written after construction, and
+    every operation returns a new polynomial.  The leading term is computed
+    on first use and cached, so a caller that changed ``terms`` in place
+    would read a stale one.
+    """
+
+    __slots__ = ("terms", "_lt")
 
     def __init__(self, terms):
         clean = {}
@@ -56,6 +82,7 @@ class IntPolynomial:
                     raise ValueError("exponents must be nonnegative")
                 clean[tuple(exp)] = coeff
         self.terms = clean
+        self._lt = None
 
     @classmethod
     def zero(cls):
@@ -69,10 +96,12 @@ class IntPolynomial:
         return not self.terms
 
     def leading_term(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grevlex_key)
-        return exp, self.terms[exp]
+        if self._lt is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            exp = max(self.terms, key=_grevlex_key)
+            self._lt = (exp, self.terms[exp])
+        return self._lt
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -222,35 +251,55 @@ def _normalize_sign(f):
 
 
 def _reduce_terms(terms, basis):
-    """Full reduction of a term dict by a list of sign-normalized polynomials.
+    """Full reduction of a term dict by a list of polynomials with positive
+    leading coefficients.
 
     Every output term has its coefficient in [0, lc(g)) for every basis
-    element g whose leading monomial divides it.
+    element g whose leading monomial divides it.  Terms are taken largest
+    first from a heap in grevlex order; a heap entry whose exponent has left
+    ``work`` (cancelled, or already taken) is skipped.  Reduction only adds
+    terms below the one being reduced, so an exponent never returns to
+    ``work`` once taken.  One pass over the divisors in basis order suffices:
+    each step leaves the coefficient in [0, a) and never raises it.
     """
-    lts = [g.leading_term() for g in basis]
+    reducers = []
+    for g in basis:
+        B, a = g.leading_term()
+        reducers.append((B, a, [(i, b) for i, b in enumerate(B) if b], g.terms))
     work = dict(terms)
+    heap = [(-sum(E), E[::-1], E) for E in work]
+    heapq.heapify(heap)
     out = {}
-    while work:
-        E = max(work, key=_grevlex_key)
-        c = work.pop(E)
-        changed = True
-        while changed and c:
-            changed = False
-            for g, (B, a) in zip(basis, lts):
-                if _divides(B, E):
-                    q = c // a
-                    if q:
-                        c -= q * a
-                        for F, cf in g.terms.items():
-                            if F == B:
-                                continue
-                            key = tuple(e - b + f2 for e, b, f2 in zip(E, B, F))
-                            val = work.get(key, 0) - q * cf
+    while heap:
+        E = heapq.heappop(heap)[2]
+        c = work.pop(E, 0)
+        if not c:
+            continue
+        for B, a, support, gterms in reducers:
+            for i, b in support:
+                if E[i] < b:
+                    break
+            else:
+                q = c // a
+                if q:
+                    c -= q * a
+                    shift = tuple(map(sub, E, B))
+                    for F, cf in gterms.items():
+                        if F is B:  # the leading term is this dict's own key
+                            continue
+                        key = tuple(map(add, shift, F))
+                        val = work.get(key)
+                        if val is None:
+                            work[key] = -q * cf
+                            heapq.heappush(heap, (-sum(key), key[::-1], key))
+                        else:
+                            val -= q * cf
                             if val:
                                 work[key] = val
                             else:
-                                work.pop(key, None)
-                        changed = True
+                                del work[key]
+                    if not c:
+                        break
         if c:
             out[E] = c
     return out
@@ -275,7 +324,7 @@ class StrongGroebnerBasis:
 
 def _spoly(f, g):
     (A, a), (B, b) = f.leading_term(), g.leading_term()
-    L = tuple(max(x, y) for x, y in zip(A, B))
+    L = _lcm_exponent(A, B)
     l = a // gcd(a, b) * b
     return f.shift(tuple(x - y for x, y in zip(L, A)), l // a) - g.shift(
         tuple(x - y for x, y in zip(L, B)), l // b
@@ -287,16 +336,44 @@ def _gpoly(f, g):
     if a % b == 0 or b % a == 0:
         return None
     d, x, y = xgcd(a, b)
-    L = tuple(max(p, q) for p, q in zip(A, B))
+    L = _lcm_exponent(A, B)
     return f.shift(tuple(p - q for p, q in zip(L, A)), x) + g.shift(
         tuple(p - q for p, q in zip(L, B)), y
     )
 
 
+def _check_exponents(polys, presentation):
+    n = presentation.num_vars
+    for f in polys:
+        for E in f.terms:
+            if len(E) != n:
+                raise ValueError(
+                    f"exponent {E} has length {len(E)}; the presentation has {n} variables"
+                )
+
+
 def strong_groebner(gens, presentation):
     """Complete ``gens`` plus the structural relations to a reduced strong
-    Groebner basis (S-polynomials and GCD-polynomials both enter the loop)."""
+    Groebner basis.
+
+    Every pair (i, j) of basis elements waits in a queue ordered by the
+    grevlex key of L = lcm(LM_i, LM_j), then by (i, j).  A popped pair adds
+    the reductions of its S-polynomial and its G-polynomial, when nonzero,
+    to the basis.  The S-polynomial is skipped by the chain criterion
+    (Gebauer & Moeller 1988, over the integers after Lichtblau 2012) only
+    when all of these hold: the G-polynomial is trivial (one leading
+    coefficient divides the other); some other element k has LM_k | L and
+    lc_k | lcm(lc_i, lc_j); both pairs (i, k) and (j, k) have already been
+    popped; and neither lcm(LM_i, LM_k) nor lcm(LM_j, LM_k) equals L.  The
+    last condition implies the one before: both lcms then properly divide L,
+    so they have lower degree and their pairs come earlier in the queue.  A
+    G-polynomial is never skipped, the pair order does not depend on which
+    pairs are skipped, and ``_is_strong_basis`` checks every pair.  An
+    exponent whose length is not ``presentation.num_vars`` raises
+    ValueError.
+    """
     gens = list(gens)
+    _check_exponents(gens, presentation)
     seeds = []
     seen = set()
     for f in itertools.chain(gens, presentation.structural):
@@ -308,31 +385,50 @@ def strong_groebner(gens, presentation):
             seeds.append(f)
 
     basis = []
+    lts = []
     pairs = []
 
-    def push_pairs(j):
-        B, _ = basis[j].leading_term()
+    def add_element(f):
+        j = len(basis)
+        basis.append(f)
+        lts.append(f.leading_term())
+        B = lts[j][0]
         for i in range(j):
-            A, _ = basis[i].leading_term()
-            L = tuple(max(x, y) for x, y in zip(A, B))
-            heapq.heappush(pairs, (_grevlex_key(L), i, j))
+            heapq.heappush(pairs, (_grevlex_key(_lcm_exponent(lts[i][0], B)), i, j))
+
+    def chain_skips(i, j, L):
+        # pairs (i, k) and (j, k) were popped before (i, j): see the docstring
+        (A, a), (B, b) = lts[i], lts[j]
+        l = max(a, b)  # lcm(a, b), as one divides the other
+        for k, (C, c) in enumerate(lts):
+            if (
+                k != i
+                and k != j
+                and l % c == 0
+                and _divides(C, L)
+                and _lcm_exponent(A, C) != L
+                and _lcm_exponent(B, C) != L
+            ):
+                return True
+        return False
 
     for f in seeds:
         reduced = IntPolynomial(_reduce_terms(f.terms, basis)) if basis else f
         if not reduced.is_zero():
-            basis.append(_normalize_sign(reduced))
-            push_pairs(len(basis) - 1)
+            add_element(_normalize_sign(reduced))
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
         f, g = basis[i], basis[j]
-        for combo in (_spoly(f, g), _gpoly(f, g)):
+        gpoly = _gpoly(f, g)
+        if gpoly is None and chain_skips(i, j, _lcm_exponent(lts[i][0], lts[j][0])):
+            continue
+        for combo in (_spoly(f, g), gpoly):
             if combo is None or combo.is_zero():
                 continue
             r = IntPolynomial(_reduce_terms(combo.terms, basis))
             if not r.is_zero():
-                basis.append(_normalize_sign(r))
-                push_pairs(len(basis) - 1)
+                add_element(_normalize_sign(r))
 
     basis = _interreduce(basis)
     return StrongGroebnerBasis(presentation, basis, gens)
@@ -370,11 +466,15 @@ def _interreduce(basis):
 
 
 def normal_form(f, gb):
-    """Canonical remainder of f modulo the ideal of the basis."""
+    """Canonical remainder of f modulo the ideal of the basis.  An exponent
+    whose length is not the presentation's ``num_vars`` raises ValueError."""
+    _check_exponents((f,), gb.presentation)
     return IntPolynomial(_reduce_terms(f.terms, list(gb.elements)))
 
 
 def in_ideal(f, gb):
+    """Whether f lies in the ideal of the basis; malformed exponents raise
+    ValueError as in ``normal_form``."""
     return normal_form(f, gb).is_zero()
 
 

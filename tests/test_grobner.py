@@ -13,6 +13,7 @@ from kstacks.grobner import (
     PolyPresentation,
     StrongGroebnerBasis,
     _grevlex_key,
+    _is_strong_basis,
     _lattice_invariants,
     _primary_invariants,
     _standard_monomials,
@@ -339,6 +340,60 @@ def test_incremental_lattice_property(group):
                 f = f + shift * q
         assert macaulay_member(f, gens, bound)
     assert exact >= 3
+
+
+@pytest.mark.parametrize(
+    "group",
+    [(1, ()), (2, ()), (1, (2,)), (1, (3,)), (2, (2,))],
+    ids=["Z", "Z2", "ZxZ2", "ZxZ3", "Z2xZ2"],
+)
+def test_completion_property(group):
+    # the pair criteria skip work, never a pair the certificate needs
+    rng = random.Random(f"completion/{group}")
+    G = FgAbelianGroup.canonical(*group)
+    p = PolyPresentation.for_group(G)
+    for _ in range(12):
+        gens = [present(g, p)[0] for g in (_random_element(rng, G, 1) for _ in range(rng.randint(1, 3)))
+                if not g.is_zero()]
+        gb = strong_groebner(gens, p)
+        assert _is_strong_basis(gb)
+        assert strong_groebner(gens[::-1], p).elements == gb.elements
+        assert all(normal_form(g, gb).is_zero() for g in gens)
+
+
+def test_malformed_exponents_are_rejected():
+    Z, p = laurent_presentation()
+    gb = strong_groebner([IntPolynomial({(1, 0): 1, (0, 0): -1})], p)
+    for bad in (IntPolynomial({(3,): 1}), IntPolynomial({(3, 0, 5): 1})):
+        with pytest.raises(ValueError):
+            normal_form(bad, gb)
+        with pytest.raises(ValueError):
+            in_ideal(bad, gb)
+        with pytest.raises(ValueError):
+            strong_groebner([bad], p)
+
+
+def test_leading_term_cache():
+    rng = random.Random(5)
+
+    def rand_poly():
+        return IntPolynomial(
+            {tuple(rng.randint(0, 3) for _ in range(3)): rng.choice([-4, -2, -1, 1, 3]) for _ in range(rng.randint(1, 5))}
+        )
+
+    made = 0
+    for _ in range(60):
+        f, g = rand_poly(), rand_poly()
+        f.leading_term()  # a cached operand must not leak into the results
+        exp = tuple(rng.randint(0, 2) for _ in range(3))
+        for h in (f + g, f - g, -f, f * g, f * 3, f.shift(exp, -2), IntPolynomial.monomial(exp, 7)):
+            if h.is_zero():
+                continue
+            made += 1
+            E = max(h.terms, key=_grevlex_key)
+            assert h.leading_term() == (E, h.terms[E])
+            assert h.leading_term() == (E, h.terms[E])
+    assert made > 300
 
 
 def test_invariants_invariance_under_generators_presentation():
