@@ -10,17 +10,32 @@ Exponent vectors must have one entry per presentation variable;
 ``strong_groebner``, ``normal_form`` and ``in_ideal`` raise ValueError
 otherwise.
 
-Completion keeps every pair (i, j) of basis elements in a queue ordered by
-the grevlex key of L = lcm(LM_i, LM_j), then by (i, j).  The chain
-criterion of Gebauer & Moeller (1988), which holds over the integers
-(Lichtblau 2012), skips the S-polynomial of a pair only when its
-G-polynomial is trivial (one leading coefficient divides the other), some
-other element k has LM_k | L and lc_k | lcm(lc_i, lc_j), the pairs (i, k)
-and (j, k) have already been popped, and neither lcm(LM_i, LM_k) nor
-lcm(LM_j, LM_k) equals L.  G-polynomials are never skipped, and the
-certificate ``_is_strong_basis`` checks every pair.  Reduction takes terms
-largest first from a heap and reads each basis element's leading term,
-cached on the immutable ``IntPolynomial``, once per call.
+Completion follows the pair update of Gebauer & Moeller (1988), which
+carries over to strong bases over the integers (Lichtblau 2012).  Pairs
+(i, j) of basis elements wait in a queue ordered by the grevlex key of
+L = lcm(LM_i, LM_j), then by (i, j).  A new element h forms pairs with the
+live elements only; then every live g with LM_h | LM_g and lc_h | lc_g
+retires.  A retired g leaves the reducers and forms no new pairs, but the
+pairs it already has stay queued, and the reduced basis is built from the
+live elements alone.  Retiring g is sound over the integers because the
+coefficient divides too: h reduces every term that g reduces, to a
+remainder in [0, lc_h), inside [0, lc_g); and g = (lc_g/lc_h) X^(LM_g -
+LM_h) h + S(g, h), where S(g, h) is the S-polynomial of the queued pair
+(g, h).  A later h' needs no pair with g: as in the chain criterion,
+LM_h | lcm(LM_g, LM_h') and lc_h | lc_g, and the pairs (g, h) and (h, h')
+are formed.  Without the coefficient condition h would not reduce g's
+leading term.
+
+The chain criterion skips the S-polynomial of a pair (i, j) only when its
+G-polynomial is trivial (one leading coefficient divides the other) and
+some other element k whose pairs with i and with j were both formed has
+LM_k | L and lc_k | lcm(lc_i, lc_j), with neither lcm(LM_i, LM_k) nor
+lcm(LM_j, LM_k) equal to L.  G-polynomials are never skipped.  Each S- and
+G-polynomial is built as one term dict from the two shifted polynomials,
+and the certificate ``_is_strong_basis`` uses the same builder on every
+pair of the final basis.  Reduction takes terms largest first from a heap
+and reads each reducer's leading term, cached on the immutable
+``IntPolynomial``, once per call.
 
 Z-module invariants of a quotient are read off the standard monomials of
 the basis together with their leading-coefficient relations.  They are
@@ -40,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import gcd, prod
+from math import gcd, inf, prod
 from operator import add, sub
 
 from .abelian import group_from_relations, xgcd
@@ -322,24 +337,37 @@ class StrongGroebnerBasis:
         return f"StrongGroebnerBasis({len(self.elements)} elements)"
 
 
-def _spoly(f, g):
+def _pair_polys(f, g):
+    """Term dicts of the S-polynomial of f and g and, unless one leading
+    coefficient divides the other, of their G-polynomial.
+
+    With leading terms a*X^A and b*X^B and L = lcm(A, B), each is
+    x * X^(L - A) * f + y * X^(L - B) * g, built as one dict: (l/a, -l/b)
+    for l = lcm(a, b), so the leading terms cancel, and the Bezout pair of
+    x*a + y*b = gcd(a, b).  Neither x nor y is zero.
+    """
     (A, a), (B, b) = f.leading_term(), g.leading_term()
     L = _lcm_exponent(A, B)
+    u, v = tuple(map(sub, L, A)), tuple(map(sub, L, B))
     l = a // gcd(a, b) * b
-    return f.shift(tuple(x - y for x, y in zip(L, A)), l // a) - g.shift(
-        tuple(x - y for x, y in zip(L, B)), l // b
-    )
+    out = [_shifted_sum(f.terms, u, l // a, g.terms, v, -(l // b))]
+    if a % b and b % a:
+        _, x, y = xgcd(a, b)
+        out.append(_shifted_sum(f.terms, u, x, g.terms, v, y))
+    return out
 
 
-def _gpoly(f, g):
-    (A, a), (B, b) = f.leading_term(), g.leading_term()
-    if a % b == 0 or b % a == 0:
-        return None
-    d, x, y = xgcd(a, b)
-    L = _lcm_exponent(A, B)
-    return f.shift(tuple(p - q for p, q in zip(L, A)), x) + g.shift(
-        tuple(p - q for p, q in zip(L, B)), y
-    )
+def _shifted_sum(fterms, u, x, gterms, v, y):
+    """Terms of x * X^u * f + y * X^v * g, for nonzero x and y."""
+    terms = {tuple(map(add, E, u)): x * c for E, c in fterms.items()}
+    for E, c in gterms.items():
+        key = tuple(map(add, E, v))
+        c = terms.get(key, 0) + y * c
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+    return terms
 
 
 def _check_exponents(polys, presentation):
@@ -356,21 +384,29 @@ def strong_groebner(gens, presentation):
     """Complete ``gens`` plus the structural relations to a reduced strong
     Groebner basis.
 
-    Every pair (i, j) of basis elements waits in a queue ordered by the
-    grevlex key of L = lcm(LM_i, LM_j), then by (i, j).  A popped pair adds
-    the reductions of its S-polynomial and its G-polynomial, when nonzero,
-    to the basis.  The S-polynomial is skipped by the chain criterion
-    (Gebauer & Moeller 1988, over the integers after Lichtblau 2012) only
-    when all of these hold: the G-polynomial is trivial (one leading
-    coefficient divides the other); some other element k has LM_k | L and
-    lc_k | lcm(lc_i, lc_j); both pairs (i, k) and (j, k) have already been
-    popped; and neither lcm(LM_i, LM_k) nor lcm(LM_j, LM_k) equals L.  The
-    last condition implies the one before: both lcms then properly divide L,
-    so they have lower degree and their pairs come earlier in the queue.  A
-    G-polynomial is never skipped, the pair order does not depend on which
-    pairs are skipped, and ``_is_strong_basis`` checks every pair.  An
-    exponent whose length is not ``presentation.num_vars`` raises
-    ValueError.
+    Pairs (i, j) of basis elements wait in a queue ordered by the grevlex
+    key of L = lcm(LM_i, LM_j), then by (i, j); a popped pair adds the
+    reductions of its S-polynomial and its G-polynomial, when nonzero, to
+    the basis.  The update rule (Gebauer & Moeller 1988; over the integers,
+    Lichtblau 2012):
+
+    - a new element h forms pairs with every live element, then retires
+      each live g with LM_h | LM_g and lc_h | lc_g;
+    - a retired g no longer reduces and forms no new pairs, but its queued
+      pairs stay queued and are processed as usual;
+    - the S-polynomial of (i, j) is skipped only when its G-polynomial is
+      trivial (one leading coefficient divides the other) and some k other
+      than i and j, whose pairs with i and with j were both formed, has
+      LM_k | L, lc_k | lcm(lc_i, lc_j), and neither lcm(LM_i, LM_k) nor
+      lcm(LM_j, LM_k) equal to L.  Both lcms then properly divide L, so
+      those pairs come earlier in the queue and have been popped.
+
+    Retiring g keeps the result: h reduces every term g reduces, and g is
+    a multiple of h plus the S-polynomial of the queued pair (g, h); see
+    the module docstring.  G-polynomials are never skipped, the live
+    elements are interreduced into the result, and ``_is_strong_basis``
+    checks every pair.  An exponent whose length is not
+    ``presentation.num_vars`` raises ValueError.
     """
     gens = list(gens)
     _check_exponents(gens, presentation)
@@ -384,26 +420,41 @@ def strong_groebner(gens, presentation):
             seen.add(f)
             seeds.append(f)
 
-    basis = []
+    basis = []  # every element ever added; pairs refer to their indices
     lts = []
+    until = []  # index of the element that retired basis[k], or inf while it is live
+    live = []  # indices of the live elements, ascending
+    reducers = []  # the live elements, in the same order
     pairs = []
 
-    def add_element(f):
+    def add_element(h):
         j = len(basis)
-        basis.append(f)
-        lts.append(f.leading_term())
-        B = lts[j][0]
-        for i in range(j):
+        B, b = h.leading_term()
+        for i in live:
             heapq.heappush(pairs, (_grevlex_key(_lcm_exponent(lts[i][0], B)), i, j))
+        basis.append(h)
+        lts.append((B, b))
+        until.append(inf)
+        for k in live:
+            C, c = lts[k]
+            if c % b == 0 and _divides(B, C):
+                until[k] = j
+        live[:] = [k for k in live if until[k] > j] + [j]
+        reducers[:] = [basis[k] for k in live]
 
     def chain_skips(i, j, L):
-        # pairs (i, k) and (j, k) were popped before (i, j): see the docstring
+        # i < j.  k may serve only if its pairs with i and with j were both
+        # queued: k <= until[i] and k <= until[j], and an older k was still
+        # live when j came.  Those pairs were popped before (i, j): see the
+        # docstring.
         (A, a), (B, b) = lts[i], lts[j]
         l = max(a, b)  # lcm(a, b), as one divides the other
-        for k, (C, c) in enumerate(lts):
+        for k in range(min(until[i], until[j], len(lts) - 1) + 1):
+            C, c = lts[k]
             if (
                 k != i
                 and k != j
+                and (k > j or until[k] >= j)
                 and l % c == 0
                 and _divides(C, L)
                 and _lcm_exponent(A, C) != L
@@ -413,52 +464,33 @@ def strong_groebner(gens, presentation):
         return False
 
     for f in seeds:
-        reduced = IntPolynomial(_reduce_terms(f.terms, basis)) if basis else f
+        reduced = IntPolynomial(_reduce_terms(f.terms, reducers)) if reducers else f
         if not reduced.is_zero():
             add_element(_normalize_sign(reduced))
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        f, g = basis[i], basis[j]
-        gpoly = _gpoly(f, g)
-        if gpoly is None and chain_skips(i, j, _lcm_exponent(lts[i][0], lts[j][0])):
+        (A, a), (B, b) = lts[i], lts[j]
+        if (a % b == 0 or b % a == 0) and chain_skips(i, j, _lcm_exponent(A, B)):
             continue
-        for combo in (_spoly(f, g), gpoly):
-            if combo is None or combo.is_zero():
-                continue
-            r = IntPolynomial(_reduce_terms(combo.terms, basis))
-            if not r.is_zero():
-                add_element(_normalize_sign(r))
+        for combo in _pair_polys(basis[i], basis[j]):
+            r = _reduce_terms(combo, reducers)
+            if r:
+                add_element(_normalize_sign(IntPolynomial(r)))
 
-    basis = _interreduce(basis)
-    return StrongGroebnerBasis(presentation, basis, gens)
+    return StrongGroebnerBasis(presentation, _interreduce(reducers), gens)
 
 
-def _interreduce(basis):
-    basis = sorted(basis, key=lambda f: (_grevlex_key(f.leading_term()[0]), f.leading_term()[1]))
-    # drop elements whose leading term is term-divisible by another's
-    kept = []
-    lts = [f.leading_term() for f in basis]
-    for i, f in enumerate(basis):
-        B, a = lts[i]
-        redundant = False
-        for j, (C, c) in enumerate(lts):
-            if i == j:
-                continue
-            if _divides(C, B) and a % c == 0:
-                if (C, c) == (B, a) and j > i:
-                    continue
-                redundant = True
-                break
-        if not redundant:
-            kept.append(f)
-    # tail-reduce each element; leading terms are untouched, so one pass
-    # leaves every non-leading term irreducible
+def _interreduce(live):
+    """Tail-reduce each live element by all of them.  No live leading term
+    divides another's with its coefficient, so none is dropped; leading
+    terms are untouched, so one pass leaves every non-leading term
+    irreducible."""
     reduced = []
-    for f in kept:
+    for f in live:
         B, a = f.leading_term()
         tail = {E: c for E, c in f.terms.items() if E != B}
-        nf_tail = _reduce_terms(tail, kept)
+        nf_tail = _reduce_terms(tail, live)
         nf_tail[B] = a
         reduced.append(IntPolynomial(nf_tail))
     reduced.sort(key=lambda f: (_grevlex_key(f.leading_term()[0]), f.leading_term()[1]))
@@ -768,11 +800,11 @@ def _is_strong_basis(gb):
         return False
     pairs = itertools.combinations(basis, 2)
     must_vanish = itertools.chain(
-        gb.input_generators,
-        gb.presentation.structural,
-        (h for f, g in pairs for h in (_spoly(f, g), _gpoly(f, g)) if h is not None),
+        (f.terms for f in gb.input_generators),
+        (f.terms for f in gb.presentation.structural),
+        (h for f, g in pairs for h in _pair_polys(f, g)),
     )
-    return not any(_reduce_terms(h.terms, basis) for h in must_vanish)
+    return not any(_reduce_terms(h, basis) for h in must_vanish)
 
 
 def macaulay_member(e, zgens, bound):

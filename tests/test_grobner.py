@@ -15,6 +15,7 @@ from kstacks.grobner import (
     _grevlex_key,
     _is_strong_basis,
     _lattice_invariants,
+    _pair_polys,
     _primary_invariants,
     _standard_monomials,
     in_ideal,
@@ -25,6 +26,8 @@ from kstacks.grobner import (
     unpresent,
     zmodule_invariants,
 )
+from kstacks.ktheory import k0_presentation
+from kstacks.stacks import builtin_example, make_stack_data
 
 
 def laurent_presentation():
@@ -289,11 +292,15 @@ def test_negative_bound_is_rejected():
         macaulay_member(1 - t, [(1 - t) * (1 - t)], -1)
 
 
-def _random_element(rng, G, spread):
+NARROW_COEFFS = (-3, -2, -1, 1, 1, 2, 3)
+WIDE_COEFFS = tuple(c for c in range(-6, 7) if c)
+
+
+def _random_element(rng, G, spread, coeffs=NARROW_COEFFS):
     e = GroupRingElement.zero(G)
     for _ in range(rng.randint(1, 3)):
         coords = [rng.randint(-spread, spread) for _ in range(G.num_generators)]
-        e = e + GroupRingElement.monomial(G.element(coords), rng.choice([-3, -2, -1, 1, 1, 2, 3]))
+        e = e + GroupRingElement.monomial(G.element(coords), rng.choice(coeffs))
     return e
 
 
@@ -343,22 +350,153 @@ def test_incremental_lattice_property(group):
 
 
 @pytest.mark.parametrize(
-    "group",
-    [(1, ()), (2, ()), (1, (2,)), (1, (3,)), (2, (2,))],
-    ids=["Z", "Z2", "ZxZ2", "ZxZ3", "Z2xZ2"],
+    "group, wide",
+    [((1, ()), False), ((2, ()), False), ((1, (2,)), False), ((1, (3,)), False), ((2, (2,)), False),
+     ((1, ()), True), ((2, ()), True), ((1, (2,)), True), ((1, (3,)), True), ((1, (4,)), True),
+     ((0, (6,)), True)],
+    ids=["Z", "Z2", "ZxZ2", "ZxZ3", "Z2xZ2", "Z-wide", "Z2-wide", "ZxZ2-wide", "ZxZ3-wide", "ZxZ4-wide",
+         "Z6-wide"],
 )
-def test_completion_property(group):
-    # the pair criteria skip work, never a pair the certificate needs
-    rng = random.Random(f"completion/{group}")
+def test_completion_property(group, wide):
+    # the pair criteria and the retirement of redundant elements skip work,
+    # never a pair the certificate needs.  Wide inputs (exponent spread 2,
+    # coefficients up to 6) often have leading coefficients that do not
+    # divide each other, so G-polynomials are nontrivial and the
+    # coefficient conditions of the update rule come into play.
+    rng = random.Random(f"completion/{group}" + ("/wide" if wide else ""))
+    spread, coeffs = (2, WIDE_COEFFS) if wide else (1, NARROW_COEFFS)
     G = FgAbelianGroup.canonical(*group)
     p = PolyPresentation.for_group(G)
     for _ in range(12):
-        gens = [present(g, p)[0] for g in (_random_element(rng, G, 1) for _ in range(rng.randint(1, 3)))
+        gens = [present(g, p)[0] for g in (_random_element(rng, G, spread, coeffs) for _ in range(rng.randint(1, 3)))
                 if not g.is_zero()]
         gb = strong_groebner(gens, p)
         assert _is_strong_basis(gb)
         assert strong_groebner(gens[::-1], p).elements == gb.elements
         assert all(normal_form(g, gb).is_zero() for g in gens)
+
+
+# Reduced bases recorded from the completion loop that formed pairs with
+# every element and reduced by all of them; the update rule must not change
+# a single term.  "stall" is an ideal over Z^2 x Z/3 on which that loop took
+# seconds.  "Z/6" loses its certificate if the chain criterion drops the
+# condition lcm(LM_i, LM_k) != L.
+PINNED_BASES = {
+    "wps(5,7,11,13)": [
+        {(0, 0): -1, (1, 1): 1},
+        {(0, 0): 2, (0, 2): 1, (0, 5): -1, (0, 6): 1, (0, 7): -1, (0, 11): -1, (0, 13): -1, (0, 18): 1,
+         (2, 0): 1, (5, 0): -1, (6, 0): 1, (7, 0): -1, (11, 0): -1, (13, 0): -1, (18, 0): 1},
+        {(0, 1): 2, (0, 3): 1, (0, 6): -1, (0, 7): 1, (0, 8): -1, (0, 12): -1, (0, 14): -1, (0, 19): 1,
+         (1, 0): 1, (4, 0): -1, (5, 0): 1, (6, 0): -1, (10, 0): -1, (12, 0): -1, (17, 0): 1},
+    ],
+    "wps(3,7,7,9)": [
+        {(0, 0): -1, (1, 1): 1},
+        {(0, 1): 1, (0, 3): 2, (0, 4): -1, (0, 6): -2, (0, 10): -1, (0, 13): 1, (1, 0): 1, (3, 0): 2,
+         (4, 0): -1, (6, 0): -2, (10, 0): -1, (13, 0): 1},
+        {(0, 0): 1, (0, 2): 1, (0, 4): 2, (0, 5): -1, (0, 7): -2, (0, 11): -1, (0, 14): 1, (2, 0): 2,
+         (3, 0): -1, (5, 0): -2, (9, 0): -1, (12, 0): 1},
+    ],
+    "F_3": [
+        {(0, 0, 0, 0): -2, (0, 1, 0, 0): 1, (1, 0, 0, 0): 1},
+        {(0, 0, 0, 0): 3, (0, 0, 0, 1): -3, (0, 0, 0, 2): 1, (0, 0, 1, 0): -1},
+        {(0, 0, 0, 0): -1, (0, 0, 1, 1): 1},
+        {(0, 0, 0, 0): 5, (0, 0, 0, 1): -4, (0, 0, 1, 0): -1, (0, 1, 0, 0): -3, (0, 1, 0, 1): 3},
+        {(0, 0, 0, 0): 3, (0, 0, 0, 1): -1, (0, 0, 1, 0): -3, (0, 0, 2, 0): 1},
+        {(0, 0, 0, 0): 2, (0, 0, 0, 1): -1, (0, 0, 1, 0): -1, (0, 1, 0, 0): -2, (0, 1, 0, 1): 1,
+         (0, 1, 1, 0): 1},
+        {(0, 0, 0, 0): 1, (0, 1, 0, 0): -2, (0, 2, 0, 0): 1},
+    ],
+    "(P1)^2xZ/3(1,1)": [
+        {(0, 0, 0, 0, 2): -2, (0, 0, 0, 1, 1): 1, (0, 0, 1, 0, 0): 1},
+        {(0, 0, 0, 0, 2): -2, (0, 1, 0, 0, 1): 1, (1, 0, 0, 0, 0): 1},
+        {(0, 0, 0, 0, 2): -3, (0, 0, 0, 2, 0): 1, (0, 0, 1, 0, 0): 2},
+        {(0, 0, 0, 0, 0): -1, (0, 0, 1, 1, 0): 1},
+        {(0, 0, 0, 0, 1): -3, (0, 0, 0, 1, 0): 2, (0, 0, 2, 0, 0): 1},
+        {(0, 0, 1, 0, 1): -2, (0, 1, 1, 0, 0): 1, (1, 0, 0, 0, 1): 2, (1, 0, 0, 1, 0): -1},
+        {(0, 0, 0, 0, 2): -3, (0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 0): 2},
+        {(0, 0, 0, 0, 0): -1, (1, 1, 0, 0, 0): 1},
+        {(0, 0, 0, 0, 1): -3, (0, 1, 0, 0, 0): 2, (2, 0, 0, 0, 0): 1},
+        {(0, 0, 0, 0, 0): -1, (0, 0, 0, 0, 3): 1},
+        {(0, 0, 0, 0, 1): -2, (0, 0, 0, 1, 0): 1, (0, 0, 1, 0, 2): 1},
+        {(0, 0, 0, 0, 1): -2, (0, 1, 0, 0, 0): 1, (1, 0, 0, 0, 2): 1},
+        {(0, 0, 0, 0, 2): 4, (0, 0, 1, 0, 0): -2, (0, 1, 0, 1, 0): -1, (1, 0, 0, 0, 0): -2,
+         (1, 0, 1, 0, 1): 1},
+    ],
+    "rugby(12,18)": [
+        {(0, 0, 0): -1, (1, 1, 0): 1},
+        {(0, 1, 3): 1, (1, 0, 2): -1, (2, 0, 1): -1, (4, 0, 0): 1},
+        {(0, 0, 2): -1, (0, 2, 3): 1, (1, 0, 1): -1, (3, 0, 0): 1},
+        {(0, 0, 4): -1, (0, 1, 4): -1, (0, 4, 0): 1, (3, 0, 2): 1},
+        {(0, 0, 4): 1, (0, 2, 0): -1, (0, 3, 0): -1, (0, 4, 1): 1, (1, 0, 4): 1, (2, 0, 3): -1},
+        {(0, 0, 3): -1, (0, 1, 4): -1, (0, 5, 0): 1, (1, 0, 2): -1, (2, 0, 2): 1, (3, 0, 1): 1},
+        {(0, 0, 0): -1, (0, 0, 6): 1},
+        {(0, 0, 4): 1, (0, 1, 5): 1, (0, 3, 0): -1, (2, 0, 3): -1},
+        {(0, 0, 5): -1, (0, 1, 0): -1, (0, 3, 1): 1, (2, 0, 4): 1},
+    ],
+    "ZxZ/4(1,2,5)": [
+        {(0, 0, 0): -1, (1, 1, 0): 1},
+        {(0, 0, 0): -1, (0, 0, 4): 1},
+        {(0, 1, 3): -1, (0, 2, 0): 1, (0, 3, 0): 1, (0, 4, 1): -1, (1, 0, 3): 1, (2, 0, 2): -1, (3, 0, 2): -1,
+         (4, 0, 1): 1},
+        {(0, 0, 2): -1, (0, 2, 0): 1, (0, 2, 3): 1, (0, 4, 1): -1, (1, 0, 3): 1, (3, 0, 1): -1, (3, 0, 2): -1,
+         (5, 0, 0): 1},
+        {(0, 1, 2): -1, (0, 2, 3): 1, (0, 3, 3): 1, (0, 4, 0): -1, (1, 0, 2): 1, (2, 0, 1): -1, (3, 0, 1): -1,
+         (4, 0, 0): 1},
+        {(0, 0, 3): -1, (0, 2, 3): 1, (0, 3, 0): -1, (0, 4, 0): -1, (0, 5, 1): 1, (1, 0, 2): 1, (2, 0, 2): 1,
+         (3, 0, 1): -1},
+        {(0, 0, 2): 1, (0, 2, 1): 1, (0, 2, 2): -1, (0, 2, 3): -1, (0, 4, 0): 1, (0, 4, 2): -1, (0, 5, 0): -1,
+         (0, 6, 0): 1, (1, 0, 0): 1, (1, 0, 2): -1, (3, 0, 0): 1, (3, 0, 1): 1, (3, 0, 3): -1, (4, 0, 0): -1},
+    ],
+    "Z/6": [
+        {(0,): 1330},
+        {(0,): 442, (1,): 2},
+        {(0,): 1329, (6,): 1},
+    ],
+    "stall": [
+        {(0, 0, 0, 0, 0): 533143486135},
+        {(0, 0, 0, 0, 0): 72514378169, (0, 0, 0, 0, 1): 1},
+        {(0, 0, 0, 0, 0): 12282063509, (0, 0, 0, 1, 0): 1},
+        {(0, 0, 0, 0, 0): 216768993819, (0, 0, 1, 0, 0): 1},
+        {(0, 0, 0, 0, 0): 207053053439, (0, 1, 0, 0, 0): 1},
+        {(0, 0, 0, 0, 0): 430023594669, (1, 0, 0, 0, 0): 1},
+    ],
+}
+
+
+def _stack(G, degrees, components):
+    names = [f"x{i}" for i in range(len(degrees))]
+    variables = [(v, d, False) for v, d in zip(names, degrees)]
+    return make_stack_data(G, variables, [names[a:b] for a, b in components])
+
+
+def _completed(group, gens):
+    G = FgAbelianGroup.canonical(*group)
+    p = PolyPresentation.for_group(G)
+    return strong_groebner([present(parse_element(s, G), p)[0] for s in gens], p)
+
+
+PINNED_INPUTS = {
+    "wps(5,7,11,13)": lambda: k0_presentation(builtin_example("wps", [5, 7, 11, 13])).basis,
+    "wps(3,7,7,9)": lambda: k0_presentation(builtin_example("wps", [3, 7, 7, 9])).basis,
+    "F_3": lambda: k0_presentation(
+        _stack(FgAbelianGroup.canonical(2), [[1, 0], [1, 0], [-3, 1], [0, 1]], [(0, 2), (2, 4)])
+    ).basis,
+    "(P1)^2xZ/3(1,1)": lambda: k0_presentation(
+        _stack(FgAbelianGroup.canonical(2, (3,)), [[1, 0, 1], [1, 0, 1], [0, 1, 1], [0, 1, 1]], [(0, 2), (2, 4)])
+    ).basis,
+    "rugby(12,18)": lambda: k0_presentation(builtin_example("rugby", [12, 18])).basis,
+    "ZxZ/4(1,2,5)": lambda: k0_presentation(
+        _stack(FgAbelianGroup.canonical(1, (4,)), [[1, 3], [2, 3], [5, 2]], [(0, 3)])
+    ).basis,
+    "stall": lambda: _completed((2, (3,)), ("3*t^[-2,0;2] + 2*t^[1,2;1]", "3*t^[-1,-2;2] - 3*t^[-1,0;0]",
+                                            "-2*t^[-1,0;0] + t^[0,2;0] + t^[2,1;1]")),
+    "Z/6": lambda: _completed((0, (6,)), ("-4*t^[;4] + 6*t^[;5]",)),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_BASES)
+def test_pinned_bases(name):
+    assert [f.terms for f in PINNED_INPUTS[name]().elements] == PINNED_BASES[name]
 
 
 def test_malformed_exponents_are_rejected():
@@ -430,14 +568,12 @@ def test_basis_deterministic():
 
 
 def assert_closed_under_pairs(gb):
-    from kstacks.grobner import _gpoly, _spoly
-
     elems = list(gb.elements)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            for combo in (_spoly(elems[i], elems[j]), _gpoly(elems[i], elems[j])):
-                if combo is not None:
-                    assert normal_form(combo, gb).is_zero()
+            for terms in _pair_polys(elems[i], elems[j]):
+                combo = IntPolynomial(terms)
+                assert normal_form(combo, gb).is_zero()
 
 
 def test_basis_closed_under_pairs():
