@@ -9,10 +9,8 @@ the K-group presentation and class calculus (ktheory), Picard groups
 
 from .abelian import (
     FgAbelianGroup,
-    GroupElement,
     GroupHomomorphism,
     IntMatrix,
-    SmithDecomposition,
     canonicalize,
     group_from_relations,
     quotient_by_subgroup,
@@ -25,7 +23,6 @@ from .grobner import (
     PolyPresentation,
     StrongGroebnerBasis,
     in_ideal,
-    macaulay_member,
     normal_form,
     present,
     strong_groebner,
@@ -48,9 +45,7 @@ from .stacks import (
 )
 from .ktheory import (
     HypothesisError,
-    InducedK0Map,
     K0Class,
-    K0Presentation,
     class_of_coordinate_quotient,
     class_of_intersection,
     class_of_koszul_quotient,
@@ -60,7 +55,7 @@ from .ktheory import (
     invariants,
     k0_presentation,
 )
-from .picard import PicResult, pic, pic_open, units_subgroup
+from .picard import pic, pic_open, units_subgroup
 from .exprs import ParseError, parse_element
 
 __version__ = "0.1.0"
@@ -69,19 +64,14 @@ __all__ = [
     "AbGroupInvariants",
     "ConnectednessReport",
     "FgAbelianGroup",
-    "GroupElement",
     "GroupHomomorphism",
     "GroupRingElement",
     "HypothesisError",
-    "InducedK0Map",
     "IntMatrix",
     "IntPolynomial",
     "K0Class",
-    "K0Presentation",
     "ParseError",
-    "PicResult",
     "PolyPresentation",
-    "SmithDecomposition",
     "StackData",
     "StackDataError",
     "StrongGroebnerBasis",
@@ -102,7 +92,6 @@ __all__ = [
     "invariants",
     "k0_presentation",
     "load_stackdata",
-    "macaulay_member",
     "make_stack_data",
     "normal_form",
     "one_minus",

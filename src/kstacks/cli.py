@@ -44,12 +44,14 @@ EXIT_HYPOTHESIS = 2
 EXIT_NEGATIVE = 3
 
 
-def _bound(args, option, env):
-    """A search bound from the command-line option, else from the
-    environment variable, else None; negative bounds are input errors."""
-    value = getattr(args, option, None)
-    source = "--" + option.replace("_", "-")
+def _connected_bound(args):
+    """The connectedness search bound from --bound, else from the
+    environment variable KSTACKS_CONNECTED_BOUND, else None; negative
+    bounds are input errors."""
+    value = args.bound
+    source = "--bound"
     if value is None:
+        env = "KSTACKS_CONNECTED_BOUND"
         raw = os.environ.get(env)
         if raw is None:
             return None
@@ -61,14 +63,6 @@ def _bound(args, option, env):
     if value < 0:
         raise StackDataError(f"{source} must be non-negative, got {value}")
     return value
-
-
-def _connected_bound(args):
-    return _bound(args, "bound", "KSTACKS_CONNECTED_BOUND")
-
-
-def _macaulay_bound(args):
-    return _bound(args, "macaulay_bound", "KSTACKS_MACAULAY_BOUND")
 
 
 def _load_input(args):
@@ -161,7 +155,7 @@ def cmd_k0(args):
     else:
         lines.append("  ideal generators: none (zero ideal)")
     if args.invariants:
-        inv = invariants(pres, bound=_macaulay_bound(args))
+        inv = invariants(pres)
         payload["invariants"] = inv.to_json()
         if inv.free_rank is None:
             lines.append(f"  invariants: {inv.status}")
@@ -399,11 +393,6 @@ def build_parser():
     _add_input_options(k0)
     k0.add_argument("--invariants", action="store_true", help="also compute abelian-group invariants")
     k0.add_argument("--bound", type=int, help="connectedness search bound")
-    k0.add_argument(
-        "--macaulay-bound",
-        type=int,
-        help="cross-check invariants against a truncated Macaulay lattice at this bound and the next",
-    )
     k0.add_argument("--override-hypothesis", action="store_true")
     k0.set_defaults(func=cmd_k0)
 

@@ -43,12 +43,7 @@ the basis together with their leading-coefficient relations.  They are
 Buchberger's criterion over the integers (Kandri-Rody & Kapur 1988;
 Lichtblau 2012): every input generator and structural relation reduces to
 zero, and so does the S-polynomial and the G-polynomial of every pair of
-basis elements.  An explicit Macaulay bound B adds an independent
-cross-check: a truncated lattice built from raw shifts of the input
-generators, read at B and again after it is extended by the shifts whose
-largest free coordinate has magnitude B + 1.  With a bound the status only
-claims exactness when both readings agree with the standard-monomial route.
-Bounds must be non-negative.
+basis elements.
 """
 
 from __future__ import annotations
@@ -518,25 +513,21 @@ class AbGroupInvariants:
     """Abelian-group structure of a quotient ring, with an honesty status.
 
     status is "exact" (a verified strong basis with a finite standard
-    monomial set, and, when a Macaulay bound was given, the oracle agrees
-    at that bound and the next), "not_finitely_generated" (a verified
-    strong basis whose standard monomial set is infinite), or "unknown"
-    (the basis fails the check, the oracle disagrees, or the standard
-    monomial box exceeds BOX_LIMIT).  bound is the Macaulay bound of the
-    cross-check, or None when none ran.
+    monomial set), "not_finitely_generated" (a verified strong basis whose
+    standard monomial set is infinite), or "unknown" (the basis fails the
+    check, or the standard monomial box exceeds BOX_LIMIT).
     """
 
     EXACT = "exact"
     NOT_FG = "not_finitely_generated"
     UNKNOWN = "unknown"
 
-    __slots__ = ("free_rank", "torsion", "status", "bound")
+    __slots__ = ("free_rank", "torsion", "status")
 
-    def __init__(self, free_rank, torsion, status, bound=None):
+    def __init__(self, free_rank, torsion, status):
         self.free_rank = free_rank
         self.torsion = tuple(torsion)
         self.status = status
-        self.bound = bound
 
     def invariants(self):
         return (self.free_rank, self.torsion)
@@ -544,11 +535,10 @@ class AbGroupInvariants:
     def __eq__(self, other):
         if not isinstance(other, AbGroupInvariants):
             return NotImplemented
-        return (self.free_rank, self.torsion, self.status, self.bound) == (
+        return (self.free_rank, self.torsion, self.status) == (
             other.free_rank,
             other.torsion,
             other.status,
-            other.bound,
         )
 
     def __repr__(self):
@@ -562,7 +552,6 @@ class AbGroupInvariants:
             "rank": self.free_rank,
             "torsion": list(self.torsion),
             "status": self.status,
-            "bound": self.bound,
         }
 
 
@@ -621,171 +610,6 @@ def _primary_invariants(gb, standard):
     return group_from_relations(len(standard), rows).invariants()
 
 
-class _MacaulayLattice:
-    """Integer echelon of the lattice spanned by the shifts t^beta * q of
-    group-ring generators q, grown one shell of free shifts at a time.
-
-    Each group element the lattice can reach gets an integer column: a
-    mixed-radix code of its free coordinates and residues, whose natural
-    order is the lexicographic order of the keys (free, residues), with the
-    ``inside`` elements placed after all others.  A row's leading column is
-    then ``min(row)``.  Pivot rows have distinct leading columns and
-    positive leading entries, so whatever the insertion order, the rows
-    that lead with an inside column span the lattice's intersection with
-    the inside coordinates.
-    """
-
-    __slots__ = ("bound", "pivots", "_lo", "_free_strides", "_res_strides",
-                 "_inside", "_offset", "_shift_rows")
-
-    def __init__(self, group, zgens, max_bound, inside):
-        """``max_bound`` is the largest bound the lattice will grow to;
-        ``inside`` holds the keys (free, residues) of the inside elements."""
-        torsion = group.torsion
-        shifted = [elem.free for q in zgens for elem in q.terms]
-        fixed = [free for free, _ in inside]
-        size = 1
-        self._res_strides = []
-        for m in reversed(torsion):
-            self._res_strides.insert(0, size)
-            size *= m
-        self._lo = []
-        self._free_strides = []
-        for i in reversed(range(group.free_rank)):
-            lo = min(itertools.chain((f[i] - max_bound for f in shifted), (f[i] for f in fixed)))
-            hi = max(itertools.chain((f[i] + max_bound for f in shifted), (f[i] for f in fixed)))
-            self._lo.insert(0, lo)
-            self._free_strides.insert(0, size)
-            size *= hi - lo + 1
-        self._offset = size
-        self._inside = frozenset(self._code(key) for key in inside)
-        # one template per generator and torsion shift; a free shift adds a constant
-        self._shift_rows = [
-            [
-                (self._code((elem.free, [(x + s) % m for x, s, m in zip(elem.residues, shift, torsion)])), c)
-                for elem, c in q.terms.items()
-            ]
-            for q in zgens
-            for shift in itertools.product(*(range(m) for m in torsion))
-        ]
-        self.bound = -1
-        self.pivots = {}
-
-    def _code(self, key):
-        free, residues = key
-        return sum((x - lo) * s for x, lo, s in zip(free, self._lo, self._free_strides)) + sum(
-            x * s for x, s in zip(residues, self._res_strides)
-        )
-
-    def grow(self, bound):
-        """Insert the shifts whose largest free coordinate magnitude lies in
-        (self.bound, bound]."""
-        inside, offset = self._inside, self._offset
-        strides = self._free_strides
-        for b in range(self.bound + 1, bound + 1):
-            for beta in itertools.product(range(-b, b + 1), repeat=len(strides)):
-                if max(map(abs, beta), default=0) != b:
-                    continue
-                delta = sum(x * s for x, s in zip(beta, strides))
-                for terms in self._shift_rows:
-                    row = {}
-                    for k, c in terms:
-                        k += delta
-                        row[k + offset if k in inside else k] = c
-                    self._insert(row)
-        self.bound = bound
-
-    def _insert(self, row):
-        pivots = self.pivots
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                if row[c] < 0:
-                    row = {k: -v for k, v in row.items()}
-                pivots[c] = row
-                return
-            a, b = piv[c], row[c]
-            if b % a == 0:
-                _subtract(row, b // a, piv)
-            else:
-                g, x, y = xgcd(a, b)
-                a, b = a // g, b // g
-                new_piv = {}
-                new_row = {}
-                for k in piv.keys() | row.keys():
-                    p, r = piv.get(k, 0), row.get(k, 0)
-                    v = x * p + y * r
-                    if v:
-                        new_piv[k] = v
-                    v = a * r - b * p
-                    if v:
-                        new_row[k] = v
-                pivots[c] = new_piv
-                row = new_row
-
-    def contains(self, e):
-        """Whether a group-ring element supported on the inside elements is
-        in the lattice."""
-        pivots = self.pivots
-        row = {self._code(elem.key()) + self._offset: c for elem, c in e.terms.items()}
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None or row[c] % piv[c]:
-                return False
-            _subtract(row, row[c] // piv[c], piv)
-        return True
-
-    def inside_invariants(self):
-        """Invariants of Z^inside modulo the inside part of the lattice."""
-        offset = self._offset
-        index = {code + offset: i for i, code in enumerate(sorted(self._inside))}
-        rows = []
-        for c, piv in self.pivots.items():
-            if c >= offset:
-                row = [0] * len(index)
-                for k, v in piv.items():
-                    row[index[k]] = v
-                rows.append(row)
-        return group_from_relations(len(index), rows).invariants()
-
-
-def _subtract(row, q, piv):
-    """row -= q * piv, in place, dropping zero entries."""
-    for k, v in piv.items():
-        nv = row.get(k, 0) - q * v
-        if nv:
-            row[k] = nv
-        else:
-            del row[k]
-
-
-def _check_bound(bound):
-    if bound < 0:
-        raise ValueError(f"the Macaulay bound must be non-negative, got {bound}")
-
-
-def _lattice_invariants(group, zgens, inside_keys, bounds):
-    """Oracle invariants at each of the increasing ``bounds``, each reading
-    extending the lattice of the one before."""
-    lattice = _MacaulayLattice(group, zgens, bounds[-1], inside_keys)
-    out = []
-    for b in bounds:
-        lattice.grow(b)
-        out.append(lattice.inside_invariants())
-    return out
-
-
-def _nonzero_input_elements(gb):
-    out = []
-    for g in gb.input_generators:
-        e = unpresent(g, gb.presentation)
-        if not e.is_zero():
-            out.append(e)
-    return out
-
-
 def _is_strong_basis(gb):
     """Buchberger's criterion for a strong basis over the integers.
 
@@ -807,49 +631,18 @@ def _is_strong_basis(gb):
     return not any(_reduce_terms(h, basis) for h in must_vanish)
 
 
-def macaulay_member(e, zgens, bound):
-    """Truncated-lattice membership of a group-ring element in the ideal
-    generated by ``zgens``: conservative (may say False for members whose
-    certificates need shifts beyond the bound), never falsely True."""
-    _check_bound(bound)
-    zgens = [q for q in zgens if not q.is_zero()]
-    if e.is_zero():
-        return True
-    if not zgens:
-        return False
-    lattice = _MacaulayLattice(e.group, zgens, bound, [elem.key() for elem in e.terms])
-    lattice.grow(bound)
-    return lattice.contains(e)
-
-
-def zmodule_invariants(gb, bound=None):
+def zmodule_invariants(gb):
     """Abelian-group invariants of (polynomial ring)/(basis ideal) as a
-    Z-module, with the status described in the module docstring.  With
-    ``bound=None`` the status rests on the criterion check alone and no
-    Macaulay lattice is built; an explicit ``bound`` adds the lattice
-    cross-check at ``bound`` and ``bound + 1``.  A negative ``bound`` raises
-    ValueError."""
-    if bound is not None:
-        _check_bound(bound)
+    Z-module, with the status described in the module docstring: the
+    standard-monomial box is bounded, the basis is checked by Buchberger's
+    criterion, and the invariants are read off the standard monomials."""
     try:
         standard = _standard_monomials(gb)
     except _BoxTooLarge:
-        return AbGroupInvariants(None, (), AbGroupInvariants.UNKNOWN, bound)
+        return AbGroupInvariants(None, (), AbGroupInvariants.UNKNOWN)
     if not _is_strong_basis(gb):
-        return AbGroupInvariants(None, (), AbGroupInvariants.UNKNOWN, bound)
+        return AbGroupInvariants(None, (), AbGroupInvariants.UNKNOWN)
     if standard is None:
         return AbGroupInvariants(None, (), AbGroupInvariants.NOT_FG)
-
     rank, torsion = _primary_invariants(gb, standard)
-    if bound is None:
-        return AbGroupInvariants(rank, torsion, AbGroupInvariants.EXACT)
-
-    p = gb.presentation
-    inside = [p.exponent_element(E).key() for E in standard]
-    if len(set(inside)) != len(inside):
-        raise AssertionError("standard monomials do not embed in the group")
-    oracle = _lattice_invariants(p.group, _nonzero_input_elements(gb), inside, (bound, bound + 1))
-
-    if oracle[0] == oracle[1] == (rank, torsion):
-        return AbGroupInvariants(rank, torsion, AbGroupInvariants.EXACT, bound)
-    return AbGroupInvariants(rank, torsion, AbGroupInvariants.UNKNOWN, bound)
+    return AbGroupInvariants(rank, torsion, AbGroupInvariants.EXACT)

@@ -176,16 +176,22 @@ def one_minus(exponent):
     return GroupRingElement.one(group) - GroupRingElement.monomial(exponent)
 
 
+def one_minus_product(group, degrees):
+    """Product of (1 - t^d) over the degrees d, multiplied in order; the
+    empty product is 1."""
+    out = GroupRingElement.one(group)
+    for d in degrees:
+        out = out * one_minus(d)
+    return out
+
+
 def component_product(data, m):
     """Product of (1 - t^deg(x)) over the variables of the m-th irrelevant
-    component of ``data`` (1-based).  An empty component index range error
-    is raised for m outside 1..n; an empty component never occurs in
-    validated data, but the empty product convention returns 1.
+    component of ``data`` (1-based).  An index m outside 1..n raises
+    IndexError.  Validated data has no empty component, but an empty one
+    would give the empty product 1.
     """
     components = data.irrelevant
     if not 1 <= m <= len(components):
         raise IndexError(f"component index {m} out of range 1..{len(components)}")
-    out = GroupRingElement.one(data.group)
-    for name in components[m - 1]:
-        out = out * one_minus(data.variable(name).degree)
-    return out
+    return one_minus_product(data.group, (data.variable(name).degree for name in components[m - 1]))

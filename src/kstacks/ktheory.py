@@ -11,7 +11,7 @@ ideal.
 from __future__ import annotations
 
 from .abelian import GroupHomomorphism, IntMatrix
-from .groupring import GroupRingElement, component_product, one_minus
+from .groupring import GroupRingElement, component_product, one_minus_product
 from .grobner import (
     PolyPresentation,
     normal_form,
@@ -167,18 +167,12 @@ def class_of_twist(pres, alpha):
 def class_of_koszul_quotient(pres, degrees):
     """Class of the quotient by a homogeneous regular sequence with the given
     degrees (regularity is the caller's assertion): product of 1 - t^deg."""
-    out = GroupRingElement.one(pres.group)
-    for d in degrees:
-        out = out * one_minus(d)
-    return K0Class(pres, out)
+    return K0Class(pres, one_minus_product(pres.group, degrees))
 
 
 def class_of_coordinate_quotient(pres, names):
     """Class of the quotient by the coordinate ideal of the named variables."""
-    out = GroupRingElement.one(pres.group)
-    for name in names:
-        out = out * one_minus(pres.data.variable(name).degree)
-    return K0Class(pres, out)
+    return class_of_koszul_quotient(pres, [pres.data.variable(name).degree for name in names])
 
 
 def class_of_intersection(pres, components):
@@ -194,21 +188,19 @@ def class_of_intersection(pres, components):
         for i in range(n):
             if mask & (1 << i):
                 union.update(components[i])
-        term = GroupRingElement.one(pres.group)
-        for name in sorted(union):
-            term = term * one_minus(pres.data.variable(name).degree)
+        degrees = (pres.data.variable(name).degree for name in sorted(union))
+        term = one_minus_product(pres.group, degrees)
         sign = -1 if bin(mask).count("1") % 2 == 0 else 1
         total = total + sign * term
     return K0Class(pres, total)
 
 
-def invariants(pres, bound=None):
+def invariants(pres):
     """Abelian-group invariants of the K-group presentation.
 
     The status is certified by checking the presentation's strong Groebner
-    basis; a ``bound`` adds the Macaulay-lattice cross-check at that bound
-    (see ``zmodule_invariants``)."""
-    return zmodule_invariants(pres.basis, bound=bound)
+    basis with Buchberger's criterion (see ``zmodule_invariants``)."""
+    return zmodule_invariants(pres.basis)
 
 
 class InducedK0Map:

@@ -531,21 +531,34 @@ def stackdata_to_json(data):
     }
 
 
-def stackdata_from_json(obj):
-    if not isinstance(obj, dict):
-        raise StackDataError("stack data must be a JSON object")
+def _field(obj, key, where):
     try:
-        group_obj = obj["grading_group"]
-        variables = obj["variables"]
-    except KeyError as exc:
-        raise StackDataError(f"missing field {exc.args[0]!r}") from None
+        return obj[key]
+    except KeyError:
+        raise StackDataError(f"{where} is missing field {key!r}") from None
+
+
+def _shaped(value, kind, what):
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "list"
+        raise StackDataError(f"{what} must be a JSON {shape}")
+    return value
+
+
+def stackdata_from_json(obj):
+    _shaped(obj, dict, "stack data")
+    group_obj = _shaped(_field(obj, "grading_group", "stack data"), dict, "grading_group")
+    variables = _shaped(_field(obj, "variables", "stack data"), list, "variables")
     if "free_rank" in group_obj:
         G = FgAbelianGroup.canonical(
             _int_in(group_obj["free_rank"]),
-            [_int_in(m) for m in group_obj.get("torsion", [])],
+            [_int_in(m) for m in _shaped(group_obj.get("torsion", []), list, "grading_group.torsion")],
         )
     elif "generators" in group_obj:
-        rows = [[_int_in(x) for x in row] for row in group_obj.get("relations", [])]
+        rows = [
+            [_int_in(x) for x in _shaped(row, list, "each relation")]
+            for row in _shaped(group_obj.get("relations", []), list, "grading_group.relations")
+        ]
         G = group_from_relations(
             _int_in(group_obj["generators"]),
             IntMatrix(rows, cols=_int_in(group_obj["generators"])),
@@ -554,14 +567,18 @@ def stackdata_from_json(obj):
         raise StackDataError("grading_group needs free_rank/torsion or generators/relations")
     vs = []
     for v in variables:
-        vs.append(
-            (
-                v["name"],
-                [_int_in(x) for x in v["degree"]],
-                bool(v.get("inverted", False)),
-            )
-        )
-    return make_stack_data(G, vs, obj.get("irrelevant", []), obj.get("label"))
+        _shaped(v, dict, "each variable")
+        name = _field(v, "name", "a variable")
+        degree = _shaped(_field(v, "degree", f"variable {name!r}"), list, f"degree of {name!r}")
+        inverted = v.get("inverted", False)
+        if not isinstance(inverted, bool):
+            raise StackDataError(f"inverted of {name!r} must be a JSON boolean")
+        vs.append((name, [_int_in(x) for x in degree], inverted))
+    irrelevant = [
+        _shaped(c, list, "each irrelevant component")
+        for c in _shaped(obj.get("irrelevant", []), list, "irrelevant")
+    ]
+    return make_stack_data(G, vs, irrelevant, obj.get("label"))
 
 
 def load_stackdata(path):

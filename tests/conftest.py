@@ -1,5 +1,9 @@
 """Shared independent oracles for the test suite."""
 
+import heapq
+import itertools
+
+from kstacks.abelian import group_from_relations, xgcd
 from kstacks.groupring import GroupRingElement
 
 
@@ -76,3 +80,214 @@ def brute_force_numerator(degrees, components, functional, window):
             key = d + deg
             full[key] = full.get(key, 0) + sign * c
     return {d: c for d, c in full.items() if functional * d <= window and c}
+
+
+class _MacaulayLattice:
+    """Integer echelon of the lattice spanned by the shifts t^beta * q of
+    group-ring generators q, grown one shell of free shifts at a time.
+
+    Each group element the lattice can reach gets an integer column: a
+    mixed-radix code of its free coordinates and residues, whose natural
+    order is the lexicographic order of the keys (free, residues), with the
+    ``inside`` elements placed after all others.  A row's leading column is
+    then ``min(row)``.  Pivot rows have distinct leading columns and
+    positive leading entries, so whatever the insertion order, the rows
+    that lead with an inside column span the lattice's intersection with
+    the inside coordinates.
+    """
+
+    __slots__ = ("bound", "pivots", "_lo", "_free_strides", "_res_strides",
+                 "_inside", "_offset", "_shift_rows")
+
+    def __init__(self, group, zgens, max_bound, inside):
+        """``max_bound`` is the largest bound the lattice will grow to;
+        ``inside`` holds the keys (free, residues) of the inside elements."""
+        torsion = group.torsion
+        shifted = [elem.free for q in zgens for elem in q.terms]
+        fixed = [free for free, _ in inside]
+        size = 1
+        self._res_strides = []
+        for m in reversed(torsion):
+            self._res_strides.insert(0, size)
+            size *= m
+        self._lo = []
+        self._free_strides = []
+        for i in reversed(range(group.free_rank)):
+            lo = min(itertools.chain((f[i] - max_bound for f in shifted), (f[i] for f in fixed)))
+            hi = max(itertools.chain((f[i] + max_bound for f in shifted), (f[i] for f in fixed)))
+            self._lo.insert(0, lo)
+            self._free_strides.insert(0, size)
+            size *= hi - lo + 1
+        self._offset = size
+        self._inside = frozenset(self._code(key) for key in inside)
+        # one template per generator and torsion shift; a free shift adds a constant
+        self._shift_rows = [
+            [
+                (self._code((elem.free, [(x + s) % m for x, s, m in zip(elem.residues, shift, torsion)])), c)
+                for elem, c in q.terms.items()
+            ]
+            for q in zgens
+            for shift in itertools.product(*(range(m) for m in torsion))
+        ]
+        self.bound = -1
+        self.pivots = {}
+
+    def _code(self, key):
+        free, residues = key
+        return sum((x - lo) * s for x, lo, s in zip(free, self._lo, self._free_strides)) + sum(
+            x * s for x, s in zip(residues, self._res_strides)
+        )
+
+    def grow(self, bound):
+        """Insert the shifts whose largest free coordinate magnitude lies in
+        (self.bound, bound]."""
+        inside, offset = self._inside, self._offset
+        strides = self._free_strides
+        for b in range(self.bound + 1, bound + 1):
+            for beta in itertools.product(range(-b, b + 1), repeat=len(strides)):
+                if max(map(abs, beta), default=0) != b:
+                    continue
+                delta = sum(x * s for x, s in zip(beta, strides))
+                for terms in self._shift_rows:
+                    row = {}
+                    for k, c in terms:
+                        k += delta
+                        row[k + offset if k in inside else k] = c
+                    self._insert(row)
+        self.bound = bound
+
+    def _insert(self, row):
+        pivots = self.pivots
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                if row[c] < 0:
+                    row = {k: -v for k, v in row.items()}
+                self._set_pivot(c, row)
+                return
+            a, b = piv[c], row[c]
+            if b % a == 0:
+                _subtract(row, b // a, piv)
+            else:
+                g, x, y = xgcd(a, b)
+                a, b = a // g, b // g
+                new_piv = {}
+                new_row = {}
+                for k in piv.keys() | row.keys():
+                    p, r = piv.get(k, 0), row.get(k, 0)
+                    v = x * p + y * r
+                    if v:
+                        new_piv[k] = v
+                    v = a * r - b * p
+                    if v:
+                        new_row[k] = v
+                self._set_pivot(c, new_piv)
+                row = new_row
+
+    def _set_pivot(self, c, row):
+        """Make ``row`` the pivot at column c, keeping the echelon in Hermite
+        form: every pivot's entries at the other pivots' columns lie in
+        [0, lead).  Without it the entries grow to millions of bits on small
+        ideals."""
+        pivots = self.pivots
+        self._reduce_after(row, c)
+        pivots[c] = row
+        lead = row[c]
+        for d, piv in pivots.items():
+            v = piv.get(c)
+            if d < c and v is not None and not 0 <= v < lead:
+                _subtract(piv, v // lead, row)
+                self._reduce_after(piv, c)
+
+    def _reduce_after(self, row, c):
+        """Reduce the entries of ``row`` at pivot columns after c into
+        [0, lead), in increasing column order; a pivot at column d only
+        changes entries at columns from d on."""
+        pivots = self.pivots
+        heap = [k for k in row if k > c and k in pivots]
+        heapq.heapify(heap)
+        last = c
+        while heap:
+            d = heapq.heappop(heap)
+            if d == last:
+                continue
+            last = d
+            piv = pivots[d]
+            q = row.get(d, 0) // piv[d]
+            if q:
+                for k, v in piv.items():
+                    nv = row.get(k, 0) - q * v
+                    if nv:
+                        if k not in row and k in pivots:
+                            heapq.heappush(heap, k)
+                        row[k] = nv
+                    else:
+                        del row[k]
+
+    def contains(self, e):
+        """Whether a group-ring element supported on the inside elements is
+        in the lattice."""
+        pivots = self.pivots
+        row = {self._code(elem.key()) + self._offset: c for elem, c in e.terms.items()}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None or row[c] % piv[c]:
+                return False
+            _subtract(row, row[c] // piv[c], piv)
+        return True
+
+    def inside_invariants(self):
+        """Invariants of Z^inside modulo the inside part of the lattice."""
+        offset = self._offset
+        index = {code + offset: i for i, code in enumerate(sorted(self._inside))}
+        rows = []
+        for c, piv in self.pivots.items():
+            if c >= offset:
+                row = [0] * len(index)
+                for k, v in piv.items():
+                    row[index[k]] = v
+                rows.append(row)
+        return group_from_relations(len(index), rows).invariants()
+
+
+def _subtract(row, q, piv):
+    """row -= q * piv, in place, dropping zero entries."""
+    for k, v in piv.items():
+        nv = row.get(k, 0) - q * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+
+
+def _check_bound(bound):
+    if bound < 0:
+        raise ValueError(f"the Macaulay bound must be non-negative, got {bound}")
+
+
+def lattice_invariants(group, zgens, inside_keys, bounds):
+    """Oracle invariants at each of the increasing ``bounds``, each reading
+    extending the lattice of the one before."""
+    lattice = _MacaulayLattice(group, zgens, bounds[-1], inside_keys)
+    out = []
+    for b in bounds:
+        lattice.grow(b)
+        out.append(lattice.inside_invariants())
+    return out
+
+
+def macaulay_member(e, zgens, bound):
+    """Truncated-lattice membership of a group-ring element in the ideal
+    generated by ``zgens``: conservative (may say False for members whose
+    certificates need shifts beyond the bound), never falsely True."""
+    _check_bound(bound)
+    zgens = [q for q in zgens if not q.is_zero()]
+    if e.is_zero():
+        return True
+    if not zgens:
+        return False
+    lattice = _MacaulayLattice(e.group, zgens, bound, [elem.key() for elem in e.terms])
+    lattice.grow(bound)
+    return lattice.contains(e)

@@ -189,6 +189,59 @@ def test_input_errors(capsys):
     assert code == 1
 
 
+def _p1_with_z():
+    return {
+        "grading_group": {"free_rank": 1, "torsion": []},
+        "variables": [
+            {"name": "x", "degree": [1], "inverted": False},
+            {"name": "y", "degree": [1], "inverted": False},
+            {"name": "z", "degree": [1], "inverted": False},
+        ],
+        "irrelevant": [["x", "y"]],
+        "label": "p1-with-z",
+    }
+
+
+def _set(path, value):
+    def change(obj):
+        *keys, last = path
+        for k in keys:
+            obj = obj[k]
+        obj[last] = value
+    return change
+
+
+def _drop(index, key):
+    def change(obj):
+        del obj["variables"][index][key]
+    return change
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _set(["variables", 2, "inverted"], "false"),
+        _drop(0, "name"),
+        _drop(1, "degree"),
+        _set(["grading_group"], 3),
+        _set(["variables"], {"x": [1]}),
+        _set(["variables", 0], "x"),
+        _set(["variables", 0, "degree"], 1),
+        _set(["irrelevant"], [["x", "y"], "z"]),
+    ],
+    ids=["inverted-string", "no-name", "no-degree", "group-not-object", "variables-not-list",
+         "variable-not-object", "degree-not-list", "component-not-list"],
+)
+def test_malformed_input_is_input_error(tmp_path, capsys, change):
+    obj = _p1_with_z()
+    change(obj)
+    data_path = tmp_path / "bad.json"
+    data_path.write_text(json.dumps(obj))
+    code, out, err = run(["pic", "--input", str(data_path)], capsys)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_json_to_stdout(capsys):
     code, out, _ = run(["pic", "--example", "b-mu", "3", "--json", "-"], capsys)
     assert code == 0
@@ -232,17 +285,17 @@ def test_k0_invariants_cross_check_is_opt_in(capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     report = json.loads(out[out.index("{"):])
-    assert report["invariants"] == {"rank": 2, "torsion": [], "status": "exact", "bound": None}
-    code, out, _ = run(argv + ["--macaulay-bound", "3"], capsys)
-    assert code == 0
-    report = json.loads(out[out.index("{"):])
-    assert report["invariants"] == {"rank": 2, "torsion": [], "status": "exact", "bound": 3}
+    assert report["invariants"] == {"rank": 2, "torsion": [], "status": "exact"}
+    # the Macaulay cross-check is gone: its flag is an unrecognised argument
+    code, out, err = run(argv + ["--macaulay-bound", "3"], capsys)
+    assert code == 1 and not out
+    assert "unrecognized arguments: --macaulay-bound" in err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["k0", "--example", "wps", "1", "1", "--invariants", "--macaulay-bound", "-1"],
+        ["eq", "--example", "wps", "1", "1", "--lhs", "1", "--rhs", "1", "--bound", "-1"],
         ["k0", "--example", "wps", "1", "1", "--bound", "-1"],
         ["check-connected", "--example", "wps", "1", "1", "--bound", "-3"],
     ],
@@ -256,7 +309,7 @@ def test_negative_bound_flag_is_input_error(argv, capsys):
 @pytest.mark.parametrize(
     "env, argv",
     [
-        ("KSTACKS_MACAULAY_BOUND", ["k0", "--example", "wps", "1", "1", "--invariants"]),
+        ("KSTACKS_CONNECTED_BOUND", ["k0", "--example", "wps", "1", "1", "--invariants"]),
         ("KSTACKS_CONNECTED_BOUND", ["check-connected", "--example", "wps", "1", "1"]),
     ],
 )

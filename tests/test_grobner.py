@@ -3,7 +3,6 @@ import time
 
 import pytest
 
-from kstacks import grobner
 from kstacks.abelian import FgAbelianGroup, group_from_relations
 from kstacks.exprs import parse_element
 from kstacks.groupring import GroupRingElement, one_minus
@@ -14,12 +13,10 @@ from kstacks.grobner import (
     StrongGroebnerBasis,
     _grevlex_key,
     _is_strong_basis,
-    _lattice_invariants,
     _pair_polys,
     _primary_invariants,
     _standard_monomials,
     in_ideal,
-    macaulay_member,
     normal_form,
     present,
     strong_groebner,
@@ -28,6 +25,8 @@ from kstacks.grobner import (
 )
 from kstacks.ktheory import k0_presentation
 from kstacks.stacks import builtin_example, make_stack_data
+
+from conftest import _MacaulayLattice, lattice_invariants, macaulay_member
 
 
 def laurent_presentation():
@@ -248,19 +247,13 @@ def test_unit_ideal_default_path_does_not_stall():
     assert time.perf_counter() - started < 1.0
     assert inv.invariants() == (0, ())
     assert inv.status == AbGroupInvariants.EXACT
-    assert inv.bound is None
 
 
-def _no_lattice(*args):
-    raise AssertionError("the default path built a Macaulay lattice")
-
-
-def test_unverified_basis_is_unknown(monkeypatch):
+def test_unverified_basis_is_unknown():
     # Z[t, 1/t]/(t^2 - 1): the uncompleted inputs y^2 - 1, y'^2 - 1 and
     # y*y' - 1 leave the standard monomials 1, y, y' (rank 3, not 2), and
     # the S-polynomial y' - y of the first and last does not reduce to zero;
-    # the criterion check alone must catch it, with no lattice to fall back on
-    monkeypatch.setattr(grobner, "_MacaulayLattice", _no_lattice)
+    # the criterion check alone must catch it
     Z, p = laurent_presentation()
     gens = [IntPolynomial({(2, 0): 1, (0, 0): -1}), IntPolynomial({(0, 2): 1, (0, 0): -1})]
     unfinished = StrongGroebnerBasis(p, gens + list(p.structural), gens)
@@ -270,26 +263,6 @@ def test_unverified_basis_is_unknown(monkeypatch):
     assert inv.free_rank is None
     completed = zmodule_invariants(strong_groebner(gens, p))
     assert (completed.invariants(), completed.status) == ((2, ()), AbGroupInvariants.EXACT)
-
-
-def test_invariants_unknown_at_tiny_bound():
-    Z, p = laurent_presentation()
-    t = GroupRingElement.monomial(Z.element([1]))
-    gb = strong_groebner([present((1 - t) * (1 - t), p)[0]], p)
-    inv = zmodule_invariants(gb, bound=0)
-    # the truncated lattice cannot certify at bound 0, status stays honest
-    assert inv.invariants() == (2, ())
-    assert inv.status in (AbGroupInvariants.EXACT, AbGroupInvariants.UNKNOWN)
-
-
-def test_negative_bound_is_rejected():
-    Z, p = laurent_presentation()
-    t = GroupRingElement.monomial(Z.element([1]))
-    gb = strong_groebner([present((1 - t) * (1 - t), p)[0]], p)
-    with pytest.raises(ValueError):
-        zmodule_invariants(gb, bound=-1)
-    with pytest.raises(ValueError):
-        macaulay_member(1 - t, [(1 - t) * (1 - t)], -1)
 
 
 NARROW_COEFFS = (-3, -2, -1, 1, 1, 2, 3)
@@ -315,7 +288,7 @@ def test_incremental_lattice_property(group):
     rng = random.Random(f"lattice/{group}")
     G = FgAbelianGroup.canonical(*group)
     p = PolyPresentation.for_group(G)
-    exact = 0
+    agreed = 0
     for _ in range(12):
         gens = [g for g in (_random_element(rng, G, 1) for _ in range(rng.randint(1, 3))) if not g.is_zero()]
         if not gens:
@@ -326,19 +299,17 @@ def test_incremental_lattice_property(group):
             continue
         inside = [p.exponent_element(E).key() for E in standard]
         bound = rng.randint(0, 3)
-        incremental = _lattice_invariants(G, gens, inside, (bound, bound + 1))
-        separate = [_lattice_invariants(G, gens, inside, (b,))[0] for b in (bound, bound + 1)]
+        incremental = lattice_invariants(G, gens, inside, (bound, bound + 1))
+        separate = [lattice_invariants(G, gens, inside, (b,))[0] for b in (bound, bound + 1)]
         assert incremental == separate
-        # the checked basis alone certifies the standard-monomial invariants
+        # the checked basis alone certifies the standard-monomial invariants,
+        # and the oracle agrees wherever its two readings do
+        primary = _primary_invariants(gb, standard)
         default = zmodule_invariants(gb)
-        assert (default.invariants(), default.status, default.bound) == (
-            _primary_invariants(gb, standard), AbGroupInvariants.EXACT, None
-        )
-        inv = zmodule_invariants(gb, bound=bound)
-        if inv.status == AbGroupInvariants.EXACT:
-            exact += 1
-            assert incremental == [inv.invariants()] * 2
-            assert inv.invariants() == _primary_invariants(gb, standard)
+        assert (default.invariants(), default.status) == (primary, AbGroupInvariants.EXACT)
+        if incremental[0] == incremental[1]:
+            agreed += 1
+            assert incremental[0] == primary
         # every combination of generator shifts inside the box is a member
         f = GroupRingElement.zero(G)
         for q in gens:
@@ -346,7 +317,23 @@ def test_incremental_lattice_property(group):
             if all(_shift_size(elem) <= bound for elem in shift.terms):
                 f = f + shift * q
         assert macaulay_member(f, gens, bound)
-    assert exact >= 3
+    assert agreed >= 3
+
+
+def test_macaulay_oracle_entries_stay_small():
+    # without Hermite form this lattice reached million-bit entries at bound 3
+    Z2 = FgAbelianGroup.canonical(2)
+    gens = [
+        parse_element(s, Z2)
+        for s in ("-2*t^[-2,0] - 2*t^[0,2]", "t^[-2,-1] + t^[1,-1] + 3*t^[1,0]", "t^[-2,0] + 2*t^[0,-1] + 3*t^[0,2]")
+    ]
+    e = parse_element("-2*t^[1,0]", Z2)
+    started = time.perf_counter()
+    assert not macaulay_member(e, gens, 3)
+    assert time.perf_counter() - started < 1.0
+    lattice = _MacaulayLattice(Z2, gens, 3, [elem.key() for elem in e.terms])
+    lattice.grow(3)
+    assert max(abs(v).bit_length() for row in lattice.pivots.values() for v in row.values()) <= 64
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
+import itertools
 import random
+from math import gcd
 
 import pytest
 
-from kstacks import grobner
-from kstacks.abelian import FgAbelianGroup
+from kstacks.abelian import FgAbelianGroup, IntMatrix
 from kstacks.groupring import GroupRingElement, one_minus
 from kstacks.grobner import AbGroupInvariants
 from kstacks.ktheory import (
@@ -20,7 +21,7 @@ from kstacks.ktheory import (
 )
 from kstacks.stacks import builtin_example, connectify, make_stack_data
 
-from conftest import brute_force_numerator, equal_up_to_unit
+from conftest import brute_force_numerator, determinant, equal_up_to_unit
 
 RUGBY_PAIRS = [(1, 1), (2, 3), (2, 2), (3, 4)]
 
@@ -253,16 +254,7 @@ def test_invariants_examples():
     assert inv.status == AbGroupInvariants.EXACT
 
 
-class _LatticeBuilt(Exception):
-    pass
-
-
-def _no_lattice(*args):
-    raise _LatticeBuilt
-
-
-def test_default_invariants_build_no_lattice(monkeypatch):
-    monkeypatch.setattr(grobner, "_MacaulayLattice", _no_lattice)
+def test_default_invariants_build_no_lattice():
     names = ["t0", "t1", "x0", "x1"]
     Z2 = FgAbelianGroup.canonical(2)
     Z2xZ3 = FgAbelianGroup.canonical(2, (3,))
@@ -276,10 +268,82 @@ def test_default_invariants_build_no_lattice(monkeypatch):
     for data, expected in cases:
         pres = k0_presentation(data)
         inv = invariants(pres)
-        assert (inv.invariants(), inv.status, inv.bound) == (expected, AbGroupInvariants.EXACT, None)
-        # an explicit bound still runs the lattice cross-check
-        with pytest.raises(_LatticeBuilt):
-            invariants(pres, bound=1)
+        assert (inv.invariants(), inv.status) == (expected, AbGroupInvariants.EXACT)
+
+
+def _hirzebruch(a):
+    names = ["t0", "t1", "x0", "x1"]
+    degrees = [[1, 0], [1, 0], [-a, 1], [0, 1]]
+    return make_stack_data(FgAbelianGroup.canonical(2), list(zip(names, degrees)), [names[:2], names[2:]])
+
+
+def _p1_product(k, m=None, residues=()):
+    """(P^1)^k, or with m given (P^1)^k x B(Z/m) up to a change of grading
+    coordinates: the variables of factor i carry residue residues[i]."""
+    G = FgAbelianGroup.canonical(k, (m,) if m else ())
+    variables, components = [], []
+    for i in range(k):
+        degree = [int(j == i) for j in range(k)] + ([residues[i]] if m else [])
+        pair = [f"x{i}", f"y{i}"]
+        variables += [(name, degree) for name in pair]
+        components.append(pair)
+    return make_stack_data(G, variables, components)
+
+
+def _tag(params):
+    return ",".join(map(str, params))
+
+
+FAN_STACKS = (
+    [(f"wps({_tag(w)})", lambda w=w: builtin_example("wps", w))
+     for w in [(1, 1), (2, 3), (5, 7, 11, 13), (3, 7, 7, 9), (1, 2, 3)]]
+    + [(f"rugby({_tag(pq)})", lambda pq=pq: builtin_example("rugby", pq)) for pq in [(2, 3), (1, 1)]]
+    + [(name, lambda name=name: builtin_example(name)) for name in ["m11", "blowup-a2-hirzebruch"]]
+    + [(f"F_{a}", lambda a=a: _hirzebruch(a)) for a in range(6)]
+    + [(f"P1^2xZ/{m}({_tag(rs)})", lambda m=m, rs=rs: _p1_product(2, m, rs))
+       for m, rs in [(3, (0, 1)), (3, (1, 1)), (2, (1, 0))]]
+    + [(f"P1^{k}", lambda k=k: _p1_product(k)) for k in (2, 3)]
+)
+
+
+def _fan_rank(data):
+    """Sum over the maximal cones of the order of the grading group modulo
+    the degrees of the variables outside the cone.
+
+    A cone is a set of variables containing no irrelevant component.  In
+    user coordinates the order is the gcd of the g x g minors of the
+    relation rows stacked on those degree rows (0 when the quotient is
+    infinite).
+    """
+    G = data.group
+    g = G.num_generators
+    names = data.variable_names()
+    components = [set(c) for c in data.irrelevant]
+    cones = [
+        set(s)
+        for k in range(len(names) + 1)
+        for s in itertools.combinations(names, k)
+        if not any(c <= set(s) for c in components)
+    ]
+    maximal = [s for s in cones if not any(s < t for t in cones)]
+    total = 0
+    for cone in maximal:
+        rows = [list(r) for r in G.relations.entries] + [
+            list(G.user_representative(data.variable(n).degree)) for n in names if n not in cone
+        ]
+        order = 0
+        for minor in itertools.combinations(rows, g):
+            order = gcd(order, determinant(IntMatrix(minor, cols=g)))
+        total += order
+    return total
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=label) for label, b in FAN_STACKS])
+def test_exact_rank_matches_fan_count(build):
+    data = build()
+    inv = invariants(k0_presentation(data))
+    assert inv.status == AbGroupInvariants.EXACT
+    assert inv.invariants() == (_fan_rank(data), ())
 
 
 def test_induced_maps_rugby():
