@@ -11,7 +11,6 @@ from .abelian import (
     FgAbelianGroup,
     GroupHomomorphism,
     IntMatrix,
-    canonicalize,
     group_from_relations,
     quotient_by_subgroup,
     smith_normal_form,
@@ -76,7 +75,6 @@ __all__ = [
     "StackDataError",
     "StrongGroebnerBasis",
     "builtin_example",
-    "canonicalize",
     "check_connected",
     "check_pic_hypotheses",
     "class_of_coordinate_quotient",

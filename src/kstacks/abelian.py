@@ -243,7 +243,8 @@ class GroupElement:
             raise ValueError("coordinate length mismatch")
 
     def key(self):
-        return (self.free, self.residues)
+        """The flat int tuple free + residues, a group-ring term's key."""
+        return self.free + self.residues
 
     def is_zero(self):
         return not any(self.free) and not any(self.residues)
@@ -278,11 +279,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement(free={self.free}, residues={self.residues})"
-
-
-def canonicalize(e):
-    """Reduce torsion residues into [0, m_i).  Idempotent."""
-    return GroupElement(e.group, e.free, e.residues)
 
 
 class FgAbelianGroup:
@@ -324,6 +320,8 @@ class FgAbelianGroup:
     @classmethod
     def canonical(cls, free_rank, torsion=()):
         r = int(free_rank)
+        if r < 0:
+            raise ValueError(f"the free rank must be nonnegative, got {r}")
         torsion = tuple(int(m) for m in torsion)
         k = len(torsion)
         g = r + k
@@ -414,6 +412,8 @@ class FgAbelianGroup:
 def group_from_relations(num_generators, relations):
     """The quotient of Z^num_generators by the row span of ``relations``."""
     g = int(num_generators)
+    if g < 0:
+        raise ValueError(f"the generator count must be nonnegative, got {g}")
     if isinstance(relations, IntMatrix):
         R = relations
     else:
@@ -445,7 +445,7 @@ class GroupHomomorphism:
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source, target, matrix, check=True):
+    def __init__(self, source, target, matrix):
         if not isinstance(matrix, IntMatrix):
             matrix = IntMatrix(matrix, cols=target.num_generators)
         if matrix.rows != source.num_generators or matrix.cols != target.num_generators:
@@ -453,12 +453,11 @@ class GroupHomomorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if check:
-            for row in source.relations.entries:
-                if not target.element(matrix.apply_row(row)).is_zero():
-                    raise ValueError(
-                        "matrix does not define a homomorphism: a relation has nonzero image"
-                    )
+        for row in source.relations.entries:
+            if not target.element(matrix.apply_row(row)).is_zero():
+                raise ValueError(
+                    "matrix does not define a homomorphism: a relation has nonzero image"
+                )
 
     def __call__(self, e):
         self.source.require_same(e.group)
@@ -482,5 +481,5 @@ def quotient_by_subgroup(G, gens):
         G.require_same(e.group)
         rows.append(list(e.free) + list(e.residues))
     Q = group_from_relations(r + k, IntMatrix(rows, cols=r + k))
-    proj = GroupHomomorphism(G, Q, G.to_canonical, check=True)
+    proj = GroupHomomorphism(G, Q, G.to_canonical)
     return Q, proj

@@ -51,7 +51,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from math import gcd, inf, prod
-from operator import add, sub
+from operator import add, mod, sub
 
 from .abelian import group_from_relations, xgcd
 from .groupring import GroupRingElement
@@ -94,14 +94,6 @@ class IntPolynomial:
         self.terms = clean
         self._lt = None
 
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def monomial(cls, exp, coeff=1):
-        return cls({tuple(exp): coeff})
-
     def is_zero(self):
         return not self.terms
 
@@ -137,12 +129,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, exp, coeff=1):
-        """coeff * X^exp * self."""
-        return IntPolynomial(
-            {tuple(a + b for a, b in zip(e, exp)): coeff * c for e, c in self.terms.items()}
-        )
-
     def __eq__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -150,9 +136,6 @@ class IntPolynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grevlex_key(kv[0]), reverse=True)
 
     def __repr__(self):
         return f"IntPolynomial({self.terms!r})"
@@ -198,14 +181,6 @@ class PolyPresentation:
             )
         return cls(group, names, structural)
 
-    def exponent_element(self, exp):
-        """Group element of a presentation monomial (yi exponents minus yi'
-        exponents on the free part, sj exponents as torsion residues)."""
-        r = self.group.free_rank
-        free = [exp[2 * i] - exp[2 * i + 1] for i in range(r)]
-        residues = [exp[2 * r + j] for j in range(len(self.group.torsion))]
-        return self.group.element_canonical(free, residues)
-
     def __repr__(self):
         return f"PolyPresentation({', '.join(self.names)})"
 
@@ -213,46 +188,44 @@ class PolyPresentation:
 def present(e, presentation):
     """Clear negative free exponents of a group-ring element.
 
-    Returns (polynomial, clearing) where ``clearing`` is the exponent vector
-    of the minimal monomial in the primed variables such that
-    e = t^(exponent_element(clearing)) * unpresent(polynomial).  The clearing
+    Returns (polynomial, clearing): a term with key (a1, ..., ar, c1, ...)
+    becomes the monomial y1^(a1+d1) ... yr^(ar+dr) s1^c1 ..., where di >= 0
+    is the least shift that makes every exponent nonnegative, and
+    ``clearing`` is the exponent vector of y1'^d1 ... yr'^dr.  Then
+    e == unpresent(polynomial, presentation, clearing).  The clearing
     monomial is a unit of the group ring, so classes are tracked up to unit.
     """
     p = presentation
     p.group.require_same(e.group)
     r = p.group.free_rank
-    nvars = p.num_vars
-    if e.is_zero():
-        return IntPolynomial.zero(), (0,) * nvars
-    delta = [0] * r
-    for elem in e.terms:
-        for i in range(r):
-            if -elem.free[i] > delta[i]:
-                delta[i] = -elem.free[i]
+    delta = [max(0, -min((key[i] for key in e.terms), default=0)) for i in range(r)]
     terms = {}
-    for elem, coeff in e.terms.items():
-        exp = [0] * nvars
-        for i in range(r):
-            exp[2 * i] = elem.free[i] + delta[i]
-        for j, res in enumerate(elem.residues):
-            exp[2 * r + j] = res
-        terms[tuple(exp)] = coeff
-    clearing = [0] * nvars
-    for i in range(r):
-        clearing[2 * i + 1] = delta[i]
-    return IntPolynomial(terms), tuple(clearing)
+    for key, coeff in e.terms.items():
+        exp = []
+        for a, d in zip(key, delta):
+            exp += (a + d, 0)
+        terms[tuple(exp) + key[r:]] = coeff
+    clearing = []
+    for d in delta:
+        clearing += (0, d)
+    return IntPolynomial(terms), tuple(clearing) + (0,) * (p.num_vars - 2 * r)
 
 
 def unpresent(f, presentation, clearing=None):
     """Map a presentation polynomial back to the group ring, optionally
-    multiplying by the recorded clearing unit."""
-    p = presentation
-    out = GroupRingElement.zero(p.group)
+    multiplying by the recorded clearing unit: the monomial with exponent E
+    becomes the term with key (E[0] - E[1], ..., E[2r-2] - E[2r-1], then
+    E[2r:] reduced mod the torsion)."""
+    group = presentation.group
+    r, torsion = group.free_rank, group.torsion
+    terms = {}
     for exp, coeff in f.terms.items():
-        out = out + GroupRingElement.monomial(p.exponent_element(exp), coeff)
-    if clearing is not None and any(clearing):
-        out = out * GroupRingElement.monomial(p.exponent_element(clearing))
-    return out
+        if clearing is not None:
+            exp = tuple(map(add, exp, clearing))
+        free = tuple(exp[2 * i] - exp[2 * i + 1] for i in range(r))
+        key = free + tuple(map(mod, exp[2 * r:], torsion))
+        terms[key] = terms.get(key, 0) + coeff
+    return GroupRingElement(group, terms)
 
 
 def _normalize_sign(f):

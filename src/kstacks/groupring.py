@@ -1,30 +1,31 @@
 """Sparse exact arithmetic in the integral group ring of an abelian group.
 
-Elements are finite integer combinations of formal monomials t^a indexed by
-canonical group elements.  Because exponents are canonicalized, monomial
-identities of the group (for instance t^(pe) = t^(qe') in a presented group)
-hold automatically at the element level.
+Elements are finite integer combinations of formal monomials t^a.  Each
+term is keyed by one flat int tuple, ``GroupElement.key()`` of its
+exponent: the free coordinates, then the torsion residues in [0, m_i).
+Products add keys and reduce the residues, so monomial identities of the
+group (for instance t^(pe) = t^(qe') in a presented group) hold
+automatically at the element level.  ``GroupElement`` appears only at the
+boundary: ``monomial`` takes one, and a group element operand is read as
+its monomial.
 """
 
 from __future__ import annotations
+
+from operator import add, mod
 
 from .abelian import GroupElement
 
 
 class GroupRingElement:
-    """Finite map from canonical group elements to nonzero coefficients."""
+    """Finite map ``terms`` from exponent keys (flat tuples free +
+    residues, see the module docstring) to nonzero integer coefficients."""
 
     __slots__ = ("group", "terms")
 
     def __init__(self, group, terms):
-        clean = {}
-        for elem, coeff in terms.items():
-            coeff = int(coeff)
-            if coeff:
-                group.require_same(elem.group)
-                clean[elem] = coeff
         self.group = group
-        self.terms = clean
+        self.terms = {key: c for key, c in terms.items() if c}
 
     @classmethod
     def zero(cls, group):
@@ -32,56 +33,50 @@ class GroupRingElement:
 
     @classmethod
     def one(cls, group):
-        return cls(group, {group.zero(): 1})
+        return cls.constant(group, 1)
 
     @classmethod
     def monomial(cls, exponent, coeff=1):
         """coeff * t^exponent for a GroupElement exponent."""
-        return cls(exponent.group, {exponent: coeff})
+        return cls(exponent.group, {exponent.key(): coeff})
 
     @classmethod
     def constant(cls, group, n):
-        return cls(group, {group.zero(): n})
+        return cls(group, {(0,) * (group.free_rank + len(group.torsion)): n})
 
     def is_zero(self):
         return not self.terms
-
-    def is_one(self):
-        return self.terms == {self.group.zero(): 1}
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].key())
 
     def coefficient_sum(self):
         """Image under t^a -> 1 for every a."""
         return sum(self.terms.values())
 
-    def support(self):
-        return set(self.terms)
-
     def _coerce(self, other):
-        if isinstance(other, GroupRingElement):
-            self.group.require_same(other.group)
-            return other
+        """``other`` as a ring element over the same group, or None for an
+        unsupported type; an int is a constant, a group element its
+        monomial, and another group raises ValueError."""
         if isinstance(other, int):
             return GroupRingElement.constant(self.group, other)
         if isinstance(other, GroupElement):
-            return GroupRingElement.monomial(other)
-        return None
+            other = GroupRingElement.monomial(other)
+        elif not isinstance(other, GroupRingElement):
+            return None
+        self.group.require_same(other.group)
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
-        for elem, coeff in other.terms.items():
-            terms[elem] = terms.get(elem, 0) + coeff
+        for key, coeff in other.terms.items():
+            terms[key] = terms.get(key, 0) + coeff
         return GroupRingElement(self.group, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElement(self.group, {e: -c for e, c in self.terms.items()})
+        return GroupRingElement(self.group, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -97,14 +92,17 @@ class GroupRingElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GroupRingElement(self.group, {e: other * c for e, c in self.terms.items()})
+            return GroupRingElement(self.group, {key: other * c for key, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        r, torsion = self.group.free_rank, self.group.torsion
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = e1 + e2
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = tuple(map(add, k1, k2))
+                if torsion:
+                    key = key[:r] + tuple(map(mod, key[r:], torsion))
                 terms[key] = terms.get(key, 0) + c1 * c2
         return GroupRingElement(self.group, terms)
 
@@ -120,26 +118,29 @@ class GroupRingElement:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, GroupElement)):
-            other = self._coerce(other)
-        if not isinstance(other, GroupRingElement):
+        if isinstance(other, int):
+            other = GroupRingElement.constant(self.group, other)
+        elif isinstance(other, GroupElement):
+            other = GroupRingElement.monomial(other)
+        elif not isinstance(other, GroupRingElement):
             return NotImplemented
         return self.group.same_group(other.group) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((e.key(), c) for e, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def render(self):
-        """Canonical text form: terms in exponent order, joined by ' + '/' - '.
+        """Canonical text form: terms in key order, joined by ' + '/' - '.
 
         Monomials print as t^[a1,...,ar;c1,...,ck] with the torsion block
         omitted when the group has no torsion.
         """
         if not self.terms:
             return "0"
+        r = self.group.free_rank
         pieces = []
-        for i, (elem, coeff) in enumerate(self.sorted_terms()):
-            mono = _render_monomial(elem)
+        for i, (key, coeff) in enumerate(sorted(self.terms.items())):
+            mono = _render_monomial(key, r)
             mag = abs(coeff)
             if mono is None:
                 body = str(mag)
@@ -159,13 +160,14 @@ class GroupRingElement:
         return f"<GroupRingElement {self.render()}>"
 
 
-def _render_monomial(elem):
-    """Bracket form of t^elem, or None for the identity monomial."""
-    if elem.is_zero():
+def _render_monomial(key, r):
+    """Bracket form of the monomial with key ``key`` over a group of free
+    rank r, or None for the identity monomial."""
+    if not any(key):
         return None
-    free = ",".join(str(x) for x in elem.free)
-    if elem.residues:
-        tors = ",".join(str(x) for x in elem.residues)
+    free = ",".join(map(str, key[:r]))
+    if len(key) > r:
+        tors = ",".join(map(str, key[r:]))
         return f"t^[{free};{tors}]"
     return f"t^[{free}]"
 

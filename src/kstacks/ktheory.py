@@ -219,10 +219,13 @@ class InducedK0Map:
         self.hom = hom
 
     def push_element(self, element):
-        out = GroupRingElement.zero(self.target.group)
-        for exponent, coeff in element.terms.items():
-            out = out + GroupRingElement.monomial(self.hom(exponent), coeff)
-        return out
+        source = self.source.group
+        r = source.free_rank
+        terms = {}
+        for key, coeff in element.terms.items():
+            image = self.hom(source.element_canonical(key[:r], key[r:])).key()
+            terms[image] = terms.get(image, 0) + coeff
+        return GroupRingElement(self.target.group, terms)
 
     def __call__(self, cls):
         if cls.presentation is not self.source:

@@ -540,7 +540,7 @@ def _field(obj, key, where):
 
 def _shaped(value, kind, what):
     if not isinstance(value, kind):
-        shape = "object" if kind is dict else "list"
+        shape = {dict: "object", list: "list", str: "string"}[kind]
         raise StackDataError(f"{what} must be a JSON {shape}")
     return value
 
@@ -568,14 +568,15 @@ def stackdata_from_json(obj):
     vs = []
     for v in variables:
         _shaped(v, dict, "each variable")
-        name = _field(v, "name", "a variable")
+        name = _shaped(_field(v, "name", "a variable"), str, "a variable name")
         degree = _shaped(_field(v, "degree", f"variable {name!r}"), list, f"degree of {name!r}")
         inverted = v.get("inverted", False)
         if not isinstance(inverted, bool):
             raise StackDataError(f"inverted of {name!r} must be a JSON boolean")
         vs.append((name, [_int_in(x) for x in degree], inverted))
     irrelevant = [
-        _shaped(c, list, "each irrelevant component")
+        [_shaped(n, str, "each component entry")
+         for n in _shaped(c, list, "each irrelevant component")]
         for c in _shaped(obj.get("irrelevant", []), list, "irrelevant")
     ]
     return make_stack_data(G, vs, irrelevant, obj.get("label"))

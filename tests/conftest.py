@@ -32,10 +32,10 @@ def equal_up_to_unit(a, b):
     """Whether two group-ring elements differ by a monomial factor."""
     if a.is_zero() or b.is_zero():
         return a.is_zero() and b.is_zero()
-    ka = min(e.key() for e in a.terms)
-    kb = min(e.key() for e in b.terms)
-    elem_a = next(e for e in a.terms if e.key() == ka)
-    elem_b = next(e for e in b.terms if e.key() == kb)
+    G, r = a.group, a.group.free_rank
+    ka, kb = min(a.terms), min(b.terms)
+    elem_a = G.element_canonical(ka[:r], ka[r:])
+    elem_b = G.element_canonical(kb[:r], kb[r:])
     shift = GroupRingElement.monomial(elem_a - elem_b)
     return a == shift * b
 
@@ -88,7 +88,7 @@ class _MacaulayLattice:
 
     Each group element the lattice can reach gets an integer column: a
     mixed-radix code of its free coordinates and residues, whose natural
-    order is the lexicographic order of the keys (free, residues), with the
+    order is the lexicographic order of the flat term keys, with the
     ``inside`` elements placed after all others.  A row's leading column is
     then ``min(row)``.  Pivot rows have distinct leading columns and
     positive leading entries, so whatever the insertion order, the rows
@@ -96,15 +96,17 @@ class _MacaulayLattice:
     the inside coordinates.
     """
 
-    __slots__ = ("bound", "pivots", "_lo", "_free_strides", "_res_strides",
+    __slots__ = ("bound", "pivots", "_rank", "_lo", "_free_strides", "_res_strides",
                  "_inside", "_offset", "_shift_rows")
 
     def __init__(self, group, zgens, max_bound, inside):
         """``max_bound`` is the largest bound the lattice will grow to;
-        ``inside`` holds the keys (free, residues) of the inside elements."""
+        ``inside`` holds the term keys (free + residues, flat) of the
+        inside elements."""
         torsion = group.torsion
-        shifted = [elem.free for q in zgens for elem in q.terms]
-        fixed = [free for free, _ in inside]
+        self._rank = r = group.free_rank
+        shifted = [key[:r] for q in zgens for key in q.terms]
+        fixed = [key[:r] for key in inside]
         size = 1
         self._res_strides = []
         for m in reversed(torsion):
@@ -123,8 +125,8 @@ class _MacaulayLattice:
         # one template per generator and torsion shift; a free shift adds a constant
         self._shift_rows = [
             [
-                (self._code((elem.free, [(x + s) % m for x, s, m in zip(elem.residues, shift, torsion)])), c)
-                for elem, c in q.terms.items()
+                (self._code(key[:r] + tuple((x + s) % m for x, s, m in zip(key[r:], shift, torsion))), c)
+                for key, c in q.terms.items()
             ]
             for q in zgens
             for shift in itertools.product(*(range(m) for m in torsion))
@@ -133,7 +135,7 @@ class _MacaulayLattice:
         self.pivots = {}
 
     def _code(self, key):
-        free, residues = key
+        free, residues = key[:self._rank], key[self._rank:]
         return sum((x - lo) * s for x, lo, s in zip(free, self._lo, self._free_strides)) + sum(
             x * s for x, s in zip(residues, self._res_strides)
         )
@@ -229,7 +231,7 @@ class _MacaulayLattice:
         """Whether a group-ring element supported on the inside elements is
         in the lattice."""
         pivots = self.pivots
-        row = {self._code(elem.key()) + self._offset: c for elem, c in e.terms.items()}
+        row = {self._code(key) + self._offset: c for key, c in e.terms.items()}
         while row:
             c = min(row)
             piv = pivots.get(c)
@@ -288,6 +290,6 @@ def macaulay_member(e, zgens, bound):
         return True
     if not zgens:
         return False
-    lattice = _MacaulayLattice(e.group, zgens, bound, [elem.key() for elem in e.terms])
+    lattice = _MacaulayLattice(e.group, zgens, bound, list(e.terms))
     lattice.grow(bound)
     return lattice.contains(e)

@@ -5,7 +5,6 @@ from kstacks.abelian import (
     FgAbelianGroup,
     GroupHomomorphism,
     IntMatrix,
-    canonicalize,
     group_from_relations,
     quotient_by_subgroup,
     smith_normal_form,
@@ -121,7 +120,6 @@ def test_canonicalize():
     G = FgAbelianGroup.canonical(0, (12,))
     e = G.element_canonical((), (25,))
     assert e.residues == (1,)
-    assert canonicalize(e) == e
 
     rugby = group_from_relations(2, [[2, -2]])
     assert rugby.invariants() == (1, (2,))
@@ -130,7 +128,6 @@ def test_canonicalize():
 
     Z2 = FgAbelianGroup.canonical(2)
     assert Z2.zero().is_zero()
-    assert canonicalize(Z2.zero()) == Z2.zero()
 
 
 def test_element_arithmetic_and_canonical_roundtrip():
@@ -151,9 +148,12 @@ def test_canonicalize_compatible_with_addition():
     G = FgAbelianGroup.canonical(1, (2, 4))
     rng = random.Random(3)
     for _ in range(40):
-        a = G.element_canonical((rng.randint(-5, 5),), (rng.randint(-9, 9), rng.randint(-9, 9)))
-        b = G.element_canonical((rng.randint(-5, 5),), (rng.randint(-9, 9), rng.randint(-9, 9)))
-        assert canonicalize(a + b) == canonicalize(canonicalize(a) + canonicalize(b))
+        u = [rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-9, 9)]
+        v = [rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-9, 9)]
+        total = G.element_canonical(u[:1], u[1:]) + G.element_canonical(v[:1], v[1:])
+        w = [x + y for x, y in zip(u, v)]
+        assert total == G.element_canonical(w[:1], w[1:])
+        assert all(0 <= x < m for x, m in zip(total.residues, G.torsion))
 
 
 def test_quotient_examples():

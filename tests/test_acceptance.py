@@ -283,9 +283,9 @@ def test_criterion_09c_inclusion_exclusion_suite():
             for comps in configs:
                 cls = class_of_intersection(pres, comps)
                 got = {
-                    el.free[0]: c
-                    for el, c in cls.representative.terms.items()
-                    if functional * el.free[0] <= 8
+                    key[0]: c
+                    for key, c in cls.representative.terms.items()
+                    if functional * key[0] <= 8
                 }
                 index_comps = [[names.index(nm) for nm in comp] for comp in comps]
                 want = brute_force_numerator(list(degs), index_comps, functional, 8)

@@ -217,6 +217,12 @@ def _drop(index, key):
     return change
 
 
+def _group(group_obj):
+    def change(obj):
+        obj.update(grading_group=group_obj, variables=[], irrelevant=[])
+    return change
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -228,18 +234,25 @@ def _drop(index, key):
         _set(["variables", 0], "x"),
         _set(["variables", 0, "degree"], 1),
         _set(["irrelevant"], [["x", "y"], "z"]),
+        _set(["irrelevant"], [[["x"]]]),
+        _set(["variables", 2, "name"], None),
+        _set(["variables", 2, "name"], ["z"]),
+        _group({"free_rank": -1, "torsion": []}),
+        _group({"generators": -1, "relations": []}),
     ],
     ids=["inverted-string", "no-name", "no-degree", "group-not-object", "variables-not-list",
-         "variable-not-object", "degree-not-list", "component-not-list"],
+         "variable-not-object", "degree-not-list", "component-not-list", "component-entry-not-string",
+         "name-null", "name-not-string", "negative-free-rank", "negative-generators"],
 )
 def test_malformed_input_is_input_error(tmp_path, capsys, change):
     obj = _p1_with_z()
     change(obj)
     data_path = tmp_path / "bad.json"
     data_path.write_text(json.dumps(obj))
-    code, out, err = run(["pic", "--input", str(data_path)], capsys)
-    assert code == 1 and not out
-    assert err.startswith("error: ") and "Traceback" not in err
+    for command in ("k0", "pic"):
+        code, out, err = run([command, "--input", str(data_path)], capsys)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_json_to_stdout(capsys):

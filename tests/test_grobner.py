@@ -277,8 +277,8 @@ def _random_element(rng, G, spread, coeffs=NARROW_COEFFS):
     return e
 
 
-def _shift_size(elem):
-    return max((abs(x) for x in elem.free), default=0)
+def _shift_size(key, G):
+    return max((abs(x) for x in key[:G.free_rank]), default=0)
 
 
 @pytest.mark.parametrize(
@@ -297,7 +297,7 @@ def test_incremental_lattice_property(group):
         standard = _standard_monomials(gb)
         if standard is None:
             continue
-        inside = [p.exponent_element(E).key() for E in standard]
+        inside = [next(iter(unpresent(IntPolynomial({E: 1}), p).terms)) for E in standard]
         bound = rng.randint(0, 3)
         incremental = lattice_invariants(G, gens, inside, (bound, bound + 1))
         separate = [lattice_invariants(G, gens, inside, (b,))[0] for b in (bound, bound + 1)]
@@ -314,7 +314,7 @@ def test_incremental_lattice_property(group):
         f = GroupRingElement.zero(G)
         for q in gens:
             shift = _random_element(rng, G, bound)
-            if all(_shift_size(elem) <= bound for elem in shift.terms):
+            if all(_shift_size(key, G) <= bound for key in shift.terms):
                 f = f + shift * q
         assert macaulay_member(f, gens, bound)
     assert agreed >= 3
@@ -331,7 +331,7 @@ def test_macaulay_oracle_entries_stay_small():
     started = time.perf_counter()
     assert not macaulay_member(e, gens, 3)
     assert time.perf_counter() - started < 1.0
-    lattice = _MacaulayLattice(Z2, gens, 3, [elem.key() for elem in e.terms])
+    lattice = _MacaulayLattice(Z2, gens, 3, list(e.terms))
     lattice.grow(3)
     assert max(abs(v).bit_length() for row in lattice.pivots.values() for v in row.values()) <= 64
 
@@ -507,11 +507,10 @@ def test_leading_term_cache():
         )
 
     made = 0
-    for _ in range(60):
+    for _ in range(80):
         f, g = rand_poly(), rand_poly()
         f.leading_term()  # a cached operand must not leak into the results
-        exp = tuple(rng.randint(0, 2) for _ in range(3))
-        for h in (f + g, f - g, -f, f * g, f * 3, f.shift(exp, -2), IntPolynomial.monomial(exp, 7)):
+        for h in (f + g, f - g, -f, f * g, f * 3):
             if h.is_zero():
                 continue
             made += 1

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from kstacks.abelian import FgAbelianGroup, group_from_relations
+from kstacks.grobner import PolyPresentation, present, unpresent
 from kstacks.groupring import GroupRingElement, one_minus
 
 
@@ -114,3 +117,53 @@ def test_one_minus_coefficient_sum():
     Z = laurent()
     assert one_minus(Z.element([3])).coefficient_sum() == 0
     assert GroupRingElement.one(Z).coefficient_sum() == 1
+
+
+def _oracle_keys(pairs):
+    """Term keys of a sum of (group element, coefficient) pairs, summed as
+    group elements."""
+    total = {}
+    for e, c in pairs:
+        total[e] = total.get(e, 0) + c
+    return {e.key(): c for e, c in total.items() if c}
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        FgAbelianGroup.canonical(0, (2, 4)),
+        FgAbelianGroup.canonical(1, (2, 4)),
+        FgAbelianGroup.canonical(2, (3,)),
+        group_from_relations(2, [[4, -6]]),
+    ],
+    ids=["Z2xZ4", "ZxZ2xZ4", "Z2xZ3", "rel-4,-6"],
+)
+def test_tuple_keys_match_group_element_oracle(group):
+    rng = random.Random(f"keys/{group.describe()}/{group.num_generators}")
+    p = PolyPresentation.for_group(group)
+
+    def draw():
+        return [
+            (group.element([rng.randint(-5, 5) for _ in range(group.num_generators)]), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 4))
+        ]
+
+    def ring(pairs):
+        out = GroupRingElement.zero(group)
+        for e, c in pairs:
+            out = out + GroupRingElement.monomial(e, c)
+        return out
+
+    for _ in range(40):
+        u, v = draw(), draw()
+        a, b = ring(u), ring(v)
+        assert a.terms == _oracle_keys(u)
+        assert (a + b).terms == _oracle_keys(u + v)
+        assert (a * b).terms == _oracle_keys([(e + f, c * d) for e, c in u for f, d in v])
+        poly, clearing = present(a, p)
+        assert unpresent(poly, p, clearing).terms == _oracle_keys(u)
+    other = FgAbelianGroup.canonical(group.free_rank + 1, group.torsion)
+    with pytest.raises(ValueError):
+        a + other.zero()
+    with pytest.raises(ValueError):
+        a * other.zero()

@@ -196,9 +196,9 @@ def test_intersection_against_monomial_counting():
             for comps in configs:
                 cls = class_of_intersection(pres, comps)
                 got = {
-                    e.free[0]: c
-                    for e, c in cls.representative.terms.items()
-                    if functional * e.free[0] <= 8
+                    key[0]: c
+                    for key, c in cls.representative.terms.items()
+                    if functional * key[0] <= 8
                 }
                 index_comps = [
                     [names.index(nm) for nm in comp] for comp in comps
