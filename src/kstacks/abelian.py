@@ -64,12 +64,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
-    def transpose(self):
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")

@@ -211,12 +211,13 @@ def cmd_eq(args):
     )
     lhs = parse_element(args.lhs, data.group, symbols)
     rhs = parse_element(args.rhs, data.group, symbols)
-    equal = pres.is_zero_class(lhs - rhs)
+    lhs_reduced, rhs_reduced = pres.reduce(lhs), pres.reduce(rhs)
+    equal = lhs_reduced == rhs_reduced
     payload = {
         "lhs": args.lhs,
         "rhs": args.rhs,
-        "lhs_reduced": pres.reduce(lhs).render(),
-        "rhs_reduced": pres.reduce(rhs).render(),
+        "lhs_reduced": lhs_reduced.render(),
+        "rhs_reduced": rhs_reduced.render(),
         "equal": equal,
     }
     verdict = "equal" if equal else "not equal"
@@ -276,7 +277,7 @@ def cmd_class(args):
         "koszul_degrees": [list(v) for v in vectors],
         "class": cls.representative.render(),
         "reduced": reduced.render(),
-        "is_zero": cls.is_zero(),
+        "is_zero": reduced.is_zero(),
     }
     lines = [
         f"Koszul quotient class in K0({data.label or 'input'}):",

@@ -3,9 +3,12 @@
 The group ring of Z^r x Z/m1 x ... x Z/mk is presented as an ordinary
 polynomial ring on variables y1, y1', ..., yr, yr', s1, ..., sk modulo the
 structural relations yi*yi' - 1 and sj^mj - 1, which makes a monomial order
-available.  Over the integers a Groebner basis must be closed under both
-S-polynomials and GCD-polynomials; reduction then leaves coefficient
-remainders in [0, lc), and ``normal_form(f) == 0`` decides ideal membership.
+available.  ``present`` writes an element as the polynomial equal to it (a
+free exponent -a < 0 becomes yi'^a) and ``unpresent`` maps back, so the
+elements of one class share one normal form.  Over the integers a Groebner
+basis must be closed under both S-polynomials and GCD-polynomials;
+reduction then leaves coefficient remainders in [0, lc), and
+``normal_form(f) == 0`` decides ideal membership.
 Exponent vectors must have one entry per presentation variable;
 ``strong_groebner``, ``normal_form`` and ``in_ideal`` raise ValueError
 otherwise.
@@ -186,42 +189,30 @@ class PolyPresentation:
 
 
 def present(e, presentation):
-    """Clear negative free exponents of a group-ring element.
-
-    Returns (polynomial, clearing): a term with key (a1, ..., ar, c1, ...)
-    becomes the monomial y1^(a1+d1) ... yr^(ar+dr) s1^c1 ..., where di >= 0
-    is the least shift that makes every exponent nonnegative, and
-    ``clearing`` is the exponent vector of y1'^d1 ... yr'^dr.  Then
-    e == unpresent(polynomial, presentation, clearing).  The clearing
-    monomial is a unit of the group ring, so classes are tracked up to unit.
-    """
-    p = presentation
-    p.group.require_same(e.group)
-    r = p.group.free_rank
-    delta = [max(0, -min((key[i] for key in e.terms), default=0)) for i in range(r)]
+    """The presentation polynomial equal to a group-ring element: a free
+    exponent a becomes yi^a when a >= 0 and yi'^(-a) when a < 0, a residue c
+    becomes sj^c.  unpresent(present(e, p), p) == e, and as yi*yi' - 1 lies
+    in every ideal, the elements of one class have one normal form."""
+    presentation.group.require_same(e.group)
+    r = e.group.free_rank
     terms = {}
     for key, coeff in e.terms.items():
         exp = []
-        for a, d in zip(key, delta):
-            exp += (a + d, 0)
+        for a in key[:r]:
+            exp += (a, 0) if a >= 0 else (0, -a)
         terms[tuple(exp) + key[r:]] = coeff
-    clearing = []
-    for d in delta:
-        clearing += (0, d)
-    return IntPolynomial(terms), tuple(clearing) + (0,) * (p.num_vars - 2 * r)
+    return IntPolynomial(terms)
 
 
-def unpresent(f, presentation, clearing=None):
-    """Map a presentation polynomial back to the group ring, optionally
-    multiplying by the recorded clearing unit: the monomial with exponent E
-    becomes the term with key (E[0] - E[1], ..., E[2r-2] - E[2r-1], then
-    E[2r:] reduced mod the torsion)."""
+def unpresent(f, presentation):
+    """Map a presentation polynomial back to the group ring: the monomial
+    with exponent E becomes the term with key (E[0] - E[1], ...,
+    E[2r-2] - E[2r-1], then E[2r:] reduced mod the torsion).  This is the
+    quotient map by the structural relations, and it inverts ``present``."""
     group = presentation.group
     r, torsion = group.free_rank, group.torsion
     terms = {}
     for exp, coeff in f.terms.items():
-        if clearing is not None:
-            exp = tuple(map(add, exp, clearing))
         free = tuple(exp[2 * i] - exp[2 * i + 1] for i in range(r))
         key = free + tuple(map(mod, exp[2 * r:], torsion))
         terms[key] = terms.get(key, 0) + coeff
@@ -297,9 +288,6 @@ class StrongGroebnerBasis:
         self.presentation = presentation
         self.elements = tuple(elements)
         self.input_generators = tuple(input_generators)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __repr__(self):
         return f"StrongGroebnerBasis({len(self.elements)} elements)"

@@ -56,17 +56,15 @@ class K0Presentation:
     def reduce(self, element):
         """Canonical reduced representative of a group-ring element's class.
 
-        The element is cleared to a polynomial, reduced to normal form, and
-        mapped back with the clearing unit, so the result equals the input
-        modulo the ideal.
+        The polynomial equal to the element is reduced to its normal form
+        over the strong basis and mapped back, so two elements of one class
+        give the same result, and it equals the input modulo the ideal.
         """
-        poly, clearing = present(element, self.presentation)
-        nf = normal_form(poly, self.basis)
-        return unpresent(nf, self.presentation, clearing)
+        nf = normal_form(present(element, self.presentation), self.basis)
+        return unpresent(nf, self.presentation)
 
     def is_zero_class(self, element):
-        poly, _ = present(element, self.presentation)
-        return normal_form(poly, self.basis).is_zero()
+        return normal_form(present(element, self.presentation), self.basis).is_zero()
 
     def class_of(self, element):
         return K0Class(self, element)
@@ -101,7 +99,7 @@ def k0_presentation(data, override=False, bound=None):
         )
     generators = [component_product(data, m) for m in range(1, len(data.irrelevant) + 1)]
     presentation = PolyPresentation.for_group(data.group)
-    polys = [present(q, presentation)[0] for q in generators]
+    polys = [present(q, presentation) for q in generators]
     basis = strong_groebner(polys, presentation)
     return K0Presentation(data, generators, presentation, basis, report, verified, watermarks)
 
@@ -152,8 +150,8 @@ class K0Class:
 
 
 def equal_in_k0(a, b):
-    """Whether two classes agree in the quotient (clearing units cancel in
-    the difference, so this is exactly equality up to the recorded units)."""
+    """Whether two classes agree in the quotient, that is, whether their
+    reduced forms are equal: the difference has normal form zero."""
     a._check_same(b)
     return a.presentation.is_zero_class(a.representative - b.representative)
 

@@ -545,24 +545,36 @@ def _shaped(value, kind, what):
     return value
 
 
+#: most generators of a grading group read from JSON (``generators``, or
+#: ``free_rank`` plus the torsion factors); group arithmetic is dense g x g
+MAX_GRADING_GENERATORS = 256
+
+
+def _generator_count(g):
+    if g > MAX_GRADING_GENERATORS:
+        raise StackDataError(f"grading_group has {g} generators, over {MAX_GRADING_GENERATORS}")
+    return g
+
+
 def stackdata_from_json(obj):
     _shaped(obj, dict, "stack data")
     group_obj = _shaped(_field(obj, "grading_group", "stack data"), dict, "grading_group")
     variables = _shaped(_field(obj, "variables", "stack data"), list, "variables")
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise StackDataError("label must be a JSON string or null")
     if "free_rank" in group_obj:
-        G = FgAbelianGroup.canonical(
-            _int_in(group_obj["free_rank"]),
-            [_int_in(m) for m in _shaped(group_obj.get("torsion", []), list, "grading_group.torsion")],
-        )
+        r = _int_in(group_obj["free_rank"])
+        torsion = _shaped(group_obj.get("torsion", []), list, "grading_group.torsion")
+        _generator_count(r + len(torsion))
+        G = FgAbelianGroup.canonical(r, [_int_in(m) for m in torsion])
     elif "generators" in group_obj:
+        g = _generator_count(_int_in(group_obj["generators"]))
         rows = [
             [_int_in(x) for x in _shaped(row, list, "each relation")]
             for row in _shaped(group_obj.get("relations", []), list, "grading_group.relations")
         ]
-        G = group_from_relations(
-            _int_in(group_obj["generators"]),
-            IntMatrix(rows, cols=_int_in(group_obj["generators"])),
-        )
+        G = group_from_relations(g, IntMatrix(rows, cols=g))
     else:
         raise StackDataError("grading_group needs free_rank/torsion or generators/relations")
     vs = []
@@ -579,7 +591,7 @@ def stackdata_from_json(obj):
          for n in _shaped(c, list, "each irrelevant component")]
         for c in _shaped(obj.get("irrelevant", []), list, "irrelevant")
     ]
-    return make_stack_data(G, vs, irrelevant, obj.get("label"))
+    return make_stack_data(G, vs, irrelevant, label)
 
 
 def load_stackdata(path):

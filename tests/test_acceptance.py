@@ -171,7 +171,7 @@ def test_criterion_08_weighted_projective_rank_sweep():
             f = GroupRingElement.one(Z)
             for w in key:
                 f = f * (1 - t(w))
-            gb = strong_groebner([present(f, p)[0]], p)
+            gb = strong_groebner([present(f, p)], p)
             cache[key] = zmodule_invariants(gb)
         return cache[key]
 
@@ -224,20 +224,20 @@ def test_criterion_09b_strong_groebner_suite():
     u = GroupRingElement.monomial(Z2.element([1, 0]))
     v = GroupRingElement.monomial(Z2.element([0, 1]))
     blowup_gens = [1 - v, (1 - u) * (1 - u)]
-    gb_blowup = strong_groebner([present(g, p2)[0] for g in blowup_gens], p2)
+    gb_blowup = strong_groebner([present(g, p2) for g in blowup_gens], p2)
 
     rugby = builtin_example("rugby", (2, 3))
     G = rugby.group
     pr = PolyPresentation.for_group(G)
     e, ep = G.element([1, 0]), G.element([0, 1])
     rugby_gens = [one_minus(e) * one_minus(ep)]
-    gb_rugby = strong_groebner([present(g, pr)[0] for g in rugby_gens], pr)
+    gb_rugby = strong_groebner([present(g, pr) for g in rugby_gens], pr)
 
     Z = FgAbelianGroup.canonical(1)
     pz = PolyPresentation.for_group(Z)
     w = GroupRingElement.monomial(Z.element([1]))
     gcd_gens = [2 * (1 - w), 3 * (1 - w)]
-    gb_gcd = strong_groebner([present(g, pz)[0] for g in gcd_gens], pz)
+    gb_gcd = strong_groebner([present(g, pz) for g in gcd_gens], pz)
 
     t = GroupRingElement.monomial(e)
     uinv = GroupRingElement.monomial(Z2.element([-1, 0]))
@@ -250,7 +250,7 @@ def test_criterion_09b_strong_groebner_suite():
     ]
     memberships = []
     for f, gens, presn, gb in instances:
-        poly = present(f, presn)[0]
+        poly = present(f, presn)
         nf = normal_form(poly, gb)
         assert normal_form(nf, gb) == nf
         # f - nf lies in the ideal: certified by the truncated lattice

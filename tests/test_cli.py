@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import kstacks
 from kstacks.cli import main
 from kstacks.exprs import parse_element
 from kstacks.stacks import builtin_example, load_stackdata
@@ -103,6 +106,19 @@ def test_eq_command(capsys):
         ["eq", "--example", "rugby", "2", "3", "--lhs", "1 - w", "--rhs", "0"], capsys
     )
     assert code == 1 and "error" in err
+
+
+def test_eq_reports_one_reduced_form(tmp_path, capsys):
+    # the README's command: two ways of writing one class reduce to one text
+    path = tmp_path / "eq.json"
+    code, _, _ = run(
+        ["eq", "--example", "rugby", "2", "3", "--lhs", "t*(1-t^2)", "--rhs", "1-t^2",
+         "--json", str(path)],
+        capsys,
+    )
+    report = read_report(path)
+    assert code == 0 and report["equal"] is True
+    assert report["lhs_reduced"] == report["rhs_reduced"]
 
 
 def test_check_connected_exit_codes(capsys):
@@ -239,10 +255,13 @@ def _group(group_obj):
         _set(["variables", 2, "name"], ["z"]),
         _group({"free_rank": -1, "torsion": []}),
         _group({"generators": -1, "relations": []}),
+        _set(["label"], 5),
+        _set(["label"], ["a"]),
     ],
     ids=["inverted-string", "no-name", "no-degree", "group-not-object", "variables-not-list",
          "variable-not-object", "degree-not-list", "component-not-list", "component-entry-not-string",
-         "name-null", "name-not-string", "negative-free-rank", "negative-generators"],
+         "name-null", "name-not-string", "negative-free-rank", "negative-generators",
+         "label-number", "label-list"],
 )
 def test_malformed_input_is_input_error(tmp_path, capsys, change):
     obj = _p1_with_z()
@@ -251,6 +270,22 @@ def test_malformed_input_is_input_error(tmp_path, capsys, change):
     data_path.write_text(json.dumps(obj))
     for command in ("k0", "pic"):
         code, out, err = run([command, "--input", str(data_path)], capsys)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "group_obj",
+    [{"generators": 100000, "relations": []}, {"free_rank": 99999, "torsion": [2]}],
+    ids=["generators", "free-rank-and-torsion"],
+)
+def test_oversized_grading_group_is_rejected_quickly(tmp_path, capsys, group_obj):
+    data_path = tmp_path / "big.json"
+    data_path.write_text(json.dumps({"grading_group": group_obj, "variables": [], "irrelevant": []}))
+    for command in ("k0", "pic"):
+        started = time.perf_counter()
+        code, out, err = run([command, "--input", str(data_path)], capsys)
+        assert time.perf_counter() - started < 1.0
         assert code == 1 and not out
         assert err.startswith("error: ") and "Traceback" not in err
 
@@ -361,13 +396,18 @@ def test_k0_zero_ideal_reports_not_finitely_generated(tmp_path, capsys):
 
 
 def _subprocess_report(args, path, seed):
-    env = dict(**__import__("os").environ, PYTHONHASHSEED=seed)
+    # the child imports the same kstacks as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kstacks.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
     proc = subprocess.run(
         [sys.executable, "-m", "kstacks.cli", *args, "--json", str(path)],
         capture_output=True,
         text=True,
         env=env,
     )
+    if not path.exists():
+        pytest.fail(f"no report written (exit {proc.returncode}):\n{proc.stderr}")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return proc.returncode, text

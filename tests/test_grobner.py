@@ -43,7 +43,7 @@ def blowup_basis():
     Z2, p = laurent2_presentation()
     u = GroupRingElement.monomial(Z2.element([1, 0]))
     v = GroupRingElement.monomial(Z2.element([0, 1]))
-    gens = [present(1 - v, p)[0], present((1 - u) * (1 - u), p)[0]]
+    gens = [present(1 - v, p), present((1 - u) * (1 - u), p)]
     return Z2, p, strong_groebner(gens, p), u, v
 
 
@@ -53,7 +53,7 @@ def rugby_basis(p_, q_):
     e = G.element([1, 0])
     ep = G.element([0, 1])
     gen = one_minus(e) * one_minus(ep)
-    gb = strong_groebner([present(gen, pres)[0]], pres)
+    gb = strong_groebner([present(gen, pres)], pres)
     return G, pres, gb, e, ep
 
 
@@ -67,14 +67,13 @@ def test_grevlex_order():
 def test_present_clears_negative_exponents():
     Z, p = laurent_presentation()
     tinv = GroupRingElement.monomial(Z.element([-1]))
-    poly, clearing = present(1 - tinv, p)
-    assert clearing == (0, 1)
-    assert poly == IntPolynomial({(1, 0): 1, (0, 0): -1})
-    assert unpresent(poly, p, clearing) == 1 - tinv
+    poly = present(1 - tinv, p)
+    assert poly == IntPolynomial({(0, 0): 1, (0, 1): -1})  # 1 - y'
+    assert unpresent(poly, p) == 1 - tinv
 
     t = GroupRingElement.monomial(Z.element([1]))
-    poly2, clearing2 = present(1 - t, p)
-    assert clearing2 == (0, 0)
+    poly2 = present(1 - t, p)
+    assert poly2 == IntPolynomial({(0, 0): 1, (1, 0): -1})
     assert unpresent(poly2, p) == 1 - t
 
 
@@ -82,22 +81,25 @@ def test_present_roundtrip_random():
     rng = random.Random(42)
     G = group_from_relations(2, [[2, -4]])
     p = PolyPresentation.for_group(G)
+    r = G.free_rank
     for _ in range(40):
         e = GroupRingElement.zero(G)
         for _ in range(rng.randint(0, 4)):
             coords = [rng.randint(-3, 3), rng.randint(-3, 3)]
             e = e + GroupRingElement.monomial(G.element(coords), rng.randint(-4, 4))
-        poly, clearing = present(e, p)
-        assert all(x >= 0 for exp in poly.terms for x in exp)
-        assert unpresent(poly, p, clearing) == e
+        poly = present(e, p)
+        assert len(poly.terms) == len(e.terms)
+        # no unit factor: each free coordinate uses y or y', never both
+        assert all(exp[2 * i] == 0 or exp[2 * i + 1] == 0 for exp in poly.terms for i in range(r))
+        assert unpresent(poly, p) == e
 
 
 def test_gcd_completion_over_int():
     # {2(1-t), 3(1-t)} completes to a basis holding t - 1 itself
     Z, p = laurent_presentation()
     t = GroupRingElement.monomial(Z.element([1]))
-    gb = strong_groebner([present(2 * (1 - t), p)[0], present(3 * (1 - t), p)[0]], p)
-    assert present(t - 1, p)[0] in gb.elements
+    gb = strong_groebner([present(2 * (1 - t), p), present(3 * (1 - t), p)], p)
+    assert present(t - 1, p) in gb.elements
 
 
 def test_structural_alone_is_its_own_basis():
@@ -108,12 +110,12 @@ def test_structural_alone_is_its_own_basis():
 
 def test_blowup_normal_forms():
     Z2, p, gb, u, v = blowup_basis()
-    u2 = present(u * u, p)[0]
-    expected = present(2 * u - 1, p)[0]
+    u2 = present(u * u, p)
+    expected = present(2 * u - 1, p)
     assert normal_form(u2, gb) == normal_form(expected, gb)
-    assert in_ideal(present(1 - v, p)[0], gb)
-    assert in_ideal(present((1 - u) * (1 - u) * (1 - v), p)[0], gb)
-    assert not in_ideal(present(1 - u, p)[0], gb)
+    assert in_ideal(present(1 - v, p), gb)
+    assert in_ideal(present((1 - u) * (1 - u) * (1 - v), p), gb)
+    assert not in_ideal(present(1 - u, p), gb)
 
 
 def test_rugby_normal_forms():
@@ -121,12 +123,12 @@ def test_rugby_normal_forms():
     t = GroupRingElement.monomial(e)
     # (1 - t)(1 - t^p) lies in the ideal because 1 - t^p = 1 - s^q
     f = one_minus(e) * one_minus(2 * e)
-    assert in_ideal(present(f, pres)[0], gb)
-    lhs = present(one_minus(2 * e), pres)[0]
-    rhs = present(one_minus(3 * ep), pres)[0]
+    assert in_ideal(present(f, pres), gb)
+    lhs = present(one_minus(2 * e), pres)
+    rhs = present(one_minus(3 * ep), pres)
     assert normal_form(lhs, gb) == normal_form(rhs, gb)
-    assert not in_ideal(present(one_minus(e), pres)[0], gb)
-    assert in_ideal(present(t * one_minus(2 * e) - one_minus(2 * e), pres)[0], gb)
+    assert not in_ideal(present(one_minus(e), pres), gb)
+    assert in_ideal(present(t * one_minus(2 * e) - one_minus(2 * e), pres), gb)
 
 
 def test_normal_form_idempotent_and_sound():
@@ -138,7 +140,7 @@ def test_normal_form_idempotent_and_sound():
         for _ in range(rng.randint(0, 4)):
             coords = [rng.randint(-2, 2), rng.randint(-2, 2)]
             f = f + GroupRingElement.monomial(G.element(coords), rng.randint(-3, 3))
-        poly = present(f, pres)[0]
+        poly = present(f, pres)
         nf = normal_form(poly, gb)
         assert normal_form(nf, gb) == nf
         diff = unpresent(poly - nf, pres)
@@ -158,7 +160,7 @@ def test_normal_form_multiplicative():
             b = b + GroupRingElement.monomial(
                 Z2.element([rng.randint(0, 2), rng.randint(0, 2)]), rng.randint(-3, 3)
             )
-        fa, fb = present(a, p)[0], present(b, p)[0]
+        fa, fb = present(a, p), present(b, p)
         lhs = normal_form(fa * fb, gb)
         rhs = normal_form(normal_form(fa, gb) * normal_form(fb, gb), gb)
         assert lhs == rhs
@@ -175,7 +177,7 @@ def test_membership_matches_macaulay_oracle():
     pz = PolyPresentation.for_group(Z)
     w = GroupRingElement.monomial(Z.element([1]))
     gcd_gens = [2 * (1 - w), 3 * (1 - w)]
-    gb_gcd = strong_groebner([present(g, pz)[0] for g in gcd_gens], pz)
+    gb_gcd = strong_groebner([present(g, pz) for g in gcd_gens], pz)
 
     uinv = GroupRingElement.monomial(Z2.element([-1, 0]))
     instances = [
@@ -186,7 +188,7 @@ def test_membership_matches_macaulay_oracle():
         (1 - w, gcd_gens, pz, gb_gcd),
     ]
     for f, gens, presn, gb in instances:
-        nf_says = in_ideal(present(f, presn)[0], gb)
+        nf_says = in_ideal(present(f, presn), gb)
         oracle_says = macaulay_member(f, gens, 14)
         assert nf_says == oracle_says
 
@@ -209,7 +211,7 @@ def test_invariants_unit_ideal():
 def test_invariants_p1():
     Z, p = laurent_presentation()
     t = GroupRingElement.monomial(Z.element([1]))
-    gb = strong_groebner([present((1 - t) * (1 - t), p)[0]], p)
+    gb = strong_groebner([present((1 - t) * (1 - t), p)], p)
     inv = zmodule_invariants(gb)
     assert inv.invariants() == (2, ())
     assert inv.status == AbGroupInvariants.EXACT
@@ -227,7 +229,7 @@ def test_invariants_torsion_quotient():
     # Z[t, 1/t]/(5, 1 - t): five torsion classes of the constants
     Z, p = laurent_presentation()
     t = GroupRingElement.monomial(Z.element([1]))
-    gb = strong_groebner([present(GroupRingElement.constant(Z, 5), p)[0], present(1 - t, p)[0]], p)
+    gb = strong_groebner([present(GroupRingElement.constant(Z, 5), p), present(1 - t, p)], p)
     inv = zmodule_invariants(gb)
     assert inv.invariants() == (0, (5,))
     assert inv.status == AbGroupInvariants.EXACT
@@ -241,7 +243,7 @@ def test_unit_ideal_default_path_does_not_stall():
         parse_element(s, Z2)
         for s in ("3*t^[0,-2]", "-2*t^[-2,-1] - t^[-1,0] - 2*t^[0,2]", "-t^[-2,-2] + 1 + t^[0,1]")
     ]
-    gb = strong_groebner([present(g, p)[0] for g in gens], p)
+    gb = strong_groebner([present(g, p) for g in gens], p)
     started = time.perf_counter()
     inv = zmodule_invariants(gb)
     assert time.perf_counter() - started < 1.0
@@ -293,7 +295,7 @@ def test_incremental_lattice_property(group):
         gens = [g for g in (_random_element(rng, G, 1) for _ in range(rng.randint(1, 3))) if not g.is_zero()]
         if not gens:
             continue
-        gb = strong_groebner([present(g, p)[0] for g in gens], p)
+        gb = strong_groebner([present(g, p) for g in gens], p)
         standard = _standard_monomials(gb)
         if standard is None:
             continue
@@ -355,7 +357,7 @@ def test_completion_property(group, wide):
     G = FgAbelianGroup.canonical(*group)
     p = PolyPresentation.for_group(G)
     for _ in range(12):
-        gens = [present(g, p)[0] for g in (_random_element(rng, G, spread, coeffs) for _ in range(rng.randint(1, 3)))
+        gens = [present(g, p) for g in (_random_element(rng, G, spread, coeffs) for _ in range(rng.randint(1, 3)))
                 if not g.is_zero()]
         gb = strong_groebner(gens, p)
         assert _is_strong_basis(gb)
@@ -459,7 +461,7 @@ def _stack(G, degrees, components):
 def _completed(group, gens):
     G = FgAbelianGroup.canonical(*group)
     p = PolyPresentation.for_group(G)
-    return strong_groebner([present(parse_element(s, G), p)[0] for s in gens], p)
+    return strong_groebner([present(parse_element(s, G), p) for s in gens], p)
 
 
 PINNED_INPUTS = {
@@ -522,14 +524,14 @@ def test_leading_term_cache():
 
 def test_invariants_invariance_under_generators_presentation():
     Z2, p, _, u, v = blowup_basis()
-    g1 = present(1 - v, p)[0]
-    g2 = present((1 - u) * (1 - u), p)[0]
+    g1 = present(1 - v, p)
+    g2 = present((1 - u) * (1 - u), p)
     base = zmodule_invariants(strong_groebner([g1, g2], p))
     permuted = zmodule_invariants(strong_groebner([g2, g1], p))
     assert (base.invariants(), base.status) == (permuted.invariants(), permuted.status)
     # multiplying a generator by a unit monomial of the group ring
     uinv = GroupRingElement.monomial(Z2.element([-1, 0]))
-    g2u = present((1 - u) * (1 - u) * uinv, p)[0]
+    g2u = present((1 - u) * (1 - u) * uinv, p)
     scaled = zmodule_invariants(strong_groebner([g1, g2u], p))
     assert (base.invariants(), base.status) == (scaled.invariants(), scaled.status)
 
@@ -541,7 +543,7 @@ def test_weighted_projective_ranks():
         f = GroupRingElement.one(Z)
         for q in weights:
             f = f * (1 - t(q))
-        gb = strong_groebner([present(f, p)[0]], p)
+        gb = strong_groebner([present(f, p)], p)
         inv = zmodule_invariants(gb)
         assert inv.invariants() == (sum(weights), ())
         assert inv.status == AbGroupInvariants.EXACT
@@ -579,14 +581,14 @@ def test_basis_closed_under_pairs():
                 coords = [rng.randint(-2, 2), rng.randint(0, 1)]
                 e = e + GroupRingElement.monomial(G.element(coords), rng.randint(-4, 4))
             if not e.is_zero():
-                gens.append(present(e, p)[0])
+                gens.append(present(e, p))
         assert_closed_under_pairs(strong_groebner(gens, p))
 
 
 def test_reduced_basis_canonical_under_input_order():
     Z2, p, _, u, v = blowup_basis()
-    g1 = present(1 - v, p)[0]
-    g2 = present((1 - u) * (1 - u), p)[0]
+    g1 = present(1 - v, p)
+    g2 = present((1 - u) * (1 - u), p)
     a = strong_groebner([g1, g2], p)
     b = strong_groebner([g2, g1], p)
     assert a.elements == b.elements

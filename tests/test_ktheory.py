@@ -247,6 +247,47 @@ def test_equal_in_k0_is_congruence():
         assert equal_in_k0(ca * K0Class(pres, c), cb * K0Class(pres, c))
 
 
+CANONICAL_STACKS = [
+    ("wps(1,1)", lambda: builtin_example("wps", (1, 1))),
+    ("wps(2,3)", lambda: builtin_example("wps", (2, 3))),
+    ("rugby(2,3)", lambda: builtin_example("rugby", (2, 3))),
+    ("rugby(4,6)", lambda: builtin_example("rugby", (4, 6))),
+    ("blowup-a2-hirzebruch", lambda: builtin_example("blowup-a2-hirzebruch")),
+    ("F_2", lambda: _hirzebruch(2)),
+    ("P1^2xZ/3(0,1)", lambda: _p1_product(2, 3, (0, 1))),
+]
+
+
+@pytest.mark.parametrize("name, build", CANONICAL_STACKS, ids=[n for n, _ in CANONICAL_STACKS])
+def test_reduce_is_canonical(name, build):
+    data = build()
+    pres = k0_presentation(data)
+    G = data.group
+    rng = random.Random(f"canonical/{name}")
+
+    def draw():
+        out = GroupRingElement.zero(G)
+        for _ in range(rng.randint(0, 4)):
+            coords = [rng.randint(-3, 3) for _ in range(G.num_generators)]
+            out = out + GroupRingElement.monomial(G.element(coords), rng.randint(-3, 3))
+        return out
+
+    # elements of one class, however written, reduce to one element
+    for _ in range(12):
+        e = draw()
+        f = e + draw() * rng.choice(pres.generators)
+        assert pres.reduce(e) == pres.reduce(f)
+    # and reduced forms match exactly when the classes are equal
+    seen = {"equal": 0, "different": 0}
+    for _ in range(24):
+        a = draw()
+        b = a + draw() * rng.choice(pres.generators) if rng.random() < 0.5 else draw()
+        equal = equal_in_k0(K0Class(pres, a), K0Class(pres, b))
+        assert (pres.reduce(a) == pres.reduce(b)) == equal
+        seen["equal" if equal else "different"] += 1
+    assert seen["equal"] and seen["different"]
+
+
 def test_invariants_examples():
     assert invariants(k0_presentation(builtin_example("rugby", (1, 1)))).invariants() == (2, ())
     inv = invariants(k0_presentation(builtin_example("wps", (1, 1))))

@@ -4,6 +4,7 @@ import pytest
 
 from kstacks.abelian import FgAbelianGroup
 from kstacks.stacks import (
+    MAX_GRADING_GENERATORS,
     ConnectednessReport,
     StackDataError,
     builtin_example,
@@ -195,6 +196,29 @@ def test_json_roundtrip():
             assert data.group.user_representative(v1.degree) == back.group.user_representative(
                 v2.degree
             )
+
+
+def test_json_label_is_string_or_null():
+    obj = dict(stackdata_to_json(builtin_example("wps", (1, 1))), label=None)
+    back = stackdata_from_json(json.loads(json.dumps(obj)))
+    assert back.label is None and stackdata_to_json(back) == obj
+    for bad in (5, ["a"], {"a": 1}, True):
+        with pytest.raises(StackDataError, match="label"):
+            stackdata_from_json(dict(obj, label=bad))
+
+
+def test_json_grading_group_generator_limit():
+    def load(group_obj):
+        return stackdata_from_json({"grading_group": group_obj, "variables": [], "irrelevant": []})
+
+    n = MAX_GRADING_GENERATORS
+    assert load({"generators": n, "relations": []}).group.free_rank == n
+    assert load({"free_rank": n - 2, "torsion": [2, 4]}).group.num_generators == n
+    for group_obj in ({"generators": n + 1, "relations": []},
+                      {"free_rank": n - 1, "torsion": [2, 4]},
+                      {"free_rank": str(10**40), "torsion": []}):
+        with pytest.raises(StackDataError, match="generators"):
+            load(group_obj)
 
 
 def test_json_big_integers_as_strings():
