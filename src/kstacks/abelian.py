@@ -275,6 +275,13 @@ class GroupElement:
         return f"GroupElement(free={self.free}, residues={self.residues})"
 
 
+def describe_invariants(free_rank, torsion):
+    """Render Z^free_rank x Z/m1 x ... x Z/mk, or "0" for the trivial group."""
+    parts = ["Z"] if free_rank == 1 else [f"Z^{free_rank}"] if free_rank else []
+    parts.extend(f"Z/{m}" for m in torsion)
+    return " x ".join(parts) or "0"
+
+
 class FgAbelianGroup:
     """Finitely generated abelian group in invariant-factor form.
 
@@ -362,13 +369,7 @@ class FgAbelianGroup:
         return f"FgAbelianGroup({self.describe()})"
 
     def describe(self):
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{m}" for m in self.torsion)
-        return " x ".join(parts) if parts else "0"
+        return describe_invariants(self.free_rank, self.torsion)
 
     def invariants(self):
         return (self.free_rank, self.torsion)

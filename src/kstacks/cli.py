@@ -1,8 +1,12 @@
 """Command-line surface: drivers over the library plus machine-readable reports.
 
-Every command emits a JSON report (via --json PATH, with "-" meaning stdout);
-the human-readable text is derived from the same payload.  Reports are
-deterministic byte-for-byte except for the timing_ms field.
+Each command is a function of the parsed arguments that returns
+``(exit code, input label, payload, text lines)``.  ``main`` does the rest
+once for all of them: it times the command, builds the report (``command``,
+``input``, ``watermarks``, the payload, ``timing_ms``; a payload may set
+its own ``watermarks``), prints the lines and writes the report where
+--json PATH says ("-" meaning stdout).  Reports are deterministic
+byte-for-byte except for the timing_ms field.
 
 Exit codes: 0 success (or: equal, connected), 1 input or parse error,
 2 refused hypothesis, 3 negative verdict (not equal, not connected, map
@@ -13,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
-from .exprs import ParseError, parse_element
+from .abelian import describe_invariants
+from .exprs import parse_element
 from .ktheory import (
     HypothesisError,
     class_of_koszul_quotient,
@@ -44,40 +48,22 @@ EXIT_HYPOTHESIS = 2
 EXIT_NEGATIVE = 3
 
 
-def _connected_bound(args):
-    """The connectedness search bound from --bound, else from the
-    environment variable KSTACKS_CONNECTED_BOUND, else None; negative
-    bounds are input errors."""
-    value = args.bound
-    source = "--bound"
-    if value is None:
-        env = "KSTACKS_CONNECTED_BOUND"
-        raw = os.environ.get(env)
-        if raw is None:
-            return None
-        source = f"environment variable {env}"
-        try:
-            value = int(raw)
-        except ValueError:
-            raise StackDataError(f"{source} must be an integer") from None
-    if value < 0:
-        raise StackDataError(f"{source} must be non-negative, got {value}")
-    return value
+def _load(named, path, flags=("--example", "--input"), what="an input"):
+    """Stack data from one of two option values, a built-in example
+    [NAME, PARAMS...] or a JSON file path (``flags`` names the two options
+    in errors), plus the expression symbols bound for built-in examples."""
+    if named is not None and path is not None:
+        raise StackDataError(f"give either {flags[0]} or {flags[1]}, not both")
+    if named is not None:
+        data = builtin_example(named[0], [int(p) for p in named[1:]])
+        return data, example_symbols(named[0], data)
+    if path is not None:
+        return load_stackdata(path), {}
+    raise StackDataError(f"{what} is required: {flags[0]} NAME [PARAMS...] or {flags[1]} PATH")
 
 
-def _load_input(args):
-    """Resolve --example NAME [PARAMS...] or --input PATH into stack data
-    plus the expression symbols bound for built-in examples."""
-    if args.example is not None and args.input is not None:
-        raise StackDataError("give either --example or --input, not both")
-    if args.example is not None:
-        name = args.example[0]
-        params = [int(p) for p in args.example[1:]]
-        data = builtin_example(name, params)
-        return data, example_symbols(name, data)
-    if args.input is not None:
-        return load_stackdata(args.input), {}
-    raise StackDataError("an input is required: --example NAME [PARAMS...] or --input PATH")
+def _presentation(data, args):
+    return k0_presentation(data, override=args.override_hypothesis, bound=args.bound)
 
 
 def _group_json(group):
@@ -90,26 +76,6 @@ def _group_json(group):
 
 def _vec_json(group, element):
     return [int(x) for x in group.user_representative(element)]
-
-
-def _emit(report, args, lines):
-    for line in lines:
-        print(line)
-    path = getattr(args, "json", None)
-    if path:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-
-
-def _report(command, label, started, **payload):
-    out = {"command": command, "input": label, "watermarks": []}
-    out.update(payload)
-    out["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    return out
 
 
 def _parse_vector(text, length, what):
@@ -136,16 +102,14 @@ def _parse_vectors(text, length, what):
 
 
 def cmd_k0(args):
-    started = time.perf_counter()
-    data, _ = _load_input(args)
-    pres = k0_presentation(
-        data, override=args.override_hypothesis, bound=_connected_bound(args)
-    )
+    data, _ = _load(args.example, args.input)
+    pres = _presentation(data, args)
     payload = {
         "group": _group_json(data.group),
         "generators": [q.render() for q in pres.generators],
         "hypothesis_verified": pres.hypothesis_verified,
         "connectedness": pres.connectedness.to_json(),
+        "watermarks": list(pres.watermarks),
     }
     lines = [f"K0 presentation of {data.label or 'input'}:"]
     lines.append(f"  group ring over {data.group.describe()}")
@@ -160,22 +124,14 @@ def cmd_k0(args):
         if inv.free_rank is None:
             lines.append(f"  invariants: {inv.status}")
         else:
-            desc = " x ".join(
-                (["Z"] if inv.free_rank == 1 else [f"Z^{inv.free_rank}"] if inv.free_rank else [])
-                + [f"Z/{m}" for m in inv.torsion]
-            ) or "0"
+            desc = describe_invariants(inv.free_rank, inv.torsion)
             lines.append(f"  invariants: {desc} (status: {inv.status})")
-    report = _report("k0", data.label, started, **payload)
-    report["watermarks"] = list(pres.watermarks)
-    for w in pres.watermarks:
-        lines.append(f"  WARNING: {w}")
-    _emit(report, args, lines)
-    return EXIT_OK
+    lines.extend(f"  WARNING: {w}" for w in pres.watermarks)
+    return EXIT_OK, data.label, payload, lines
 
 
 def cmd_pic(args):
-    started = time.perf_counter()
-    data, _ = _load_input(args)
+    data, _ = _load(args.example, args.input)
     removed = None
     if args.remove_degree is not None:
         vec = _parse_vector(args.remove_degree, data.group.num_generators, "--remove-degree")
@@ -189,6 +145,7 @@ def cmd_pic(args):
         "removed_degree": _vec_json(data.group, removed) if removed is not None else None,
         "certified": result.certified,
         "hypotheses": result.hypotheses.to_json(),
+        "watermarks": [] if result.certified else ["hypotheses not verified"],
     }
     tag = "certified" if result.certified else "NOT certified"
     what = data.label or "input"
@@ -197,18 +154,12 @@ def cmd_pic(args):
     lines = [f"Pic of {what}: {result.group.describe()} ({tag})"]
     for note in result.hypotheses.notes:
         lines.append(f"  note: {note}")
-    report = _report("pic", data.label, started, **payload)
-    report["watermarks"] = [] if result.certified else ["hypotheses not verified"]
-    _emit(report, args, lines)
-    return EXIT_OK
+    return EXIT_OK, data.label, payload, lines
 
 
 def cmd_eq(args):
-    started = time.perf_counter()
-    data, symbols = _load_input(args)
-    pres = k0_presentation(
-        data, override=args.override_hypothesis, bound=_connected_bound(args)
-    )
+    data, symbols = _load(args.example, args.input)
+    pres = _presentation(data, args)
     lhs = parse_element(args.lhs, data.group, symbols)
     rhs = parse_element(args.rhs, data.group, symbols)
     lhs_reduced, rhs_reduced = pres.reduce(lhs), pres.reduce(rhs)
@@ -219,34 +170,28 @@ def cmd_eq(args):
         "lhs_reduced": lhs_reduced.render(),
         "rhs_reduced": rhs_reduced.render(),
         "equal": equal,
+        "watermarks": list(pres.watermarks),
     }
     verdict = "equal" if equal else "not equal"
     lines = [f"{args.lhs}  vs  {args.rhs}: {verdict} in K0({data.label or 'input'})"]
-    report = _report("eq", data.label, started, **payload)
-    report["watermarks"] = list(pres.watermarks)
-    _emit(report, args, lines)
-    return EXIT_OK if equal else EXIT_NEGATIVE
+    return (EXIT_OK if equal else EXIT_NEGATIVE), data.label, payload, lines
 
 
 def cmd_check_connected(args):
-    started = time.perf_counter()
-    data, _ = _load_input(args)
-    result = check_connected(data, bound=_connected_bound(args))
-    payload = result.to_json()
+    data, _ = _load(args.example, args.input)
+    result = check_connected(data, bound=args.bound)
     lines = [f"degree-zero check for {data.label or 'input'}: {result.verdict}"]
     if result.witness is not None:
         named = ", ".join(
             f"{v.name}^{w}" for v, w in zip(data.variables, result.witness) if w
         )
         lines.append(f"  witness monomial of degree zero: {named}")
-    report = _report("check-connected", data.label, started, **payload)
-    _emit(report, args, lines)
-    return EXIT_OK if result.is_connected() else EXIT_NEGATIVE
+    code = EXIT_OK if result.is_connected() else EXIT_NEGATIVE
+    return code, data.label, result.to_json(), lines
 
 
 def cmd_connectify(args):
-    started = time.perf_counter()
-    data, _ = _load_input(args)
+    data, _ = _load(args.example, args.input)
     out = connectify(data)
     obj = stackdata_to_json(out)
     payload = {"output": obj, "output_path": args.output}
@@ -258,17 +203,12 @@ def cmd_connectify(args):
         lines.append(f"  written to {args.output}")
     else:
         lines.append(json.dumps(obj, indent=2, sort_keys=True))
-    report = _report("connectify", data.label, started, **payload)
-    _emit(report, args, lines)
-    return EXIT_OK
+    return EXIT_OK, data.label, payload, lines
 
 
 def cmd_class(args):
-    started = time.perf_counter()
-    data, _ = _load_input(args)
-    pres = k0_presentation(
-        data, override=args.override_hypothesis, bound=_connected_bound(args)
-    )
+    data, _ = _load(args.example, args.input)
+    pres = _presentation(data, args)
     vectors = _parse_vectors(args.koszul, data.group.num_generators, "--koszul")
     degrees = [data.group.element(v) for v in vectors]
     cls = class_of_koszul_quotient(pres, degrees)
@@ -278,37 +218,21 @@ def cmd_class(args):
         "class": cls.representative.render(),
         "reduced": reduced.render(),
         "is_zero": reduced.is_zero(),
+        "watermarks": list(pres.watermarks),
     }
     lines = [
         f"Koszul quotient class in K0({data.label or 'input'}):",
         f"  representative: {cls.representative.render()}",
         f"  reduced: {reduced.render()}",
     ]
-    report = _report("class", data.label, started, **payload)
-    report["watermarks"] = list(pres.watermarks)
-    _emit(report, args, lines)
-    return EXIT_OK
+    return EXIT_OK, data.label, payload, lines
 
 
 def cmd_map(args):
-    started = time.perf_counter()
-    data, _ = _load_input(args)
-    if args.target is not None and args.target_input is not None:
-        raise StackDataError("give either --target or --target-input, not both")
-    if args.target is not None:
-        tname = args.target[0]
-        tparams = [int(p) for p in args.target[1:]]
-        target_data = builtin_example(tname, tparams)
-    elif args.target_input is not None:
-        target_data = load_stackdata(args.target_input)
-    else:
-        raise StackDataError("a target is required: --target NAME [PARAMS...] or --target-input PATH")
-    source = k0_presentation(
-        data, override=args.override_hypothesis, bound=_connected_bound(args)
-    )
-    target = k0_presentation(
-        target_data, override=args.override_hypothesis, bound=_connected_bound(args)
-    )
+    data, _ = _load(args.example, args.input)
+    target_data, _ = _load(args.target, args.target_input, ("--target", "--target-input"), "a target")
+    source = _presentation(data, args)
+    target = _presentation(target_data, args)
     rows = _parse_vectors(args.matrix, target_data.group.num_generators, "--matrix rows")
     if len(rows) != data.group.num_generators:
         raise StackDataError(
@@ -317,36 +241,24 @@ def cmd_map(args):
     payload = {
         "target": target_data.label,
         "matrix": [list(r) for r in rows],
+        "watermarks": list(source.watermarks) + list(target.watermarks),
     }
     try:
         pushed = induced_map(rows, source, target)
     except ValueError as exc:
         payload.update({"ok": False, "reason": str(exc)})
-        report = _report("map", data.label, started, **payload)
-        _emit(report, args, [f"induced map check failed: {exc}"])
-        return EXIT_NEGATIVE
-    images = []
-    for q in source.generators:
-        image = pushed.push_element(q)
-        images.append(
-            {
-                "generator": q.render(),
-                "image": image.render(),
-                "reduced": target.reduce(image).render(),
-            }
-        )
+        return EXIT_NEGATIVE, data.label, payload, [f"induced map check failed: {exc}"]
+    images = [
+        {"generator": q.render(), "image": image.render()}
+        for q, image in zip(source.generators, pushed.images)
+    ]
     payload.update({"ok": True, "generator_images": images})
     lines = [f"induced map {data.label or 'input'} -> {target_data.label or 'target'}: ok"]
-    for entry in images:
-        lines.append(f"  {entry['generator']}  |->  {entry['image']} (reduced: {entry['reduced']})")
-    report = _report("map", data.label, started, **payload)
-    report["watermarks"] = list(source.watermarks) + list(target.watermarks)
-    _emit(report, args, lines)
-    return EXIT_OK
+    lines.extend(f"  {entry['generator']}  |->  {entry['image']}" for entry in images)
+    return EXIT_OK, data.label, payload, lines
 
 
 def cmd_example(args):
-    started = time.perf_counter()
     rows = [
         {"name": name, "params": EXAMPLES[name][1], "description": EXAMPLES[name][2]}
         for name in sorted(EXAMPLES)
@@ -355,9 +267,7 @@ def cmd_example(args):
     for row in rows:
         params = f" {row['params']}" if row["params"] else ""
         lines.append(f"  {row['name']}{params}: {row['description']}")
-    report = _report("example", None, started, examples=rows)
-    _emit(report, args, lines)
-    return EXIT_OK
+    return EXIT_OK, None, {"examples": rows}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +281,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _add_input_options(sub):
-    sub.add_argument(
-        "--example",
-        nargs="+",
-        metavar=("NAME", "PARAM"),
-        help="built-in example name with its parameters",
-    )
-    sub.add_argument("--input", metavar="PATH", help="stack data JSON file")
-    sub.add_argument("--json", metavar="PATH", help="write the JSON report here ('-' for stdout)")
+def non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return value
 
 
 def build_parser():
@@ -390,58 +296,56 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    k0 = subs.add_parser("k0", help="ideal presentation of the K-group")
-    _add_input_options(k0)
+    # option groups shared by several commands, each option declared once
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", metavar="PATH", help="write the JSON report here ('-' for stdout)")
+    inputs = argparse.ArgumentParser(add_help=False, parents=[report])
+    inputs.add_argument(
+        "--example",
+        nargs="+",
+        metavar=("NAME", "PARAM"),
+        help="built-in example name with its parameters",
+    )
+    inputs.add_argument("--input", metavar="PATH", help="stack data JSON file")
+    bounded = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    bounded.add_argument("--bound", type=non_negative_int,
+                         help="integer witness search bound of the degree-zero check")
+    k0_inputs = argparse.ArgumentParser(add_help=False, parents=[bounded])
+    k0_inputs.add_argument("--override-hypothesis", action="store_true",
+                           help="compute even when the degree-zero hypothesis is not verified")
+
+    def command(name, func, parent, summary):
+        sub = subs.add_parser(name, parents=[parent], help=summary)
+        sub.set_defaults(func=func)
+        return sub
+
+    k0 = command("k0", cmd_k0, k0_inputs, "ideal presentation of the K-group")
     k0.add_argument("--invariants", action="store_true", help="also compute abelian-group invariants")
-    k0.add_argument("--bound", type=int, help="connectedness search bound")
-    k0.add_argument("--override-hypothesis", action="store_true")
-    k0.set_defaults(func=cmd_k0)
 
-    picp = subs.add_parser("pic", help="Picard group")
-    _add_input_options(picp)
+    picp = command("pic", cmd_pic, inputs, "Picard group")
     picp.add_argument("--remove-degree", metavar="VEC", help="degree of a removed hypersurface (comma-separated)")
-    picp.set_defaults(func=cmd_pic)
 
-    eq = subs.add_parser("eq", help="decide equality of two K-classes")
-    _add_input_options(eq)
+    eq = command("eq", cmd_eq, k0_inputs, "decide equality of two K-classes")
     eq.add_argument("--lhs", required=True, metavar="EXPR")
     eq.add_argument("--rhs", required=True, metavar="EXPR")
-    eq.add_argument("--bound", type=int)
-    eq.add_argument("--override-hypothesis", action="store_true")
-    eq.set_defaults(func=cmd_eq)
 
-    cc = subs.add_parser("check-connected", help="decide the degree-zero hypothesis")
-    _add_input_options(cc)
-    cc.add_argument("--bound", type=int, help="integer witness search bound")
-    cc.set_defaults(func=cmd_check_connected)
+    command("check-connected", cmd_check_connected, bounded, "decide the degree-zero hypothesis")
 
-    cf = subs.add_parser("connectify", help="force the degree-zero hypothesis")
-    _add_input_options(cf)
+    cf = command("connectify", cmd_connectify, inputs, "force the degree-zero hypothesis")
     cf.add_argument("-o", "--output", metavar="PATH", help="write the transformed data here")
-    cf.set_defaults(func=cmd_connectify)
 
-    cl = subs.add_parser("class", help="K-class of a Koszul-type quotient")
-    _add_input_options(cl)
+    cl = command("class", cmd_class, k0_inputs, "K-class of a Koszul-type quotient")
     cl.add_argument("--koszul", required=True, metavar="DEGREES",
                     help="degree vectors, ';'-separated, entries ','-separated")
-    cl.add_argument("--bound", type=int)
-    cl.add_argument("--override-hypothesis", action="store_true")
-    cl.set_defaults(func=cmd_class)
 
-    mp = subs.add_parser("map", help="check a grading homomorphism induces a K-group map")
-    _add_input_options(mp)
+    mp = command("map", cmd_map, k0_inputs, "check a grading homomorphism induces a K-group map")
     mp.add_argument("--matrix", required=True, metavar="M",
                     help="rows ';'-separated, entries ','-separated")
     mp.add_argument("--target", nargs="+", metavar=("NAME", "PARAM"))
     mp.add_argument("--target-input", metavar="PATH")
-    mp.add_argument("--bound", type=int)
-    mp.add_argument("--override-hypothesis", action="store_true")
-    mp.set_defaults(func=cmd_map)
 
-    ex = subs.add_parser("example", help="list built-in examples")
+    ex = command("example", cmd_example, report, "list built-in examples")
     ex.add_argument("--list", action="store_true", help="list the registry (default action)")
-    ex.add_argument("--json", metavar="PATH")
-    ex.set_defaults(func=cmd_example)
 
     return parser
 
@@ -452,15 +356,25 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, label, payload, lines = args.func(args)
+        report = {"command": args.command, "input": label, "watermarks": [], **payload,
+                  "timing_ms": round((time.perf_counter() - started) * 1000.0, 3)}
+        for line in lines:
+            print(line)
+        if args.json:
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            if args.json == "-":
+                sys.stdout.write(text)
+            else:
+                with open(args.json, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        return code
     except HypothesisError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (StackDataError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # StackDataError, ParseError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -28,27 +28,29 @@ class HypothesisError(RuntimeError):
 
 
 class K0Presentation:
-    __slots__ = (
-        "data",
-        "group",
-        "generators",
-        "presentation",
-        "basis",
-        "connectedness",
-        "hypothesis_verified",
-        "watermarks",
-    )
+    __slots__ = ("data", "group", "generators", "presentation", "basis", "connectedness")
 
-    def __init__(self, data, generators, presentation, basis, connectedness,
-                 hypothesis_verified, watermarks):
+    def __init__(self, data, generators, presentation, basis, connectedness):
         self.data = data
         self.group = data.group
         self.generators = tuple(generators)
         self.presentation = presentation
         self.basis = basis
         self.connectedness = connectedness
-        self.hypothesis_verified = hypothesis_verified
-        self.watermarks = tuple(watermarks)
+
+    @property
+    def hypothesis_verified(self):
+        return self.connectedness.is_connected()
+
+    @property
+    def watermarks(self):
+        """Warnings that every result built on this presentation carries."""
+        if self.hypothesis_verified:
+            return ()
+        return (
+            f"hypothesis not verified (connectedness verdict: {self.connectedness.verdict}); "
+            "the presentation formula may not compute the K-group of this stack",
+        )
 
     def __repr__(self):
         return f"K0Presentation({self.data.label or 'unlabeled'}, {len(self.generators)} generators)"
@@ -85,23 +87,16 @@ def k0_presentation(data, override=False, bound=None):
             "inverted variables are not covered by the product formula"
         )
     report = check_connected(data, bound=bound)
-    watermarks = []
-    verified = report.is_connected()
-    if not verified:
-        if not override:
-            raise HypothesisError(
-                f"degree-zero hypothesis not verified (verdict: {report.verdict}); "
-                "rerun with an explicit override to compute anyway"
-            )
-        watermarks.append(
-            f"hypothesis not verified (connectedness verdict: {report.verdict}); "
-            "the presentation formula may not compute the K-group of this stack"
+    if not report.is_connected() and not override:
+        raise HypothesisError(
+            f"degree-zero hypothesis not verified (verdict: {report.verdict}); "
+            "rerun with an explicit override to compute anyway"
         )
     generators = [component_product(data, m) for m in range(1, len(data.irrelevant) + 1)]
     presentation = PolyPresentation.for_group(data.group)
     polys = [present(q, presentation) for q in generators]
     basis = strong_groebner(polys, presentation)
-    return K0Presentation(data, generators, presentation, basis, report, verified, watermarks)
+    return K0Presentation(data, generators, presentation, basis, report)
 
 
 class K0Class:
@@ -204,17 +199,18 @@ def invariants(pres):
 class InducedK0Map:
     """Pushforward of classes along a grading-group homomorphism.
 
-    Exponents are mapped through the homomorphism; construction verifies the
-    map is well defined on the groups and that every source ideal generator
-    lands in the target ideal.
+    Exponents are mapped through the homomorphism.  Construction pushes
+    every source ideal generator once and keeps the results, in order, as
+    ``images``; ``induced_map`` checks that each lands in the target ideal.
     """
 
-    __slots__ = ("source", "target", "hom")
+    __slots__ = ("source", "target", "hom", "images")
 
     def __init__(self, source, target, hom):
         self.source = source
         self.target = target
         self.hom = hom
+        self.images = tuple(self.push_element(q) for q in source.generators)
 
     def push_element(self, element):
         source = self.source.group
@@ -243,8 +239,7 @@ def induced_map(theta, source, target):
         theta = IntMatrix(theta, cols=target.group.num_generators)
     hom = GroupHomomorphism(source.group, target.group, theta)
     out = InducedK0Map(source, target, hom)
-    for q in source.generators:
-        image = out.push_element(q)
+    for q, image in zip(source.generators, out.images):
         if not target.is_zero_class(image):
             raise ValueError(
                 f"ideal generator {q.render()} maps to {image.render()}, "

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -7,8 +9,9 @@ import time
 import pytest
 
 import kstacks
-from kstacks.cli import main
+from kstacks.cli import build_parser, main
 from kstacks.exprs import parse_element
+from kstacks.ktheory import InducedK0Map, k0_presentation
 from kstacks.stacks import builtin_example, load_stackdata
 
 
@@ -45,8 +48,6 @@ def test_k0_blowup(tmp_path, capsys):
     assert report["hypothesis_verified"] is True
     # reported generator strings parse back to the computed generators
     data = builtin_example("blowup-a2-hirzebruch")
-    from kstacks.ktheory import k0_presentation
-
     pres = k0_presentation(data)
     parsed = [parse_element(s, data.group) for s in report["generators"]]
     assert parsed == list(pres.generators)
@@ -298,7 +299,7 @@ def test_json_to_stdout(capsys):
     assert report["group"]["description"] == "Z/3"
 
 
-def test_env_bound_override(tmp_path, capsys, monkeypatch):
+def test_bound_flag_sets_the_witness_search(tmp_path, capsys):
     # degrees 3 and -2: no witness with entries <= 1, found with the default
     data_path = tmp_path / "thin.json"
     data_path.write_text(
@@ -314,17 +315,12 @@ def test_env_bound_override(tmp_path, capsys, monkeypatch):
             }
         )
     )
-    monkeypatch.setenv("KSTACKS_CONNECTED_BOUND", "1")
-    code, out, _ = run(["check-connected", "--input", str(data_path)], capsys)
+    argv = ["check-connected", "--input", str(data_path)]
+    code, out, _ = run(argv + ["--bound", "1"], capsys)
     assert code == 3 and "unknown" in out
-    monkeypatch.delenv("KSTACKS_CONNECTED_BOUND")
-    code, out, _ = run(["check-connected", "--input", str(data_path)], capsys)
+    code, out, _ = run(argv, capsys)
     assert code == 3 and "not_connected" in out
-    # the flag wins over the environment
-    monkeypatch.setenv("KSTACKS_CONNECTED_BOUND", "1")
-    code, out, _ = run(
-        ["check-connected", "--input", str(data_path), "--bound", "3"], capsys
-    )
+    code, out, _ = run(argv + ["--bound", "3"], capsys)
     assert code == 3 and "not_connected" in out
 
 
@@ -355,21 +351,74 @@ def test_negative_bound_flag_is_input_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "env, argv",
+    "argv",
     [
-        ("KSTACKS_CONNECTED_BOUND", ["k0", "--example", "wps", "1", "1", "--invariants"]),
-        ("KSTACKS_CONNECTED_BOUND", ["check-connected", "--example", "wps", "1", "1"]),
+        ["k0", "--example", "blowup-a2-cox"],
+        ["eq", "--example", "blowup-a2-cox", "--lhs", "1", "--rhs", "1"],
+        ["class", "--example", "blowup-a2-cox", "--koszul", "1"],
+        ["map", "--example", "blowup-a2-cox", "--matrix", "1", "--target", "p1"],
     ],
+    ids=["k0", "eq", "class", "map"],
 )
-def test_negative_bound_env_is_input_error(env, argv, capsys, monkeypatch):
-    monkeypatch.setenv(env, "-1")
-    code, _, err = run(argv, capsys)
-    assert code == 1
-    assert env in err and "must be non-negative" in err
+def test_k0_commands_share_bound_and_override(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out and "refused" in err
     # bound zero is a valid, if small, search
-    monkeypatch.setenv(env, "0")
-    code, _, _ = run(argv, capsys)
+    code, out, _ = run(argv + ["--bound", "0", "--override-hypothesis", "--json", "-"], capsys)
     assert code == 0
+    assert json.loads(out[out.index("\n{\n") + 1:])["watermarks"]
+    code, out, err = run(argv + ["--override-hypothesis", "--bound", "-1"], capsys)
+    assert code == 1 and not out
+    assert "argument --bound: must be non-negative" in err
+
+
+def test_check_connected_takes_bound_but_no_override(capsys):
+    argv = ["check-connected", "--example", "wps", "1", "1"]
+    code, out, _ = run(argv + ["--bound", "0"], capsys)
+    assert code == 0 and "connected" in out
+    code, out, err = run(argv + ["--override-hypothesis"], capsys)
+    assert code == 1 and not out
+    assert "unrecognized arguments: --override-hypothesis" in err
+
+
+def test_map_pushes_each_source_generator_once(capsys, monkeypatch):
+    calls = []
+    push = InducedK0Map.push_element
+
+    def counted(self, element):
+        calls.append(element)
+        return push(self, element)
+
+    monkeypatch.setattr(InducedK0Map, "push_element", counted)
+    code, _, _ = run(
+        ["map", "--example", "rugby", "2", "3", "--matrix", "3;2", "--target", "wps", "3", "2"],
+        capsys,
+    )
+    assert code == 0
+    assert calls == list(k0_presentation(builtin_example("rugby", (2, 3))).generators)
+
+
+def _readme_commands():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text[text.index("## Command line"):]
+    block = block[block.index("```") + 3:]
+    block = block[:block.index("```")]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("kstacks ")]
+
+
+def test_readme_commands_match_the_parser():
+    parser = build_parser()
+    commands = _readme_commands()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command rejected by the parser: {shlex.join(argv)}")
+    subcommands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(subcommands) == {argv[1] for argv in commands}
 
 
 def test_k0_zero_ideal_reports_not_finitely_generated(tmp_path, capsys):
@@ -421,6 +470,11 @@ def _subprocess_report(args, path, seed):
         ["eq", "--example", "rugby", "2", "3", "--lhs", "t*(1-t^2)", "--rhs", "1-t^2"],
         ["check-connected", "--example", "blowup-a2-cox"],
         ["connectify", "--example", "blowup-a2-cox"],
+        ["class", "--example", "rugby", "2", "3", "--koszul", "1,0"],
+        ["map", "--example", "rugby", "2", "3", "--matrix", "3;2", "--target", "wps", "3", "2"],
+        ["map", "--example", "rugby", "2", "3", "--matrix", "1;1", "--target", "p1"],
+        ["k0", "--example", "blowup-a2-cox", "--override-hypothesis", "--invariants"],
+        ["example", "--list"],
     ],
 )
 def test_reports_identical_across_hash_seeds(tmp_path, args):
