@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers and finitely generated abelian groups.
 
-Everything is arbitrary precision: Smith normal forms with recorded unimodular
-transforms, groups in invariant-factor form ``Z^r x Z/m1 x ... x Z/mk`` with a
-change of basis back to the user's generators, quotients, and homomorphisms.
+Everything is arbitrary precision: Smith normal forms that record the
+unimodular column transform and its inverse, groups in invariant-factor form
+``Z^r x Z/m1 x ... x Z/mk`` with a change of basis back to the user's
+generators, quotients, and homomorphisms.
 """
 
 from __future__ import annotations
@@ -85,15 +86,13 @@ class IntMatrix:
 
 
 class SmithDecomposition:
-    """U @ A @ V = D with U, V unimodular, D diagonal and d1 | d2 | ... >= 0."""
+    """U @ A @ V = diag(d1, d2, ...) for some unimodular U, which is not
+    recorded; V is unimodular with inverse V_inv, and d1 | d2 | ... >= 0."""
 
-    __slots__ = ("U", "D", "V", "U_inv", "V_inv", "invariant_factors")
+    __slots__ = ("V", "V_inv", "invariant_factors")
 
-    def __init__(self, U, D, V, U_inv, V_inv, invariant_factors):
-        self.U = U
-        self.D = D
+    def __init__(self, V, V_inv, invariant_factors):
         self.V = V
-        self.U_inv = U_inv
         self.V_inv = V_inv
         self.invariant_factors = tuple(invariant_factors)
 
@@ -107,16 +106,8 @@ def smith_normal_form(A):
     """
     m, n = A.rows, A.cols
     M = [list(row) for row in A.entries]
-    U = _identity_rows(m)
-    U_inv = _identity_rows(m)
     V = _identity_rows(n)
     V_inv = _identity_rows(n)
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-        for r in U_inv:
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in M:
@@ -127,14 +118,7 @@ def smith_normal_form(A):
 
     def add_row(i, j, q):
         # row_i += q * row_j
-        Mi, Mj = M[i], M[j]
-        for c in range(n):
-            Mi[c] += q * Mj[c]
-        Ui, Uj = U[i], U[j]
-        for c in range(m):
-            Ui[c] += q * Uj[c]
-        for r in U_inv:
-            r[j] -= q * r[i]
+        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
 
     def add_col(j, i, q):
         # col_j += q * col_i
@@ -145,12 +129,6 @@ def smith_normal_form(A):
         Vi, Vj = V_inv[i], V_inv[j]
         for c in range(n):
             Vi[c] -= q * Vj[c]
-
-    def negate_row(i):
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
-        for r in U_inv:
-            r[i] = -r[i]
 
     t = 0
     while t < m and t < n:
@@ -166,7 +144,7 @@ def smith_normal_form(A):
             break
         i, j = pivot
         if i != t:
-            swap_rows(t, i)
+            M[t], M[i] = M[i], M[t]
         if j != t:
             swap_cols(t, j)
         a = M[t][t]
@@ -202,18 +180,10 @@ def smith_normal_form(A):
             continue
         t += 1
 
-    for k in range(min(m, n)):
-        if M[k][k] < 0:
-            negate_row(k)
-
-    factors = [M[k][k] for k in range(min(m, n))]
     return SmithDecomposition(
-        IntMatrix(U, cols=m),
-        IntMatrix(M, cols=n),
         IntMatrix(V, cols=n),
-        IntMatrix(U_inv, cols=m),
         IntMatrix(V_inv, cols=n),
-        factors,
+        [abs(M[k][k]) for k in range(min(m, n))],
     )
 
 

@@ -112,10 +112,10 @@ class GroupRingElement:
         n = int(n)
         if n < 0:
             raise ValueError("negative powers are not defined in the group ring")
-        out = GroupRingElement.one(self.group)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return GroupRingElement.one(self.group)
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def __eq__(self, other):
         if isinstance(other, int):

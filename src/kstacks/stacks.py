@@ -166,69 +166,41 @@ def _rational_annihilator_exists(degree_rows):
     rationals, where the columns of A are the free parts in degree_rows.
 
     Phase-one simplex with Bland's rule on Fraction arithmetic; sound and
-    complete at this scale.
+    complete at this scale.  The right-hand sides are 0 and 1, and the
+    tableau keeps only the e-columns and the right-hand side: an artificial
+    that leaves the basis is fixed at zero, which keeps the optimum zero
+    exactly when the system is feasible.
     """
     n = len(degree_rows)
-    if n == 0:
-        return False
-    r = len(degree_rows[0])
-    rows = []
-    for i in range(r):
-        rows.append([Fraction(degree_rows[j][i]) for j in range(n)] + [Fraction(0)])
-    rows.append([Fraction(1)] * n + [Fraction(1)])
-
-    m = len(rows)
-    # make right-hand sides nonnegative, add artificial basis
-    tableau = []
-    for row in rows:
-        if row[-1] < 0:
-            row = [-x for x in row]
-        tableau.append(row)
-    total = n + m
-    table = []
-    for i, row in enumerate(tableau):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        table.append(row[:-1] + art + [row[-1]])
+    table = [[Fraction(x) for x in row] + [Fraction(0)] for row in zip(*degree_rows)]
+    table.append([Fraction(1)] * (n + 1))
+    m = len(table)
     basis = [n + i for i in range(m)]
-    # objective: minimize the artificials, stated as reduced costs
-    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    z = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            z[j] += table[i][j]
+    # reduced costs for the sum of the artificials, which is the last entry
+    reduced = [sum(column) for column in zip(*table)]
 
     while True:
-        entering = None
-        for j in range(total):
-            if z[j] - cost[j] > 0:
-                entering = j
-                break
+        entering = next((j for j in range(n) if reduced[j] > 0), None)
         if entering is None:
-            break
+            return reduced[n] == 0
+        # a positive reduced cost sums entries of the column: a pivot exists
         leaving = None
         best = None
         for i in range(m):
             if table[i][entering] > 0:
-                ratio = table[i][total] / table[i][entering]
+                ratio = table[i][n] / table[i][entering]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
                     best = ratio
                     leaving = i
-        if leaving is None:
-            break
         piv = table[leaving][entering]
         table[leaving] = [x / piv for x in table[leaving]]
         for i in range(m):
             if i != leaving and table[i][entering]:
                 f = table[i][entering]
                 table[i] = [a - f * b for a, b in zip(table[i], table[leaving])]
-        f = z[entering] - cost[entering]
-        if f:
-            z = [a - f * b for a, b in zip(z, table[leaving])]
+        f = reduced[entering]
+        reduced = [a - f * b for a, b in zip(reduced, table[leaving])]
         basis[leaving] = entering
-
-    objective = z[total]
-    return objective == 0
 
 
 def default_connected_bound(data):

@@ -2,8 +2,11 @@
 
 import heapq
 import itertools
+import math
+from operator import add, sub
 
-from kstacks.abelian import group_from_relations, xgcd
+from kstacks.abelian import IntMatrix, group_from_relations, xgcd
+from kstacks.grobner import present
 from kstacks.groupring import GroupRingElement
 
 
@@ -28,6 +31,38 @@ def determinant(M):
     return rec(rows)
 
 
+def check_smith_decomposition(A, snf):
+    """Assert that ``snf`` is a Smith normal form of A.
+
+    With V unimodular, these checks hold exactly when some unimodular U has
+    U @ A @ V = diag(d): the determinantal divisors of A fix d, and the
+    columns of A @ V, divided by the nonzero d_j, have maximal minors with
+    gcd 1, so they extend to a unimodular matrix.
+    """
+    m, n = A.rows, A.cols
+    assert snf.V @ snf.V_inv == IntMatrix.identity(n)
+    assert snf.V_inv @ snf.V == IntMatrix.identity(n)
+    d = snf.invariant_factors
+    assert len(d) == min(m, n)
+    assert all(x >= 0 for x in d)
+    for a, b in zip(d, d[1:]):
+        assert b % a == 0 if a else b == 0
+    AV = A @ snf.V
+    for j in range(n):
+        dj = d[j] if j < m else 0
+        for i in range(m):
+            assert (AV.entries[i][j] % dj == 0) if dj else AV.entries[i][j] == 0
+    product = 1
+    for k in range(1, min(m, n) + 1):
+        product *= d[k - 1]
+        divisor = 0
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                minor = IntMatrix([[A.entries[i][j] for j in cols] for i in rows])
+                divisor = math.gcd(divisor, determinant(minor))
+        assert divisor == product, (k, divisor, d)
+
+
 def equal_up_to_unit(a, b):
     """Whether two group-ring elements differ by a monomial factor."""
     if a.is_zero() or b.is_zero():
@@ -38,6 +73,95 @@ def equal_up_to_unit(a, b):
     elem_b = G.element_canonical(kb[:r], kb[r:])
     shift = GroupRingElement.monomial(elem_a - elem_b)
     return a == shift * b
+
+
+def _fp_leading(f):
+    # degree-lexicographic order, unlike the engine's grevlex
+    return max(f, key=lambda e: (sum(e), e))
+
+
+def _fp_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _fp_shifted_sub(f, g, shift, c, p):
+    """f - c * X^shift * g in place, over F_p."""
+    for e, d in g.items():
+        key = tuple(map(add, e, shift))
+        v = (f.get(key, 0) - c * d) % p
+        if v:
+            f[key] = v
+        else:
+            f.pop(key, None)
+
+
+def _fp_reduce(f, basis, p):
+    """Remainder of f on division by ``basis``, a list of (leading exponent,
+    monic polynomial) over F_p; polynomials are dicts from exponent tuples to
+    nonzero residues."""
+    f, rest = dict(f), {}
+    while f:
+        lead = _fp_leading(f)
+        for g_lead, g in basis:
+            if _fp_divides(g_lead, lead):
+                _fp_shifted_sub(f, g, tuple(map(sub, lead, g_lead)), f[lead], p)
+                break
+        else:
+            rest[lead] = f.pop(lead)
+    return rest
+
+
+def fp_quotient_dimension(generators, presentation, p, limit=5000):
+    """Dimension over F_p of the group ring of ``presentation.group`` modulo
+    the ideal of the group-ring ``generators``.
+
+    Plain Buchberger over the field F_p on the y, y', s variables with the
+    structural relations y*y' - 1 and s^m - 1; it shares no code with the
+    integer engine but ``present``.  The dimension is the number of standard
+    monomials, walked up from 1; more than ``limit`` fails the calling test.
+    """
+    group, n = presentation.group, presentation.num_vars
+    r = group.free_rank
+
+    def monomial(*pairs):
+        exp = [0] * n
+        for i, k in pairs:
+            exp[i] = k
+        return tuple(exp)
+
+    one = monomial()
+    pending = [present(q, presentation).terms for q in generators]
+    pending += [{monomial((2 * i, 1), (2 * i + 1, 1)): 1, one: -1} for i in range(r)]
+    pending += [{monomial((2 * r + j, m)): 1, one: -1} for j, m in enumerate(group.torsion)]
+    pending = [{e: c % p for e, c in f.items() if c % p} for f in pending]
+    basis = []
+    while pending:
+        f = _fp_reduce(pending.pop(), basis, p)
+        if not f:
+            continue
+        lead = _fp_leading(f)
+        inverse = pow(f[lead], -1, p)
+        f = {e: c * inverse % p for e, c in f.items()}
+        for g_lead, g in basis:
+            # the S-polynomial of (g, f), skipped for coprime leading monomials
+            lcm = tuple(map(max, g_lead, lead))
+            if lcm == tuple(map(add, g_lead, lead)):
+                continue
+            s = {}
+            _fp_shifted_sub(s, g, tuple(map(sub, lcm, g_lead)), -1, p)
+            _fp_shifted_sub(s, f, tuple(map(sub, lcm, lead)), 1, p)
+            pending.append(s)
+        basis.append((lead, f))
+    standard, frontier = {one}, [one]
+    while frontier:
+        e = frontier.pop()
+        for i in range(n):
+            up = e[:i] + (e[i] + 1,) + e[i + 1:]
+            if up not in standard and not any(_fp_divides(g_lead, up) for g_lead, _ in basis):
+                standard.add(up)
+                frontier.append(up)
+                assert len(standard) <= limit, "the F_p quotient looks infinite"
+    return len(standard)
 
 
 def brute_force_numerator(degrees, components, functional, window):

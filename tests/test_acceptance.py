@@ -44,7 +44,12 @@ from kstacks.stacks import (
 )
 from kstacks.abelian import FgAbelianGroup
 
-from conftest import brute_force_numerator, determinant, equal_up_to_unit, macaulay_member
+from conftest import (
+    brute_force_numerator,
+    check_smith_decomposition,
+    equal_up_to_unit,
+    macaulay_member,
+)
 
 RUGBY_PAIRS = [(1, 1), (2, 3), (2, 2), (3, 4)]
 
@@ -202,18 +207,7 @@ def test_criterion_09a_snf_suite():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         A = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-        snf = smith_normal_form(A)
-        assert snf.U @ A @ snf.V == snf.D
-        assert abs(determinant(snf.U)) == 1
-        assert abs(determinant(snf.V)) == 1
-        d = snf.invariant_factors
-        assert all(x >= 0 for x in d)
-        for a, b in zip(d, d[1:]):
-            assert b % a == 0 if a else b == 0
-        for i in range(snf.D.rows):
-            for j in range(snf.D.cols):
-                if i != j:
-                    assert snf.D.entries[i][j] == 0
+        check_smith_decomposition(A, smith_normal_form(A))
     _pass(9, "(a) 200 random Smith decompositions verified exactly")
 
 

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from kstacks.abelian import FgAbelianGroup, group_from_relations
+from kstacks.exprs import parse_element
 from kstacks.grobner import PolyPresentation, present, unpresent
 from kstacks.groupring import GroupRingElement, one_minus
 
@@ -104,6 +106,22 @@ def test_power_and_errors():
         pass
     else:
         raise AssertionError("negative power accepted")
+    # large exponents parse by square and multiply, not n products
+    for text, expected in (
+        ("2^1000000", GroupRingElement.constant(Z, 2**1000000)),
+        ("t^[1]^100000000", t(Z, 100000000)),
+    ):
+        started = time.perf_counter()
+        assert parse_element(text, Z) == expected
+        assert time.perf_counter() - started < 1.0, text
+    rng = random.Random(1012)
+    for group in (Z, FgAbelianGroup.canonical(1, (3,)), FgAbelianGroup.canonical(2)):
+        for _ in range(10):
+            x = random_element(rng, group)
+            product = GroupRingElement.one(group)
+            for n in range(13):
+                assert x**n == product, (x, n)
+                product = product * x
     other = FgAbelianGroup.canonical(2)
     try:
         t(Z) + GroupRingElement.one(other)

@@ -21,7 +21,7 @@ from kstacks.ktheory import (
 )
 from kstacks.stacks import builtin_example, connectify, make_stack_data
 
-from conftest import brute_force_numerator, determinant, equal_up_to_unit
+from conftest import brute_force_numerator, determinant, equal_up_to_unit, fp_quotient_dimension
 
 RUGBY_PAIRS = [(1, 1), (2, 3), (2, 2), (3, 4)]
 
@@ -385,6 +385,40 @@ def test_exact_rank_matches_fan_count(build):
     inv = invariants(k0_presentation(data))
     assert inv.status == AbGroupInvariants.EXACT
     assert inv.invariants() == (_fan_rank(data), ())
+
+
+def _grading(group, degrees, components):
+    names = [f"x{i}" for i in range(len(degrees))]
+    return make_stack_data(group, list(zip(names, degrees)), components)
+
+
+# two small gradings whose K-group is Z x Z/3; the first has an incomplete
+# fan, with the rays {x1} and {x2} as its only maximal cones
+TORSION_STACKS = [
+    ("Z2-torsion", lambda: _grading(
+        FgAbelianGroup.canonical(2), [[1, -1], [3, -2], [1, 0], [0, -3]], [["x0"], ["x1", "x2"], ["x3"]])),
+    ("ZxZ3-torsion", lambda: _grading(
+        FgAbelianGroup.canonical(1, (3,)), [[3, 1], [3, 2], [2, 1], [1, 1]], [["x3"], ["x0", "x2"]])),
+]
+
+
+@pytest.mark.parametrize(
+    "build, torsion",
+    [pytest.param(b, (), id=label) for label, b in FAN_STACKS]
+    + [pytest.param(b, (3,), id=label) for label, b in TORSION_STACKS],
+)
+def test_exact_invariants_match_fp_dimensions(build, torsion):
+    # Z^r x Z/d1 x ... tensored with F_p has dimension r + #{i : p | di}
+    pres = k0_presentation(build())
+    inv = invariants(pres)
+    assert inv.status == AbGroupInvariants.EXACT
+    rank, factors = inv.invariants()
+    assert factors == torsion
+    divisors = {q for d in factors for q in range(2, d + 1) if d % q == 0}
+    primes = {2, 3, 5} | {q for q in divisors if all(q % k for k in range(2, q))}
+    for p in sorted(primes):
+        expected = rank + sum(1 for d in factors if d % p == 0)
+        assert fp_quotient_dimension(pres.generators, pres.presentation, p) == expected, p
 
 
 def test_induced_maps_rugby():

@@ -291,14 +291,16 @@ def test_rational_feasibility_against_basic_solutions():
         return False
 
     rng = random.Random(20260809)
-    agree = 0
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        r = rng.randint(1, 2)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        r = rng.randint(0, 3)
         degree_rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
-        assert _rational_annihilator_exists(degree_rows) == oracle(degree_rows)
-        agree += 1
-    assert agree == 200
+        verdict = _rational_annihilator_exists(degree_rows)
+        assert verdict == oracle(degree_rows), degree_rows
+        seen.add((r, verdict))
+    # every row count from 0 to 3 meets both verdicts
+    assert seen == {(r, v) for r in range(4) for v in (False, True)}
 
 
 def test_json_errors():
