@@ -40,7 +40,6 @@ from .stacks import (
     make_stack_data,
     stackdata_from_json,
     stackdata_to_json,
-    validate,
 )
 from .ktheory import (
     HypothesisError,
@@ -104,6 +103,5 @@ __all__ = [
     "strong_groebner",
     "units_subgroup",
     "unpresent",
-    "validate",
     "zmodule_invariants",
 ]

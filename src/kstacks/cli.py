@@ -260,8 +260,8 @@ def cmd_map(args):
 
 def cmd_example(args):
     rows = [
-        {"name": name, "params": EXAMPLES[name][1], "description": EXAMPLES[name][2]}
-        for name in sorted(EXAMPLES)
+        {"name": name, "params": params, "description": description}
+        for name, (params, description, _, _) in sorted(EXAMPLES.items())
     ]
     lines = ["built-in examples:"]
     for row in rows:

@@ -24,6 +24,7 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*^()")
+_DIGITS = set("0123456789")
 
 
 class _Token:
@@ -53,9 +54,9 @@ def _tokenize(text):
             tokens.append(_Token("mono", text[i + 3 : end]))
             i = end + 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", int(text[i:j])))
             i = j

@@ -112,10 +112,14 @@ class GroupRingElement:
         n = int(n)
         if n < 0:
             raise ValueError("negative powers are not defined in the group ring")
-        if n == 0:
-            return GroupRingElement.one(self.group)
-        half = self ** (n >> 1)
-        return half * half * self if n & 1 else half * half
+        # square and multiply from the top bit, in a loop: the exponent may
+        # have more bits than the recursion limit allows frames
+        out = GroupRingElement.one(self.group)
+        for bit in bin(n)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -190,8 +194,7 @@ def one_minus_product(group, degrees):
 def component_product(data, m):
     """Product of (1 - t^deg(x)) over the variables of the m-th irrelevant
     component of ``data`` (1-based).  An index m outside 1..n raises
-    IndexError.  Validated data has no empty component, but an empty one
-    would give the empty product 1.
+    IndexError.
     """
     components = data.irrelevant
     if not 1 <= m <= len(components):

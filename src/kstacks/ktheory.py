@@ -20,7 +20,7 @@ from .grobner import (
     unpresent,
     zmodule_invariants,
 )
-from .stacks import check_connected, validate
+from .stacks import check_connected
 
 
 class HypothesisError(RuntimeError):
@@ -80,7 +80,6 @@ def k0_presentation(data, override=False, bound=None):
     degree-zero hypothesis is not verified; an override labels everything
     downstream as unverified.
     """
-    data = validate(data)
     if data.has_inverted():
         raise HypothesisError(
             "the K-group presentation needs a polynomial coordinate ring; "

@@ -10,7 +10,7 @@ homogeneous element of degree alpha further quotients by alpha.
 from __future__ import annotations
 
 from .abelian import quotient_by_subgroup
-from .stacks import check_pic_hypotheses, validate
+from .stacks import check_pic_hypotheses
 
 
 class PicResult:
@@ -42,7 +42,6 @@ def pic(data):
 
     Never refuses; ``certified`` is False when the hypothesis report fails.
     """
-    data = validate(data)
     units = units_subgroup(data)
     group, proj = quotient_by_subgroup(data.group, units)
     return PicResult(group, proj, units, check_pic_hypotheses(data))
@@ -51,7 +50,6 @@ def pic(data):
 def pic_open(data, alpha):
     """Picard group of the complement of the zero locus of one homogeneous
     element of degree alpha: grading group / (unit degrees, alpha)."""
-    data = validate(data)
     data.group.require_same(alpha.group)
     units = units_subgroup(data)
     group, proj = quotient_by_subgroup(data.group, units + [alpha])

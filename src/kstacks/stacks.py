@@ -2,11 +2,12 @@
 
 A StackData is a grading group, a list of graded variables (each optionally
 inverted), and a list of irrelevant components: subsets of variable names
-whose common zero loci make up the removed locus.  This module validates and
-normalizes that data, decides the degree-zero hypothesis (the only monomials
-of degree zero are constants), applies the transform that forces the
-hypothesis by adding one variable of an extra grading coordinate, and holds
-the registry of built-in examples.
+whose common zero loci make up the removed locus.  A StackData is
+normalized when it is built: its constructor checks the names and drops
+redundant components.  This module also decides the degree-zero hypothesis
+(the only monomials of degree zero are constants), applies the transform
+that forces the hypothesis by adding one variable of an extra grading
+coordinate, and holds the registry of built-in examples.
 """
 
 from __future__ import annotations
@@ -37,14 +38,22 @@ class Variable:
 
 
 class StackData:
-    """Grading group, graded variables, and irrelevant components."""
+    """Grading group, graded variables, and irrelevant components.
+
+    The constructor checks that every degree lies in the grading group,
+    checks the rest with ``validate`` and keeps the normalized components,
+    so every StackData is normalized when built.
+    """
 
     __slots__ = ("group", "variables", "irrelevant", "label", "_by_name")
 
     def __init__(self, group, variables, irrelevant, label=None):
         self.group = group
         self.variables = tuple(variables)
-        self.irrelevant = tuple(tuple(c) for c in irrelevant)
+        for v in self.variables:
+            if not group.same_group(v.degree.group):
+                raise StackDataError(f"degree of {v.name!r} lies outside the grading group")
+        self.irrelevant = validate(self.variables, irrelevant)
         self.label = label
         self._by_name = {v.name: v for v in self.variables}
 
@@ -65,7 +74,7 @@ class StackData:
 
 
 def make_stack_data(group, variables, irrelevant, label=None):
-    """Build and validate a StackData from user-coordinate degree vectors.
+    """Build a StackData from user-coordinate degree vectors.
 
     ``variables`` is a list of (name, degree_vector, inverted) triples; the
     degree vectors are in the group's user-generator coordinates.
@@ -79,27 +88,28 @@ def make_stack_data(group, variables, irrelevant, label=None):
                 f"degree of {name!r} has {len(vec)} entries, expected {group.num_generators}"
             )
         vs.append(Variable(str(name), group.element(vec), inverted))
-    return validate(StackData(group, vs, irrelevant, label))
+    return StackData(group, vs, irrelevant, label)
 
 
-def validate(data):
-    """Enforce the StackData invariants; returns normalized data.
+def validate(variables, irrelevant):
+    """Check the variables and irrelevant components of a StackData; returns
+    the normalized components.
 
     Components are de-duplicated, sorted by variable position, and any
     component containing another is dropped (its zero locus is already
     covered).  An empty irrelevant list is allowed and means nothing is
     removed.
     """
-    names = [v.name for v in data.variables]
+    names = [v.name for v in variables]
     if len(set(names)) != len(names):
         raise StackDataError("duplicate variable names")
     if any(not n for n in names):
         raise StackDataError("empty variable name")
     order = {n: i for i, n in enumerate(names)}
-    inverted = {v.name for v in data.variables if v.inverted}
+    inverted = {v.name for v in variables if v.inverted}
 
     components = []
-    for comp in data.irrelevant:
+    for comp in irrelevant:
         comp_set = set(comp)
         for n in comp_set:
             if n not in order:
@@ -108,23 +118,13 @@ def validate(data):
                 raise StackDataError(f"inverted variable {n!r} cannot lie in a component")
         if not comp_set:
             raise StackDataError("empty irrelevant component")
-        components.append(tuple(sorted(comp_set, key=order.get)))
+        components.append(comp_set)
 
-    kept = []
-    for i, comp in enumerate(components):
-        ci = set(comp)
-        redundant = False
-        for j, other in enumerate(components):
-            if i == j:
-                continue
-            cj = set(other)
-            if cj < ci or (cj == ci and j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(comp)
-
-    return StackData(data.group, data.variables, kept, data.label)
+    return tuple(
+        tuple(sorted(c, key=order.get))
+        for i, c in enumerate(components)
+        if not any(o < c or (o == c and j < i) for j, o in enumerate(components))
+    )
 
 
 class ConnectednessReport:
@@ -341,119 +341,81 @@ def check_pic_hypotheses(data):
 # built-in examples
 
 
-def _wps(params, label=None):
-    if not params:
-        raise StackDataError("wps needs at least one positive weight")
-    weights = [int(q) for q in params]
-    if any(q <= 0 for q in weights):
-        raise StackDataError("wps weights must be positive")
-    Z = FgAbelianGroup.canonical(1)
-    variables = [(f"x{i}", [q], False) for i, q in enumerate(weights)]
+def _wps(label, *weights):
     names = [f"x{i}" for i in range(len(weights))]
-    lbl = label or f"wps({','.join(str(q) for q in weights)})"
-    return make_stack_data(Z, variables, [names], lbl)
+    variables = [(n, [q]) for n, q in zip(names, weights)]
+    return make_stack_data(FgAbelianGroup.canonical(1), variables, [names], label)
 
 
-def _b_mu(params):
-    if len(params) != 1:
-        raise StackDataError("b-mu takes exactly one positive integer")
-    q = int(params[0])
-    if q <= 0:
-        raise StackDataError("b-mu order must be positive")
-    Z = FgAbelianGroup.canonical(1)
-    return make_stack_data(Z, [("x", [q], True)], [], f"b-mu({q})")
+def _b_mu(label, q):
+    return make_stack_data(FgAbelianGroup.canonical(1), [("x", [q], True)], [], label)
 
 
-def _blowup_cox(params):
-    if params:
-        raise StackDataError("blowup-a2-cox takes no parameters")
-    Z = FgAbelianGroup.canonical(1)
-    variables = [("x0", [1], False), ("x1", [-1], False), ("x2", [1], False)]
-    return make_stack_data(Z, variables, [["x0", "x2"]], "blowup-a2-cox")
+def _blowup_cox(label):
+    variables = [("x0", [1]), ("x1", [-1]), ("x2", [1])]
+    return make_stack_data(FgAbelianGroup.canonical(1), variables, [["x0", "x2"]], label)
 
 
-def _blowup_hirzebruch(params):
-    if params:
-        raise StackDataError("blowup-a2-hirzebruch takes no parameters")
-    Z2 = FgAbelianGroup.canonical(2)
-    variables = [
-        ("t0", [1, 0], False),
-        ("t1", [1, 0], False),
-        ("x0", [-1, 1], False),
-        ("x1", [0, 1], False),
-    ]
-    return make_stack_data(
-        Z2, variables, [["x1"], ["t0", "t1"]], "blowup-a2-hirzebruch"
-    )
+def _blowup_hirzebruch(label):
+    variables = [("t0", [1, 0]), ("t1", [1, 0]), ("x0", [-1, 1]), ("x1", [0, 1])]
+    return make_stack_data(FgAbelianGroup.canonical(2), variables, [["x1"], ["t0", "t1"]], label)
 
 
-def _rugby(params):
-    if len(params) != 2:
-        raise StackDataError("rugby takes two positive integers p q")
-    p, q = int(params[0]), int(params[1])
-    if p <= 0 or q <= 0:
-        raise StackDataError("rugby parameters must be positive")
+def _rugby(label, p, q):
     G = group_from_relations(2, [[p, -q]])
-    variables = [("x", [1, 0], False), ("y", [0, 1], False)]
-    return make_stack_data(G, variables, [["x", "y"]], f"rugby({p},{q})")
+    return make_stack_data(G, [("x", [1, 0]), ("y", [0, 1])], [["x", "y"]], label)
 
 
-def _m11(params):
-    if params:
-        raise StackDataError("m11 takes no parameters")
-    return _wps([4, 6], label="m11")
+# Weighted projective examples bind u (and t) to the degree-one monomial;
+# the Hirzebruch blowup binds u and v to the two coordinate monomials.  The
+# rugby convention: t is the monomial of the first generator's degree (the
+# north-pole coordinate) and s the second's; e and e' name the same monomials.
+_DEGREE_ONE = {"u": [1], "t": [1]}
 
-
-def _p1(params):
-    if params:
-        raise StackDataError("p1 takes no parameters")
-    return _wps([1, 1], label="p1")
-
-
+#: name -> (parameter text, description, builder, symbol degrees in user
+#: coordinates); parameter text "q0 q1 ..." takes one or more parameters
 EXAMPLES = {
-    "wps": (_wps, "q0 q1 ...", "stacky weighted projective space with the given weights"),
-    "b-mu": (_b_mu, "q", "classifying stack of the cyclic group of order q (Laurent presentation)"),
-    "blowup-a2-cox": (_blowup_cox, "", "blowup of the affine plane, one-coordinate grading"),
-    "blowup-a2-hirzebruch": (_blowup_hirzebruch, "", "blowup of the affine plane inside the first Hirzebruch surface"),
-    "rugby": (_rugby, "p q", "sphere orbifold with cyclic points of orders p and q"),
-    "m11": (_m11, "", "stack of pointed genus-one curves, compactified: wps(4,6)"),
-    "p1": (_p1, "", "projective line: wps(1,1)"),
+    "wps": ("q0 q1 ...", "stacky weighted projective space with the given weights",
+            _wps, _DEGREE_ONE),
+    "b-mu": ("q", "classifying stack of the cyclic group of order q (Laurent presentation)",
+             _b_mu, _DEGREE_ONE),
+    "blowup-a2-cox": ("", "blowup of the affine plane, one-coordinate grading",
+                      _blowup_cox, _DEGREE_ONE),
+    "blowup-a2-hirzebruch": ("", "blowup of the affine plane inside the first Hirzebruch surface",
+                             _blowup_hirzebruch, {"u": [1, 0], "v": [0, 1]}),
+    "rugby": ("p q", "sphere orbifold with cyclic points of orders p and q",
+              _rugby, {"t": [1, 0], "s": [0, 1], "e": [1, 0], "e'": [0, 1]}),
+    "m11": ("", "stack of pointed genus-one curves, compactified: wps(4,6)",
+            lambda label: _wps(label, 4, 6), _DEGREE_ONE),
+    "p1": ("", "projective line: wps(1,1)", lambda label: _wps(label, 1, 1), _DEGREE_ONE),
 }
 
 
 def builtin_example(name, params=()):
+    """Stack data of a built-in example; every parameter is a positive
+    integer, and their number is the one the parameter text names."""
     try:
-        builder = EXAMPLES[name][0]
+        text, _, builder, _ = EXAMPLES[name]
     except KeyError:
         raise StackDataError(
             f"unknown example {name!r}; available: {', '.join(sorted(EXAMPLES))}"
         ) from None
-    return builder(list(params))
+    params = [int(p) for p in params]
+    if not (params if text.endswith("...") else len(params) == len(text.split())):
+        wanted = f"parameters {text}" if text else "no parameters"
+        raise StackDataError(f"{name} takes {wanted}, got {len(params)}")
+    if any(p <= 0 for p in params):
+        raise StackDataError(f"{name} parameters must be positive integers")
+    label = f"{name}({','.join(map(str, params))})" if params else name
+    return builder(label, *params)
 
 
 def example_symbols(name, data):
-    """Expression symbols bound inside a built-in example.
-
-    The rugby convention: t is the monomial of the first generator's degree
-    (the north-pole coordinate) and s the second's; e and e' name the same
-    monomials.  Weighted projective examples bind u (and t) to the degree-one
-    monomial; the Hirzebruch blowup binds u and v to the two coordinate
-    monomials.
-    """
-    G = data.group
-    mono = lambda vec: GroupRingElement.monomial(G.element(vec))
-    if name == "rugby":
-        return {
-            "t": mono([1, 0]),
-            "s": mono([0, 1]),
-            "e": mono([1, 0]),
-            "e'": mono([0, 1]),
-        }
-    if name in ("wps", "b-mu", "m11", "p1", "blowup-a2-cox"):
-        return {"u": mono([1]), "t": mono([1])}
-    if name == "blowup-a2-hirzebruch":
-        return {"u": mono([1, 0]), "v": mono([0, 1])}
-    return {}
+    """Expression symbols bound inside a built-in example (see EXAMPLES)."""
+    return {
+        symbol: GroupRingElement.monomial(data.group.element(vec))
+        for symbol, vec in EXAMPLES[name][3].items()
+    }
 
 
 # ---------------------------------------------------------------------------

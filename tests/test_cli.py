@@ -12,7 +12,7 @@ import kstacks
 from kstacks.cli import build_parser, main
 from kstacks.exprs import parse_element
 from kstacks.ktheory import InducedK0Map, k0_presentation
-from kstacks.stacks import builtin_example, load_stackdata
+from kstacks.stacks import EXAMPLES, builtin_example, load_stackdata
 
 
 def run(argv, capsys):
@@ -398,9 +398,13 @@ def test_map_pushes_each_source_generator_once(capsys, monkeypatch):
     assert calls == list(k0_presentation(builtin_example("rugby", (2, 3))).generators)
 
 
-def _readme_commands():
+def _readme():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def _readme_commands():
+    text = _readme()
     block = text[text.index("## Command line"):]
     block = block[block.index("```") + 3:]
     block = block[:block.index("```")]
@@ -419,6 +423,18 @@ def test_readme_commands_match_the_parser():
         a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert set(subcommands) == {argv[1] for argv in commands}
+
+
+def test_readme_example_table_matches_the_registry():
+    # README's "Built-in examples" table lists the rows of EXAMPLES, in
+    # order, with the same parameter text
+    text = _readme()
+    table = text[text.index("## Built-in examples"):].split("\n\n")[1]
+    rows = [
+        tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+        for line in table.splitlines()[2:]
+    ]
+    assert rows == [(name, row[0]) for name, row in EXAMPLES.items()]
 
 
 def test_k0_zero_ideal_reports_not_finitely_generated(tmp_path, capsys):

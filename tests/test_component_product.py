@@ -1,7 +1,7 @@
 import pytest
 
 from kstacks.groupring import GroupRingElement, component_product
-from kstacks.stacks import StackData, builtin_example
+from kstacks.stacks import builtin_example
 
 
 def test_blowup_components():
@@ -27,9 +27,3 @@ def test_coefficient_sum_vanishes_on_nonempty_components():
         for m in range(1, len(data.irrelevant) + 1):
             assert component_product(data, m).coefficient_sum() == 0
 
-
-def test_empty_component_gives_one():
-    # not constructible through validate, but the empty product convention
-    data = builtin_example("wps", (2, 3))
-    raw = StackData(data.group, data.variables, [[]], data.label)
-    assert component_product(raw, 1) == GroupRingElement.one(data.group)

@@ -44,7 +44,7 @@ def test_torsion_monomials():
 
 def test_parse_errors():
     Z = FgAbelianGroup.canonical(1)
-    for bad in ["t^[1", "1 +", "(1", "u", "t^[a]", "t^-2", "2 ** 3", "t^[1,2]"]:
+    for bad in ["t^[1", "1 +", "(1", "u", "t^[a]", "t^-2", "2 ** 3", "t^[1,2]", "2²"]:
         with pytest.raises(ParseError):
             parse_element(bad, Z)
 

@@ -114,6 +114,11 @@ def test_power_and_errors():
         started = time.perf_counter()
         assert parse_element(text, Z) == expected
         assert time.perf_counter() - started < 1.0, text
+    # the square-and-multiply loop is iterative: a 400-digit exponent does
+    # not exhaust the stack
+    N = 10**400 + 1
+    assert parse_element(f"1^{N}", Z) == 1
+    assert list(parse_element(f"t^[1]^{N}", Z).terms.items()) == [((N,), 1)]
     rng = random.Random(1012)
     for group in (Z, FgAbelianGroup.canonical(1, (3,)), FgAbelianGroup.canonical(2)):
         for _ in range(10):

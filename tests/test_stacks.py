@@ -6,7 +6,9 @@ from kstacks.abelian import FgAbelianGroup
 from kstacks.stacks import (
     MAX_GRADING_GENERATORS,
     ConnectednessReport,
+    StackData,
     StackDataError,
+    Variable,
     builtin_example,
     check_connected,
     check_pic_hypotheses,
@@ -14,7 +16,6 @@ from kstacks.stacks import (
     make_stack_data,
     stackdata_from_json,
     stackdata_to_json,
-    validate,
 )
 
 
@@ -31,8 +32,8 @@ def test_validate_drops_superset_components():
 def test_validate_keeps_blowup_components():
     data = builtin_example("blowup-a2-hirzebruch")
     assert data.irrelevant == (("x1",), ("t0", "t1"))
-    # validate is idempotent
-    again = validate(data)
+    # building again from the normalized data changes nothing
+    again = StackData(data.group, data.variables, data.irrelevant, data.label)
     assert again.irrelevant == data.irrelevant
 
 
@@ -48,6 +49,26 @@ def test_validate_errors():
         make_stack_data(Z, [("x", [1], True)], [["x"]])
     with pytest.raises(StackDataError):
         make_stack_data(Z, [("x", [1], False)], [[]])
+
+
+def test_constructor_normalizes_and_checks():
+    # a StackData built directly is checked and normalized like one built
+    # from degree vectors
+    Z = FgAbelianGroup.canonical(1)
+    x, y, z = (Variable(n, Z.element([1])) for n in "xyz")
+    data = StackData(Z, [x, y, z], [["z", "x", "y"], ["y", "x"], ["x", "y"], ["z", "y"]])
+    assert data.irrelevant == (("x", "y"), ("y", "z"))
+    u = Variable("u", Z.element([1]), inverted=True)
+    for variables, irrelevant in [
+        ([x], [["y"]]),
+        ([Variable("x", FgAbelianGroup.canonical(2).element([1, 2]))], []),
+        ([x, Variable("x", Z.element([2]))], []),
+        ([x, Variable("", Z.element([2]))], []),
+        ([x, u], [["x", "u"]]),
+        ([x], [[]]),
+    ]:
+        with pytest.raises(StackDataError):
+            StackData(Z, variables, irrelevant)
 
 
 def test_check_connected_cox_witness():
@@ -168,7 +189,7 @@ def test_builtin_examples_validate_unchanged():
         ("p1", ()),
     ]:
         data = builtin_example(name, params)
-        again = validate(data)
+        again = StackData(data.group, data.variables, data.irrelevant, data.label)
         assert again.irrelevant == data.irrelevant
         assert again.variable_names() == data.variable_names()
 
