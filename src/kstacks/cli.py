@@ -21,7 +21,7 @@ import sys
 import time
 
 from .abelian import describe_invariants
-from .exprs import parse_element
+from .exprs import ascii_int, parse_element
 from .ktheory import (
     HypothesisError,
     class_of_koszul_quotient,
@@ -55,7 +55,7 @@ def _load(named, path, flags=("--example", "--input"), what="an input"):
     if named is not None and path is not None:
         raise StackDataError(f"give either {flags[0]} or {flags[1]}, not both")
     if named is not None:
-        data = builtin_example(named[0], [int(p) for p in named[1:]])
+        data = builtin_example(named[0], named[1:])
         return data, example_symbols(named[0], data)
     if path is not None:
         return load_stackdata(path), {}
@@ -81,7 +81,7 @@ def _vec_json(group, element):
 def _parse_vector(text, length, what):
     parts = [p.strip() for p in text.split(",")]
     try:
-        vec = [int(p, 10) for p in parts]
+        vec = [ascii_int(p) for p in parts]
     except ValueError:
         raise StackDataError(f"bad integer in {what}: {text!r}") from None
     if len(vec) != length:
@@ -282,7 +282,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def non_negative_int(text):
-    value = int(text)
+    value = ascii_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value

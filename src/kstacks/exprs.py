@@ -79,6 +79,16 @@ def _tokenize(text):
     return tokens
 
 
+def ascii_int(text):
+    """The integer that an optional sign and ASCII digits 0-9 spell, the
+    grammar's INT with a sign.  Anything else raises ValueError, also text
+    that ``int()`` takes: other scripts' digits, '_' separators, spaces."""
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text, what):
     text = text.strip()
     if not text:
@@ -87,7 +97,7 @@ def _parse_int_list(text, what):
     for piece in text.split(","):
         piece = piece.strip()
         try:
-            out.append(int(piece, 10))
+            out.append(ascii_int(piece))
         except ValueError:
             raise ParseError(f"bad integer {piece!r} in {what}") from None
     return tuple(out)

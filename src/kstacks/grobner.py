@@ -37,8 +37,13 @@ lcm(LM_j, LM_k) equal to L.  G-polynomials are never skipped.  Each S- and
 G-polynomial is built as one term dict from the two shifted polynomials,
 and the certificate ``_is_strong_basis`` uses the same builder on every
 pair of the final basis.  Reduction takes terms largest first from a heap
-and reads each reducer's leading term, cached on the immutable
-``IntPolynomial``, once per call.
+and emits them in that order, so the first key of its output dict is the
+leading term: every basis element and every normal form is built from
+that output by ``IntPolynomial._from_ordered``, which reads the leading
+term off the first key and skips the per-term checks of the public
+constructor.  Each reducer's data (leading monomial, lc, support, tail
+terms) is cached on the immutable ``IntPolynomial`` and built once per
+polynomial, not once per reduction.
 
 Z-module invariants of a quotient are read off the standard monomials of
 the basis together with their leading-coefficient relations.  They are
@@ -54,7 +59,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from math import gcd, inf, prod
-from operator import add, mod, sub
+from operator import add, le, mod, neg, sub
 
 from .abelian import group_from_relations, xgcd
 from .groupring import GroupRingElement
@@ -64,11 +69,11 @@ BOX_LIMIT = 20000
 
 
 def _grevlex_key(exp):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, exp[::-1])))
 
 
 def _divides(B, E):
-    return all(b <= e for b, e in zip(B, E))
+    return all(map(le, B, E))
 
 
 def _lcm_exponent(A, B):
@@ -79,12 +84,16 @@ class IntPolynomial:
     """Sparse polynomial with integer coefficients and nonnegative exponents.
 
     Immutable by contract: ``terms`` is never written after construction, and
-    every operation returns a new polynomial.  The leading term is computed
-    on first use and cached, so a caller that changed ``terms`` in place
-    would read a stale one.
+    every operation returns a new polynomial.  The leading term and the
+    reducer data (leading monomial, lc, support of the leading monomial,
+    tail terms) are cached, so a caller that changed ``terms`` in place
+    would read stale ones.  The public constructor checks every term and
+    finds the leading term on first use as the grevlex maximum;
+    ``_from_ordered`` takes a dict whose first key is the grevlex maximum,
+    as ``_reduce_terms`` emits it, and skips the checks and the search.
     """
 
-    __slots__ = ("terms", "_lt")
+    __slots__ = ("terms", "_lt", "_reducer")
 
     def __init__(self, terms):
         clean = {}
@@ -96,6 +105,24 @@ class IntPolynomial:
                 clean[tuple(exp)] = coeff
         self.terms = clean
         self._lt = None
+        self._reducer = None
+
+    @classmethod
+    def _from_ordered(cls, terms, positive=False):
+        """Polynomial of a term dict with nonzero coefficients whose keys come
+        largest first in grevlex order, as ``_reduce_terms`` returns them; the
+        leading term is the first key.  With ``positive`` the signs are
+        flipped when the leading coefficient is negative."""
+        f = cls.__new__(cls)
+        f._lt = f._reducer = None
+        if terms:
+            E, c = next(iter(terms.items()))
+            if positive and c < 0:
+                terms = {F: -d for F, d in terms.items()}
+                c = -c
+            f._lt = (E, c)
+        f.terms = terms
+        return f
 
     def is_zero(self):
         return not self.terms
@@ -107,6 +134,16 @@ class IntPolynomial:
             exp = max(self.terms, key=_grevlex_key)
             self._lt = (exp, self.terms[exp])
         return self._lt
+
+    def _reducer_data(self):
+        """(leading monomial B, lc, [(i, B[i]) for nonzero B[i]], tail terms),
+        as ``_reduce_terms`` reads a reducer."""
+        if self._reducer is None:
+            B, a = self.leading_term()
+            support = [(i, b) for i, b in enumerate(B) if b]
+            tail = [(F, c) for F, c in self.terms.items() if F != B]
+            self._reducer = (B, a, support, tail)
+        return self._reducer
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -224,22 +261,19 @@ def _normalize_sign(f):
     return f if lc > 0 else -f
 
 
-def _reduce_terms(terms, basis):
-    """Full reduction of a term dict by a list of polynomials with positive
-    leading coefficients.
+def _reduce_terms(terms, reducers):
+    """Full reduction of a term dict by polynomials with positive leading
+    coefficients, given by their ``_reducer_data()``.
 
-    Every output term has its coefficient in [0, lc(g)) for every basis
-    element g whose leading monomial divides it.  Terms are taken largest
+    Every output term has its coefficient in [0, lc(g)) for every reducer g
+    whose leading monomial divides it.  Terms are taken largest
     first from a heap in grevlex order; a heap entry whose exponent has left
     ``work`` (cancelled, or already taken) is skipped.  Reduction only adds
     terms below the one being reduced, so an exponent never returns to
-    ``work`` once taken.  One pass over the divisors in basis order suffices:
-    each step leaves the coefficient in [0, a) and never raises it.
+    ``work`` once taken, and the output dict lists its terms largest first.
+    One pass over the divisors in reducer order suffices: each step leaves
+    the coefficient in [0, a) and never raises it.
     """
-    reducers = []
-    for g in basis:
-        B, a = g.leading_term()
-        reducers.append((B, a, [(i, b) for i, b in enumerate(B) if b], g.terms))
     work = dict(terms)
     heap = [(-sum(E), E[::-1], E) for E in work]
     heapq.heapify(heap)
@@ -249,7 +283,7 @@ def _reduce_terms(terms, basis):
         c = work.pop(E, 0)
         if not c:
             continue
-        for B, a, support, gterms in reducers:
+        for B, a, support, tail in reducers:
             for i, b in support:
                 if E[i] < b:
                     break
@@ -258,9 +292,7 @@ def _reduce_terms(terms, basis):
                 if q:
                     c -= q * a
                     shift = tuple(map(sub, E, B))
-                    for F, cf in gterms.items():
-                        if F is B:  # the leading term is this dict's own key
-                            continue
+                    for F, cf in tail:
                         key = tuple(map(add, shift, F))
                         val = work.get(key)
                         if val is None:
@@ -280,14 +312,26 @@ def _reduce_terms(terms, basis):
 
 
 class StrongGroebnerBasis:
-    """Reduced strong Groebner basis, deterministic for a fixed input."""
+    """Reduced strong Groebner basis, deterministic for a fixed input.
 
-    __slots__ = ("presentation", "elements", "input_generators")
+    ``strong_groebner`` also records the work of its completion in plain
+    ints, zero on a basis built any other way: pairs queued, popped and
+    skipped by the chain criterion; reductions of seeds and of S- and
+    G-polynomials, and how many of them gave zero; elements retired; and
+    the largest number of live elements.
+    """
 
-    def __init__(self, presentation, elements, input_generators):
+    COUNTERS = ("pairs_queued", "pairs_popped", "chain_skipped", "reductions",
+                "reductions_to_zero", "retired", "peak_live")
+
+    __slots__ = ("presentation", "elements", "input_generators") + COUNTERS
+
+    def __init__(self, presentation, elements, input_generators, **counters):
         self.presentation = presentation
         self.elements = tuple(elements)
         self.input_generators = tuple(input_generators)
+        for name in self.COUNTERS:
+            setattr(self, name, counters.get(name, 0))
 
     def __repr__(self):
         return f"StrongGroebnerBasis({len(self.elements)} elements)"
@@ -379,33 +423,40 @@ def strong_groebner(gens, presentation):
     basis = []  # every element ever added; pairs refer to their indices
     lts = []
     until = []  # index of the element that retired basis[k], or inf while it is live
+    partners = []  # partners[j]: the elements live when basis[j] came, ascending
     live = []  # indices of the live elements, ascending
-    reducers = []  # the live elements, in the same order
+    reducers = []  # reducer data of the live elements, in the same order
     pairs = []
+    work = dict.fromkeys(StrongGroebnerBasis.COUNTERS, 0)
 
     def add_element(h):
         j = len(basis)
         B, b = h.leading_term()
         for i in live:
             heapq.heappush(pairs, (_grevlex_key(_lcm_exponent(lts[i][0], B)), i, j))
+        work["pairs_queued"] += len(live)
         basis.append(h)
         lts.append((B, b))
         until.append(inf)
+        partners.append(tuple(live))
         for k in live:
             C, c = lts[k]
             if c % b == 0 and _divides(B, C):
                 until[k] = j
+                work["retired"] += 1
         live[:] = [k for k in live if until[k] > j] + [j]
-        reducers[:] = [basis[k] for k in live]
+        reducers[:] = [basis[k]._reducer_data() for k in live]
+        work["peak_live"] = max(work["peak_live"], len(live))
 
     def chain_skips(i, j, L):
         # i < j.  k may serve only if its pairs with i and with j were both
         # queued: k <= until[i] and k <= until[j], and an older k was still
         # live when j came.  Those pairs were popped before (i, j): see the
-        # docstring.
+        # docstring.  The older k that qualify are partners[j].
         (A, a), (B, b) = lts[i], lts[j]
         l = max(a, b)  # lcm(a, b), as one divides the other
-        for k in range(min(until[i], until[j], len(lts) - 1) + 1):
+        newer = range(j + 1, min(until[i], until[j], len(lts) - 1) + 1)
+        for k in itertools.chain(partners[j], newer):
             C, c = lts[k]
             if (
                 k != i
@@ -419,36 +470,40 @@ def strong_groebner(gens, presentation):
                 return True
         return False
 
+    def reduce_and_add(terms):
+        work["reductions"] += 1
+        r = _reduce_terms(terms, reducers)
+        if r:
+            add_element(IntPolynomial._from_ordered(r, positive=True))
+        else:
+            work["reductions_to_zero"] += 1
+
     for f in seeds:
-        reduced = IntPolynomial(_reduce_terms(f.terms, reducers)) if reducers else f
-        if not reduced.is_zero():
-            add_element(_normalize_sign(reduced))
+        reduce_and_add(f.terms)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
+        work["pairs_popped"] += 1
         (A, a), (B, b) = lts[i], lts[j]
         if (a % b == 0 or b % a == 0) and chain_skips(i, j, _lcm_exponent(A, B)):
+            work["chain_skipped"] += 1
             continue
         for combo in _pair_polys(basis[i], basis[j]):
-            r = _reduce_terms(combo, reducers)
-            if r:
-                add_element(_normalize_sign(IntPolynomial(r)))
+            reduce_and_add(combo)
 
-    return StrongGroebnerBasis(presentation, _interreduce(reducers), gens)
+    return StrongGroebnerBasis(presentation, _interreduce(reducers), gens, **work)
 
 
-def _interreduce(live):
-    """Tail-reduce each live element by all of them.  No live leading term
-    divides another's with its coefficient, so none is dropped; leading
-    terms are untouched, so one pass leaves every non-leading term
-    irreducible."""
+def _interreduce(reducers):
+    """Tail-reduce each live element, given by its reducer data, by all of
+    them.  No live leading term divides another's with its coefficient, so
+    none is dropped; leading terms are untouched, so one pass leaves every
+    non-leading term irreducible."""
     reduced = []
-    for f in live:
-        B, a = f.leading_term()
-        tail = {E: c for E, c in f.terms.items() if E != B}
-        nf_tail = _reduce_terms(tail, live)
-        nf_tail[B] = a
-        reduced.append(IntPolynomial(nf_tail))
+    for B, a, _, tail in reducers:
+        terms = {B: a}
+        terms.update(_reduce_terms(dict(tail), reducers))
+        reduced.append(IntPolynomial._from_ordered(terms))
     reduced.sort(key=lambda f: (_grevlex_key(f.leading_term()[0]), f.leading_term()[1]))
     return reduced
 
@@ -457,7 +512,8 @@ def normal_form(f, gb):
     """Canonical remainder of f modulo the ideal of the basis.  An exponent
     whose length is not the presentation's ``num_vars`` raises ValueError."""
     _check_exponents((f,), gb.presentation)
-    return IntPolynomial(_reduce_terms(f.terms, list(gb.elements)))
+    reducers = [g._reducer_data() for g in gb.elements]
+    return IntPolynomial._from_ordered(_reduce_terms(f.terms, reducers))
 
 
 def in_ideal(f, gb):
@@ -554,15 +610,15 @@ class _BoxTooLarge(Exception):
 
 
 def _primary_invariants(gb, standard):
-    lts = [f.leading_term() for f in gb.elements]
+    reducers = [f._reducer_data() for f in gb.elements]
     index = {E: i for i, E in enumerate(standard)}
     rows = []
     for E in standard:
-        divisors = [a for B, a in lts if _divides(B, E)]
+        divisors = [a for B, a, _, _ in reducers if _divides(B, E)]
         if not divisors:
             continue
         mu = min(divisors)
-        nf = _reduce_terms({E: mu}, list(gb.elements))
+        nf = _reduce_terms({E: mu}, reducers)
         row = [0] * len(standard)
         row[index[E]] = mu
         for F, c in nf.items():
@@ -589,7 +645,8 @@ def _is_strong_basis(gb):
         (f.terms for f in gb.presentation.structural),
         (h for f, g in pairs for h in _pair_polys(f, g)),
     )
-    return not any(_reduce_terms(h, basis) for h in must_vanish)
+    reducers = [f._reducer_data() for f in basis]
+    return not any(_reduce_terms(h, reducers) for h in must_vanish)
 
 
 def zmodule_invariants(gb):

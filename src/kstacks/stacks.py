@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 
 from .abelian import FgAbelianGroup, IntMatrix, group_from_relations
+from .exprs import ascii_int
 from .groupring import GroupRingElement
 
 
@@ -165,41 +165,57 @@ def _rational_annihilator_exists(degree_rows):
     """Exact feasibility of { e >= 0, sum(e) = 1, A e = 0 } over the
     rationals, where the columns of A are the free parts in degree_rows.
 
-    Phase-one simplex with Bland's rule on Fraction arithmetic; sound and
-    complete at this scale.  The right-hand sides are 0 and 1, and the
-    tableau keeps only the e-columns and the right-hand side: an artificial
-    that leaves the basis is fixed at zero, which keeps the optimum zero
-    exactly when the system is feasible.
+    Phase-one simplex with Bland's rule; sound and complete at this scale.
+    The right-hand sides are 0 and 1, and the tableau keeps only the
+    e-columns and the right-hand side: an artificial that leaves the basis
+    is fixed at zero, which keeps the optimum zero exactly when the system
+    is feasible.
+
+    The tableau is kept in integers, fraction-free (Edmonds 1967; Bareiss,
+    Math. Comp. 22, 1968): the stored rows, the reduced-cost row included,
+    are d times the rational ones, where d is the last pivot entry (1 at the
+    start).  Pivoting on p = T[r][c] keeps row r and replaces every other
+    row R by (p*R - R[c]*T[r]) / d, then sets d = p.  Each stored entry is a
+    minor of the initial tableau, so the division is exact.  The pivot entry
+    is positive, so d > 0 and every sign test and ratio comparison, made by
+    cross-multiplying, reads as it would over the rationals: the pivots are
+    the same.  The current vertex is rhs/d on the basic rows.
     """
     n = len(degree_rows)
-    table = [[Fraction(x) for x in row] + [Fraction(0)] for row in zip(*degree_rows)]
-    table.append([Fraction(1)] * (n + 1))
+    table = [list(row) + [0] for row in zip(*degree_rows)]
+    table.append([1] * (n + 1))
     m = len(table)
     basis = [n + i for i in range(m)]
     # reduced costs for the sum of the artificials, which is the last entry
     reduced = [sum(column) for column in zip(*table)]
+    d = 1
 
     while True:
         entering = next((j for j in range(n) if reduced[j] > 0), None)
         if entering is None:
             return reduced[n] == 0
-        # a positive reduced cost sums entries of the column: a pivot exists
+        # a positive reduced cost sums entries of the column: a pivot exists;
+        # row i beats the leader when rhs_i/a_i < rhs_l/a_l, ties by basis index
         leaving = None
-        best = None
         for i in range(m):
-            if table[i][entering] > 0:
-                ratio = table[i][n] / table[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+            a = table[i][entering]
+            if a > 0:
+                if leaving is None:
                     leaving = i
-        piv = table[leaving][entering]
-        table[leaving] = [x / piv for x in table[leaving]]
+                    continue
+                lhs = table[i][n] * table[leaving][entering]
+                rhs = table[leaving][n] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
+        row = table[leaving]
+        p = row[entering]
         for i in range(m):
-            if i != leaving and table[i][entering]:
+            if i != leaving:
                 f = table[i][entering]
-                table[i] = [a - f * b for a, b in zip(table[i], table[leaving])]
+                table[i] = [(p * x - f * y) // d for x, y in zip(table[i], row)]
         f = reduced[entering]
-        reduced = [a - f * b for a, b in zip(reduced, table[leaving])]
+        reduced = [(p * x - f * y) // d for x, y in zip(reduced, row)]
+        d = p
         basis[leaving] = entering
 
 
@@ -393,14 +409,18 @@ EXAMPLES = {
 
 def builtin_example(name, params=()):
     """Stack data of a built-in example; every parameter is a positive
-    integer, and their number is the one the parameter text names."""
+    integer, given as an int or as text read like a JSON integer string,
+    and their number is the one the parameter text names."""
     try:
         text, _, builder, _ = EXAMPLES[name]
     except KeyError:
         raise StackDataError(
             f"unknown example {name!r}; available: {', '.join(sorted(EXAMPLES))}"
         ) from None
-    params = [int(p) for p in params]
+    try:
+        params = [_int_in(p) for p in params]
+    except StackDataError:
+        raise StackDataError(f"{name} parameters must be positive integers") from None
     if not (params if text.endswith("...") else len(params) == len(text.split())):
         wanted = f"parameters {text}" if text else "no parameters"
         raise StackDataError(f"{name} takes {wanted}, got {len(params)}")
@@ -435,7 +455,7 @@ def _int_in(x):
         return x
     if isinstance(x, str):
         try:
-            return int(x, 10)
+            return ascii_int(x)
         except ValueError:
             raise StackDataError(f"bad integer literal {x!r}") from None
     raise StackDataError(f"expected an integer, got {type(x).__name__}")

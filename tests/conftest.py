@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+from fractions import Fraction
 from operator import add, sub
 
 from kstacks.abelian import IntMatrix, group_from_relations, xgcd
@@ -73,6 +74,40 @@ def equal_up_to_unit(a, b):
     elem_b = G.element_canonical(kb[:r], kb[r:])
     shift = GroupRingElement.monomial(elem_a - elem_b)
     return a == shift * b
+
+
+def fraction_annihilator_exists(degree_rows):
+    """Phase-one simplex with Bland's rule on Fraction arithmetic: the
+    feasibility of { e >= 0, sum(e) = 1, A e = 0 } with the columns of A
+    the free parts in degree_rows.  The library's integer tableau takes the
+    same pivots; this is the rational tableau it replaced."""
+    n = len(degree_rows)
+    table = [[Fraction(x) for x in row] + [Fraction(0)] for row in zip(*degree_rows)]
+    table.append([Fraction(1)] * (n + 1))
+    m = len(table)
+    basis = [n + i for i in range(m)]
+    reduced = [sum(column) for column in zip(*table)]
+    while True:
+        entering = next((j for j in range(n) if reduced[j] > 0), None)
+        if entering is None:
+            return reduced[n] == 0
+        leaving = None
+        best = None
+        for i in range(m):
+            if table[i][entering] > 0:
+                ratio = table[i][n] / table[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        piv = table[leaving][entering]
+        table[leaving] = [x / piv for x in table[leaving]]
+        for i in range(m):
+            if i != leaving and table[i][entering]:
+                f = table[i][entering]
+                table[i] = [a - f * b for a, b in zip(table[i], table[leaving])]
+        f = reduced[entering]
+        reduced = [a - f * b for a, b in zip(reduced, table[leaving])]
+        basis[leaving] = entering
 
 
 def _fp_leading(f):

@@ -206,6 +206,19 @@ def test_input_errors(capsys):
     assert code == 1
 
 
+def test_non_ascii_integers_are_input_errors(capsys):
+    # int() would read each of these as 10 or 1
+    for argv in (["k0", "--example", "wps", "1_0", "2"],
+                 ["k0", "--example", "wps", "١", "2"],
+                 ["pic", "--example", "wps", "1", "2", "--remove-degree", "1_0"],
+                 ["check-connected", "--example", "wps", "1", "2", "--bound", "١"],
+                 ["eq", "--example", "p1", "--lhs", "t^[1_0]", "--rhs", "1"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and not out, argv
+        assert "Traceback" not in err
+    assert run(["k0", "--example", "wps", "+1", "2"], capsys)[0] == 0
+
+
 def _p1_with_z():
     return {
         "grading_group": {"free_rank": 1, "torsion": []},
@@ -258,11 +271,13 @@ def _group(group_obj):
         _group({"generators": -1, "relations": []}),
         _set(["label"], 5),
         _set(["label"], ["a"]),
+        _set(["variables", 0, "degree"], ["1_0"]),
+        _set(["variables", 0, "degree"], ["١"]),
     ],
     ids=["inverted-string", "no-name", "no-degree", "group-not-object", "variables-not-list",
          "variable-not-object", "degree-not-list", "component-not-list", "component-entry-not-string",
          "name-null", "name-not-string", "negative-free-rank", "negative-generators",
-         "label-number", "label-list"],
+         "label-number", "label-list", "degree-underscore", "degree-arabic-indic"],
 )
 def test_malformed_input_is_input_error(tmp_path, capsys, change):
     obj = _p1_with_z()

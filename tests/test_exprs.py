@@ -44,9 +44,17 @@ def test_torsion_monomials():
 
 def test_parse_errors():
     Z = FgAbelianGroup.canonical(1)
-    for bad in ["t^[1", "1 +", "(1", "u", "t^[a]", "t^-2", "2 ** 3", "t^[1,2]", "2²"]:
+    for bad in ["t^[1", "1 +", "(1", "u", "t^[a]", "t^-2", "2 ** 3", "t^[1,2]", "2²",
+                "t^[١]", "t^[1_0]", "t^[²]", "t^[- 1]", "t^[+-1]"]:
         with pytest.raises(ParseError):
             parse_element(bad, Z)
+    # exponents are ASCII integers with an optional sign; spaces around them stay allowed
+    t = GroupRingElement.monomial(Z.element([1]))
+    assert parse_element("t^[ +1 ]", Z) == parse_element("t^[1]", Z) == t
+    assert parse_element("t^[ -10 ]", Z) == GroupRingElement.monomial(Z.element([-10]))
+    G = FgAbelianGroup.canonical(1, (3,))
+    with pytest.raises(ParseError):
+        parse_element("t^[1;٢]", G)
 
 
 def test_arbitrary_precision_literals():

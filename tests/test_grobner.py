@@ -522,6 +522,60 @@ def test_leading_term_cache():
     assert made > 300
 
 
+@pytest.mark.parametrize(
+    "group", [(1, ()), (2, ()), (1, (3,)), (2, (3,))], ids=["Z", "Z2", "ZxZ3", "Z2xZ3"]
+)
+def test_reduction_order_gives_leading_terms(group):
+    # basis elements and normal forms take their leading term from the order
+    # in which the reduction emits terms; it must be the grevlex maximum,
+    # with a positive coefficient on basis elements, and the reducer data
+    # must match the terms
+    rng = random.Random(f"leading/{group}")
+    G = FgAbelianGroup.canonical(*group)
+    p = PolyPresentation.for_group(G)
+    checked = 0
+    for _ in range(10):
+        gens = [present(g, p) for g in (_random_element(rng, G, 1) for _ in range(rng.randint(1, 3)))
+                if not g.is_zero()]
+        gb = strong_groebner(gens, p)
+        forms = [normal_form(present(_random_element(rng, G, 2, WIDE_COEFFS), p), gb) for _ in range(5)]
+        for f in list(gb.elements) + forms:
+            if f.is_zero():
+                assert f._lt is None
+                continue
+            E = max(f.terms, key=_grevlex_key)
+            assert f._lt == (E, f.terms[E])
+            assert list(f.terms)[0] == E
+            B, a, support, tail = f._reducer_data()
+            assert (B, a) == f._lt and dict(tail) == {F: c for F, c in f.terms.items() if F != E}
+            assert support == [(i, b) for i, b in enumerate(B) if b]
+            checked += 1
+        assert all(f._lt[1] > 0 for f in gb.elements)
+    assert checked >= 25
+
+
+# Work counters of two pinned completions, equal to those of the completion
+# before the chain criterion stopped visiting elements retired before the
+# newer element of a pair came; a changed pair order, update rule or
+# criterion moves them.
+PINNED_COUNTERS = {
+    "wps(5,7,11,13)": dict(pairs_queued=39, pairs_popped=39, chain_skipped=1, reductions=40,
+                           reductions_to_zero=19, retired=18, peak_live=3),
+    "ZxZ/4(1,2,5)": dict(pairs_queued=30, pairs_popped=30, chain_skipped=13, reductions=20,
+                         reductions_to_zero=10, retired=3, peak_live=7),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_COUNTERS)
+def test_work_counters(name):
+    gb = PINNED_INPUTS[name]()
+    assert {k: getattr(gb, k) for k in StrongGroebnerBasis.COUNTERS} == PINNED_COUNTERS[name]
+    assert all(type(getattr(gb, k)) is int for k in StrongGroebnerBasis.COUNTERS)
+    # a basis built any other way reports no work
+    again = StrongGroebnerBasis(gb.presentation, gb.elements, gb.input_generators)
+    assert all(getattr(again, k) == 0 for k in StrongGroebnerBasis.COUNTERS)
+
+
 def test_invariants_invariance_under_generators_presentation():
     Z2, p, _, u, v = blowup_basis()
     g1 = present(1 - v, p)

@@ -324,9 +324,47 @@ def test_rational_feasibility_against_basic_solutions():
     assert seen == {(r, v) for r in range(4) for v in (False, True)}
 
 
+def test_integer_tableau_matches_fraction_simplex():
+    # the fraction-free tableau must give the rational tableau's verdict;
+    # degenerate inputs repeat, scale or negate columns and zero a row
+    import random
+
+    from kstacks.stacks import _rational_annihilator_exists
+
+    from conftest import fraction_annihilator_exists
+
+    rng = random.Random(20261018)
+    seen = set()
+    for trial in range(5000):
+        n, r = rng.randint(0, 7), rng.randint(0, 4)
+        cols = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+        if trial % 2 and n > 1:
+            for _ in range(rng.randint(1, n - 1)):
+                c = rng.randrange(n)
+                cols[rng.randrange(n)] = [rng.choice((-2, -1, 0, 1, 3)) * x for x in cols[c]]
+            if r and rng.random() < 0.5:
+                row = rng.randrange(r)
+                for col in cols:
+                    col[row] = 0
+        verdict = _rational_annihilator_exists(cols)
+        assert verdict == fraction_annihilator_exists(cols), cols
+        seen.add((r, trial % 2, verdict))
+    assert seen == {(r, d, v) for r in range(5) for d in (0, 1) for v in (False, True)}
+
+
 def test_json_errors():
     with pytest.raises(StackDataError):
         stackdata_from_json({"grading_group": {}, "variables": []})
+    # integer strings are an optional sign and ASCII digits, nothing int() also takes
+    for text in ("1_0", "١", " 1", "1 ", "+-1", ""):
+        with pytest.raises(StackDataError):
+            stackdata_from_json({"grading_group": {"free_rank": 1},
+                                 "variables": [{"name": "x", "degree": [text]}]})
+        with pytest.raises(StackDataError):
+            stackdata_from_json({"grading_group": {"free_rank": text}, "variables": []})
+    data = stackdata_from_json({"grading_group": {"free_rank": "+1"},
+                                "variables": [{"name": "x", "degree": ["-10"]}]})
+    assert data.group.user_representative(data.variables[0].degree) == (-10,)
     with pytest.raises(StackDataError):
         stackdata_from_json([1, 2])
     with pytest.raises(StackDataError):
