@@ -21,7 +21,6 @@ from .grobner import (
     IntPolynomial,
     PolyPresentation,
     StrongGroebnerBasis,
-    in_ideal,
     normal_form,
     present,
     strong_groebner,
@@ -84,7 +83,6 @@ __all__ = [
     "connectify",
     "equal_in_k0",
     "group_from_relations",
-    "in_ideal",
     "induced_map",
     "invariants",
     "k0_presentation",

@@ -5,45 +5,23 @@ polynomial ring on variables y1, y1', ..., yr, yr', s1, ..., sk modulo the
 structural relations yi*yi' - 1 and sj^mj - 1, which makes a monomial order
 available.  ``present`` writes an element as the polynomial equal to it (a
 free exponent -a < 0 becomes yi'^a) and ``unpresent`` maps back, so the
-elements of one class share one normal form.  Over the integers a Groebner
-basis must be closed under both S-polynomials and GCD-polynomials;
-reduction then leaves coefficient remainders in [0, lc), and
-``normal_form(f) == 0`` decides ideal membership.
-Exponent vectors must have one entry per presentation variable;
-``strong_groebner``, ``normal_form`` and ``in_ideal`` raise ValueError
-otherwise.
+elements of one class share one normal form.  Arithmetic happens in the
+group ring; this module only completes and reduces.  Over the integers a
+Groebner basis must be closed under both S-polynomials and
+GCD-polynomials; reduction then leaves coefficient remainders in [0, lc),
+and ``normal_form(f, gb).is_zero()`` decides ideal membership.  Exponent
+vectors must have one entry per presentation variable; ``strong_groebner``
+and ``normal_form`` raise ValueError otherwise.
 
 Completion follows the pair update of Gebauer & Moeller (1988), which
-carries over to strong bases over the integers (Lichtblau 2012).  Pairs
-(i, j) of basis elements wait in a queue ordered by the grevlex key of
-L = lcm(LM_i, LM_j), then by (i, j).  A new element h forms pairs with the
-live elements only; then every live g with LM_h | LM_g and lc_h | lc_g
-retires.  A retired g leaves the reducers and forms no new pairs, but the
-pairs it already has stay queued, and the reduced basis is built from the
-live elements alone.  Retiring g is sound over the integers because the
-coefficient divides too: h reduces every term that g reduces, to a
-remainder in [0, lc_h), inside [0, lc_g); and g = (lc_g/lc_h) X^(LM_g -
-LM_h) h + S(g, h), where S(g, h) is the S-polynomial of the queued pair
-(g, h).  A later h' needs no pair with g: as in the chain criterion,
-LM_h | lcm(LM_g, LM_h') and lc_h | lc_g, and the pairs (g, h) and (h, h')
-are formed.  Without the coefficient condition h would not reduce g's
-leading term.
-
-The chain criterion skips the S-polynomial of a pair (i, j) only when its
-G-polynomial is trivial (one leading coefficient divides the other) and
-some other element k whose pairs with i and with j were both formed has
-LM_k | L and lc_k | lcm(lc_i, lc_j), with neither lcm(LM_i, LM_k) nor
-lcm(LM_j, LM_k) equal to L.  G-polynomials are never skipped.  Each S- and
-G-polynomial is built as one term dict from the two shifted polynomials,
-and the certificate ``_is_strong_basis`` uses the same builder on every
-pair of the final basis.  Reduction takes terms largest first from a heap
-and emits them in that order, so the first key of its output dict is the
-leading term: every basis element and every normal form is built from
-that output by ``IntPolynomial._from_ordered``, which reads the leading
-term off the first key and skips the per-term checks of the public
-constructor.  Each reducer's data (leading monomial, lc, support, tail
-terms) is cached on the immutable ``IntPolynomial`` and built once per
-polynomial, not once per reduction.
+carries over to strong bases over the integers (Lichtblau 2012);
+``strong_groebner`` states the update rule and why it is sound.  Each S-
+and G-polynomial is built as one term dict, and the certificate
+``_is_strong_basis`` uses the same builder on every pair of the final
+basis.  Basis elements and normal forms take their leading term from the
+order in which reduction emits terms; ``IntPolynomial._from_ordered``
+states that contract.  Each polynomial caches its reducer data, and each
+basis keeps the list of its elements' reducer data.
 
 Z-module invariants of a quotient are read off the standard monomials of
 the basis together with their leading-coefficient relations.  They are
@@ -83,8 +61,8 @@ def _lcm_exponent(A, B):
 class IntPolynomial:
     """Sparse polynomial with integer coefficients and nonnegative exponents.
 
-    Immutable by contract: ``terms`` is never written after construction, and
-    every operation returns a new polynomial.  The leading term and the
+    Immutable by contract: ``terms`` is never written after construction.
+    Arithmetic belongs to ``GroupRingElement``.  The leading term and the
     reducer data (leading monomial, lc, support of the leading monomial,
     tail terms) are cached, so a caller that changed ``terms`` in place
     would read stale ones.  The public constructor checks every term and
@@ -145,30 +123,6 @@ class IntPolynomial:
             self._reducer = (B, a, support, tail)
         return self._reducer
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + coeff
-        return IntPolynomial(terms)
-
-    def __neg__(self):
-        return IntPolynomial({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial({e: other * c for e, c in self.terms.items()})
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return IntPolynomial(terms)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -205,20 +159,14 @@ class PolyPresentation:
             names.extend((f"y{i + 1}", f"y{i + 1}'"))
         names.extend(f"s{j + 1}" for j in range(len(group.torsion)))
         nvars = len(names)
+        # yi*yi' - 1 sets positions 2i and 2i+1 to 1; sj^mj - 1 sets 2r+j to mj
+        leads = [(2 * i, 2 * i + 1, 1) for i in range(r)]
+        leads += [(2 * r + j, 2 * r + j, m) for j, m in enumerate(group.torsion)]
         structural = []
-        for i in range(r):
+        for v, w, m in leads:
             exp = [0] * nvars
-            exp[2 * i] = 1
-            exp[2 * i + 1] = 1
-            structural.append(
-                IntPolynomial({tuple(exp): 1, (0,) * nvars: -1})
-            )
-        for j, m in enumerate(group.torsion):
-            exp = [0] * nvars
-            exp[2 * r + j] = m
-            structural.append(
-                IntPolynomial({tuple(exp): 1, (0,) * nvars: -1})
-            )
+            exp[v] = exp[w] = m
+            structural.append(IntPolynomial({tuple(exp): 1, (0,) * nvars: -1}))
         return cls(group, names, structural)
 
     def __repr__(self):
@@ -257,8 +205,10 @@ def unpresent(f, presentation):
 
 
 def _normalize_sign(f):
+    """Terms of f, with every sign flipped when the leading coefficient is
+    negative."""
     _, lc = f.leading_term()
-    return f if lc > 0 else -f
+    return f.terms if lc > 0 else {E: -c for E, c in f.terms.items()}
 
 
 def _reduce_terms(terms, reducers):
@@ -324,12 +274,13 @@ class StrongGroebnerBasis:
     COUNTERS = ("pairs_queued", "pairs_popped", "chain_skipped", "reductions",
                 "reductions_to_zero", "retired", "peak_live")
 
-    __slots__ = ("presentation", "elements", "input_generators") + COUNTERS
+    __slots__ = ("presentation", "elements", "input_generators", "_reducers") + COUNTERS
 
     def __init__(self, presentation, elements, input_generators, **counters):
         self.presentation = presentation
         self.elements = tuple(elements)
         self.input_generators = tuple(input_generators)
+        self._reducers = [f._reducer_data() for f in self.elements]
         for name in self.COUNTERS:
             setattr(self, name, counters.get(name, 0))
 
@@ -401,24 +352,23 @@ def strong_groebner(gens, presentation):
       lcm(LM_j, LM_k) equal to L.  Both lcms then properly divide L, so
       those pairs come earlier in the queue and have been popped.
 
-    Retiring g keeps the result: h reduces every term g reduces, and g is
-    a multiple of h plus the S-polynomial of the queued pair (g, h); see
-    the module docstring.  G-polynomials are never skipped, the live
-    elements are interreduced into the result, and ``_is_strong_basis``
-    checks every pair.  An exponent whose length is not
+    Retiring g is sound over the integers because the coefficient divides
+    too: h reduces every term that g reduces, to a remainder in [0, lc_h),
+    inside [0, lc_g); and g = (lc_g/lc_h) X^(LM_g - LM_h) h + S(g, h), the
+    S-polynomial of the queued pair (g, h).  A later h' needs no pair with
+    g: as in the chain criterion, LM_h | lcm(LM_g, LM_h') and lc_h | lc_g,
+    and the pairs (g, h) and (h, h') are formed.  G-polynomials are never
+    skipped, the live elements are interreduced into the result, and
+    ``_is_strong_basis`` checks every pair.  An exponent whose length is not
     ``presentation.num_vars`` raises ValueError.
     """
     gens = list(gens)
     _check_exponents(gens, presentation)
-    seeds = []
-    seen = set()
+    seeds = {}  # distinct nonzero inputs up to sign, in input order
     for f in itertools.chain(gens, presentation.structural):
-        if f.is_zero():
-            continue
-        f = _normalize_sign(f)
-        if f not in seen:
-            seen.add(f)
-            seeds.append(f)
+        if not f.is_zero():
+            terms = _normalize_sign(f)
+            seeds.setdefault(frozenset(terms.items()), terms)
 
     basis = []  # every element ever added; pairs refer to their indices
     lts = []
@@ -461,7 +411,6 @@ def strong_groebner(gens, presentation):
             if (
                 k != i
                 and k != j
-                and (k > j or until[k] >= j)
                 and l % c == 0
                 and _divides(C, L)
                 and _lcm_exponent(A, C) != L
@@ -478,8 +427,8 @@ def strong_groebner(gens, presentation):
         else:
             work["reductions_to_zero"] += 1
 
-    for f in seeds:
-        reduce_and_add(f.terms)
+    for terms in seeds.values():
+        reduce_and_add(terms)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -512,14 +461,7 @@ def normal_form(f, gb):
     """Canonical remainder of f modulo the ideal of the basis.  An exponent
     whose length is not the presentation's ``num_vars`` raises ValueError."""
     _check_exponents((f,), gb.presentation)
-    reducers = [g._reducer_data() for g in gb.elements]
-    return IntPolynomial._from_ordered(_reduce_terms(f.terms, reducers))
-
-
-def in_ideal(f, gb):
-    """Whether f lies in the ideal of the basis; malformed exponents raise
-    ValueError as in ``normal_form``."""
-    return normal_form(f, gb).is_zero()
+    return IntPolynomial._from_ordered(_reduce_terms(f.terms, gb._reducers))
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +491,6 @@ class AbGroupInvariants:
     def invariants(self):
         return (self.free_rank, self.torsion)
 
-    def __eq__(self, other):
-        if not isinstance(other, AbGroupInvariants):
-            return NotImplemented
-        return (self.free_rank, self.torsion, self.status) == (
-            other.free_rank,
-            other.torsion,
-            other.status,
-        )
-
     def __repr__(self):
         return (
             f"AbGroupInvariants(rank={self.free_rank}, torsion={list(self.torsion)}, "
@@ -580,8 +513,7 @@ def _standard_monomials(gb):
     when each variable has such a pure power.
     """
     nvars = gb.presentation.num_vars
-    lts = [f.leading_term() for f in gb.elements]
-    unit_lms = [B for B, a in lts if a == 1]
+    unit_lms = [B for B, a, _, _ in gb._reducers if a == 1]
     if any(not any(B) for B in unit_lms):
         # a unit constant: the quotient is trivial
         return []
@@ -610,15 +542,14 @@ class _BoxTooLarge(Exception):
 
 
 def _primary_invariants(gb, standard):
-    reducers = [f._reducer_data() for f in gb.elements]
     index = {E: i for i, E in enumerate(standard)}
     rows = []
     for E in standard:
-        divisors = [a for B, a, _, _ in reducers if _divides(B, E)]
+        divisors = [a for B, a, _, _ in gb._reducers if _divides(B, E)]
         if not divisors:
             continue
         mu = min(divisors)
-        nf = _reduce_terms({E: mu}, reducers)
+        nf = _reduce_terms({E: mu}, gb._reducers)
         row = [0] * len(standard)
         row[index[E]] = mu
         for F, c in nf.items():
@@ -636,17 +567,15 @@ def _is_strong_basis(gb):
     The elements lie in the input ideal by construction, so passing proves
     that they form a strong Groebner basis of it.
     """
-    basis = list(gb.elements)
-    if any(f.leading_term()[1] < 0 for f in basis):
+    if any(a < 0 for _, a, _, _ in gb._reducers):
         return False
-    pairs = itertools.combinations(basis, 2)
+    pairs = itertools.combinations(gb.elements, 2)
     must_vanish = itertools.chain(
         (f.terms for f in gb.input_generators),
         (f.terms for f in gb.presentation.structural),
         (h for f, g in pairs for h in _pair_polys(f, g)),
     )
-    reducers = [f._reducer_data() for f in basis]
-    return not any(_reduce_terms(h, reducers) for h in must_vanish)
+    return not any(_reduce_terms(h, gb._reducers) for h in must_vanish)
 
 
 def zmodule_invariants(gb):

@@ -524,10 +524,14 @@ def stackdata_from_json(obj):
         G = FgAbelianGroup.canonical(r, [_int_in(m) for m in torsion])
     elif "generators" in group_obj:
         g = _generator_count(_int_in(group_obj["generators"]))
-        rows = [
-            [_int_in(x) for x in _shaped(row, list, "each relation")]
-            for row in _shaped(group_obj.get("relations", []), list, "grading_group.relations")
-        ]
+        rows = []
+        for row in _shaped(group_obj.get("relations", []), list, "grading_group.relations"):
+            rows.append([_int_in(x) for x in _shaped(row, list, "each relation")])
+            if len(row) != g:
+                raise StackDataError(
+                    f"each row of grading_group.relations needs {g} entries, one per generator; "
+                    f"got {len(row)}"
+                )
         G = group_from_relations(g, IntMatrix(rows, cols=g))
     else:
         raise StackDataError("grading_group needs free_rank/torsion or generators/relations")

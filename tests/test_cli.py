@@ -11,6 +11,7 @@ import pytest
 import kstacks
 from kstacks.cli import build_parser, main
 from kstacks.exprs import parse_element
+from kstacks.grobner import BOX_LIMIT
 from kstacks.ktheory import InducedK0Map, k0_presentation
 from kstacks.stacks import EXAMPLES, builtin_example, load_stackdata
 
@@ -273,11 +274,17 @@ def _group(group_obj):
         _set(["label"], ["a"]),
         _set(["variables", 0, "degree"], ["1_0"]),
         _set(["variables", 0, "degree"], ["١"]),
+        _set(["variables", 0, "degree"], [True]),
+        _set(["variables", 0, "degree"], [1.5]),
+        _group({"free_rank": 1, "torsion": [2, 3]}),
+        _group({"free_rank": 1, "torsion": [1]}),
+        _group({"generators": 2, "relations": [[1, 2, 3]]}),
     ],
     ids=["inverted-string", "no-name", "no-degree", "group-not-object", "variables-not-list",
          "variable-not-object", "degree-not-list", "component-not-list", "component-entry-not-string",
          "name-null", "name-not-string", "negative-free-rank", "negative-generators",
-         "label-number", "label-list", "degree-underscore", "degree-arabic-indic"],
+         "label-number", "label-list", "degree-underscore", "degree-arabic-indic", "degree-bool",
+         "degree-float", "torsion-not-a-chain", "torsion-below-two", "relation-wrong-length"],
 )
 def test_malformed_input_is_input_error(tmp_path, capsys, change):
     obj = _p1_with_z()
@@ -304,6 +311,18 @@ def test_oversized_grading_group_is_rejected_quickly(tmp_path, capsys, group_obj
         assert time.perf_counter() - started < 1.0
         assert code == 1 and not out
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_invariants_box_budget_is_reported(capsys):
+    # wps(150,151) has 301 standard monomials, but the box that holds them
+    # has 151^2 > BOX_LIMIT candidates: the status is unknown, not an error.
+    # wps(100,101) fits its box of 101^2 and is exact.
+    assert 101 ** 2 <= BOX_LIMIT < 151 ** 2
+    for weights, expected in ((["150", "151"], {"rank": None, "torsion": [], "status": "unknown"}),
+                              (["100", "101"], {"rank": 201, "torsion": [], "status": "exact"})):
+        code, out, _ = run(["k0", "--example", "wps", *weights, "--invariants", "--json", "-"], capsys)
+        assert code == 0
+        assert json.loads(out[out.index("\n{\n") + 1:])["invariants"] == expected
 
 
 def test_json_to_stdout(capsys):

@@ -19,7 +19,7 @@ from kstacks.ktheory import (
     k0_presentation,
     K0Class,
 )
-from kstacks.stacks import builtin_example, connectify, make_stack_data
+from kstacks.stacks import StackDataError, builtin_example, connectify, make_stack_data
 
 from conftest import brute_force_numerator, determinant, equal_up_to_unit, fp_quotient_dimension
 
@@ -149,6 +149,8 @@ def test_coordinate_quotient_classes():
     # every normalized component dies in the quotient
     for comp in data.irrelevant:
         assert class_of_coordinate_quotient(pres, comp).is_zero()
+    with pytest.raises(StackDataError, match="unknown variable name 'x9'"):
+        class_of_coordinate_quotient(pres, ["x1", "x9"])
 
 
 def test_intersection_classes():
@@ -468,3 +470,35 @@ def test_pushforward_is_ring_map():
         a, b = rand_elem(), rand_elem()
         assert phi.push_element(a + b) == phi.push_element(a) + phi.push_element(b)
         assert phi.push_element(a * b) == phi.push_element(a) * phi.push_element(b)
+
+
+def test_induced_map_on_classes():
+    # the README map rugby(2,3) -> wps(3,2), e -> 3, e' -> 2
+    rugby = k0_presentation(builtin_example("rugby", (2, 3)))
+    wps = k0_presentation(builtin_example("wps", (3, 2)))
+    phi = induced_map([[3], [2]], rugby, wps)
+    rng = random.Random(29)
+    G = rugby.group
+    g = rugby.generators[0]
+
+    def rand_elem():
+        out = GroupRingElement.zero(G)
+        for _ in range(rng.randint(0, 3)):
+            coords = [rng.randint(-2, 2), rng.randint(-2, 2)]
+            out = out + GroupRingElement.monomial(G.element(coords), rng.randint(-3, 3))
+        return out
+
+    for _ in range(10):
+        e, h = rand_elem(), rand_elem()
+        a, b = K0Class(rugby, e), K0Class(rugby, e + h * g)
+        # a class and a class differing by an ideal element push to one class
+        assert phi(a).presentation is wps and phi(a) == phi(b)
+        assert a - b == b - b
+        # a nonzero constant moves the rank, so the classes differ
+        c = K0Class(rugby, e + GroupRingElement.constant(G, rng.choice([-2, -1, 1, 2])))
+        assert not a - c == c - c and not a == c
+    with pytest.raises(ValueError):
+        phi(K0Class(wps, GroupRingElement.one(wps.group)))
+    other = k0_presentation(builtin_example("rugby", (2, 3)))
+    with pytest.raises(ValueError):
+        phi(K0Class(other, GroupRingElement.one(other.group)))

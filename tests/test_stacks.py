@@ -369,3 +369,8 @@ def test_json_errors():
         stackdata_from_json([1, 2])
     with pytest.raises(StackDataError):
         stackdata_from_json({"variables": []})
+    # a relation row of the wrong length names the field and the count it needs
+    for row in ([1, 2, 3], [1]):
+        with pytest.raises(StackDataError, match=r"grading_group\.relations needs 2 entries"):
+            stackdata_from_json({"grading_group": {"generators": 2, "relations": [[2, -3], row]},
+                                 "variables": []})
