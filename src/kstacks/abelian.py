@@ -236,7 +236,8 @@ class GroupElement:
         return GroupElement(self.group, [-a for a in self.free], [-a for a in self.residues])
 
     def __mul__(self, n):
-        n = int(n)
+        if not isinstance(n, int):
+            raise TypeError(f"group elements are multiplied by ints, not {type(n).__name__}")
         return GroupElement(self.group, [n * a for a in self.free], [n * a for a in self.residues])
 
     __rmul__ = __mul__
@@ -352,7 +353,9 @@ class FgAbelianGroup:
 
     def element(self, user_coords):
         """Element from coordinates in the user generators."""
-        user_coords = tuple(int(x) for x in user_coords)
+        user_coords = tuple(user_coords)
+        if not all(isinstance(x, int) for x in user_coords):
+            raise TypeError(f"coordinates must be ints, got {user_coords}")
         if len(user_coords) != self.num_generators:
             raise ValueError(
                 f"expected {self.num_generators} coordinates, got {len(user_coords)}"

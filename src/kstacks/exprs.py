@@ -16,66 +16,41 @@ parse-then-render is the identity on canonical forms.
 
 from __future__ import annotations
 
-from .groupring import GroupRingElement
+import re
+from operator import mod
+
+from .groupring import GroupRingElement, _combine, _power, _product
 
 
 class ParseError(ValueError):
     """Malformed group-ring expression."""
 
 
-_OPS = set("+-*^()")
-_DIGITS = set("0123456789")
-
-
-class _Token:
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind, value):
-        self.kind = kind
-        self.value = value
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.value!r})"
+# groups, tried in order at each position: monomial, unterminated 't^[',
+# integer, name, operator, any other character; blanks match no group.
+# [^\W\d] also takes digits such as '²' that are not decimal, so _tokenize
+# checks that a name starts with a letter or '_'
+_TOKEN = re.compile(r"""\s+|(t\^\[[^\]]*\])|(t\^\[)|([0-9]+)|([^\W\d]\w*'?)|([-+*^()])|(.)""", re.S)
 
 
 def _tokenize(text):
+    """(kind, value) pairs of ``text``, ending in ("end", None); an operator
+    is its own kind."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("t^[", i):
-            end = text.find("]", i)
-            if end < 0:
-                raise ParseError("unterminated monomial bracket")
-            tokens.append(_Token("mono", text[i + 3 : end]))
-            i = end + 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j < n and text[j] == "'":
-                j += 1
-            tokens.append(_Token("name", text[i:j]))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}")
-    tokens.append(_Token("end", None))
+    for mono, unterminated, num, name, op, bad in _TOKEN.findall(text):
+        if mono:
+            tokens.append(("mono", mono[3:-1]))
+        elif num:
+            tokens.append(("int", int(num)))
+        elif op:
+            tokens.append((op, op))
+        elif name and (name[0].isalpha() or name[0] == "_"):
+            tokens.append(("name", name))
+        elif unterminated:
+            raise ParseError("unterminated monomial bracket")
+        elif bad or name:
+            raise ParseError(f"unexpected character {(bad or name)[0]!r}")
+    tokens.append(("end", None))
     return tokens
 
 
@@ -90,11 +65,8 @@ def ascii_int(text):
 
 
 def _parse_int_list(text, what):
-    text = text.strip()
-    if not text:
-        return ()
     out = []
-    for piece in text.split(","):
+    for piece in text.split(",") if text.strip() else ():
         piece = piece.strip()
         try:
             out.append(ascii_int(piece))
@@ -104,100 +76,95 @@ def _parse_int_list(text, what):
 
 
 class _Parser:
+    """Recursive descent over the grammar, evaluating on term dicts keyed
+    like ``GroupRingElement.terms``; ``parse`` wraps the result once."""
+
     def __init__(self, tokens, group, symbols):
         self.tokens = tokens
         self.pos = 0
         self.group = group
         self.symbols = symbols or {}
+        self.r, self.torsion = group.free_rank, group.torsion
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.tokens[self.pos][0]
 
     def advance(self):
         tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input")
         self.pos += 1
         return tok
 
-    def expect(self, kind):
-        tok = self.advance()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, got {tok.value!r}")
-        return tok
-
     def parse(self):
-        value = self.expr()
-        if self.peek().kind != "end":
-            raise ParseError(f"trailing input at {self.peek().value!r}")
-        return value
+        terms = self.expr()
+        if self.peek() != "end":
+            raise ParseError(f"trailing input at {self.tokens[self.pos][1]!r}")
+        return GroupRingElement._of(self.group, terms)
 
     def expr(self):
-        negate = False
-        if self.peek().kind == "-":
+        negate = self.peek() == "-"
+        if negate:
             self.advance()
-            negate = True
         value = self.term()
         if negate:
-            value = -value
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = {key: -c for key, c in value.items()}
+        while self.peek() in ("+", "-"):
+            sign = 1 if self.advance()[0] == "+" else -1
+            value = _combine(value, self.term(), sign)
         return value
 
     def term(self):
         value = self.factor()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.advance()
-            value = value * self.factor()
+            value = _product(value, self.factor(), self.r, self.torsion)
         return value
 
     def factor(self):
         value = self.atom()
-        while self.peek().kind == "^":
+        while self.peek() == "^":
             self.advance()
-            tok = self.advance()
-            if tok.kind == "-":
+            kind, n = self.advance()
+            if kind == "-":
                 raise ParseError("powers must be nonnegative integers")
-            if tok.kind != "int":
-                raise ParseError(f"expected an exponent, got {tok.value!r}")
-            value = value ** tok.value
+            if kind != "int":
+                raise ParseError(f"expected an exponent, got {n!r}")
+            value = _power(value, n, self.r, self.torsion)
         return value
 
     def atom(self):
-        tok = self.advance()
-        if tok.kind == "int":
-            return GroupRingElement.constant(self.group, tok.value)
-        if tok.kind == "mono":
-            return self.monomial(tok.value)
-        if tok.kind == "name":
-            try:
-                return self.symbols[tok.value]
-            except KeyError:
-                raise ParseError(
-                    f"unknown symbol {tok.value!r}; generic inputs must use the "
-                    "t^[...] monomial form"
-                ) from None
-        if tok.kind == "(":
+        kind, value = self.advance()
+        if kind == "int":
+            return {(0,) * (self.r + len(self.torsion)): value} if value else {}
+        if kind == "mono":
+            return {self.monomial(value): 1}
+        if kind == "name":
+            symbol = self.symbols.get(value)
+            if symbol is None:
+                raise ParseError(f"unknown symbol {value!r}; generic inputs must use the t^[...] monomial form")
+            self.group.require_same(symbol.group)
+            return symbol.terms
+        if kind == "(":
             value = self.expr()
-            self.expect(")")
+            kind, got = self.advance()
+            if kind != ")":
+                raise ParseError(f"expected ')', got {got!r}")
             return value
-        raise ParseError(f"unexpected token {tok.value!r}")
+        raise ParseError(f"unexpected token {value!r}")
 
     def monomial(self, body):
-        if ";" in body:
-            free_text, tors_text = body.split(";", 1)
-            free = _parse_int_list(free_text, "free exponents")
-            tors = _parse_int_list(tors_text, "torsion residues")
-        else:
-            free = _parse_int_list(body, "free exponents")
-            tors = ()
-        if len(free) != self.group.free_rank or len(tors) != len(self.group.torsion):
+        """The term key of the monomial t^[body]: free exponents, then
+        residues reduced mod the torsion."""
+        free_text, semi, tors_text = body.partition(";")
+        free = _parse_int_list(free_text, "free exponents")
+        tors = _parse_int_list(tors_text, "torsion residues") if semi else ()
+        if len(free) != self.r or len(tors) != len(self.torsion):
             raise ParseError(
                 f"monomial exponent shape [{body}] does not match the group "
-                f"(free rank {self.group.free_rank}, "
-                f"{len(self.group.torsion)} torsion factors)"
+                f"(free rank {self.r}, {len(self.torsion)} torsion factors)"
             )
-        return GroupRingElement.monomial(self.group.element_canonical(free, tors))
+        return free + tuple(map(mod, tors, self.torsion))
 
 
 def parse_element(text, group, symbols=None):

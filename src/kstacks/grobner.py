@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import gcd, inf, prod
+from math import gcd, inf
 from operator import add, le, mod, neg, sub
 
 from .abelian import group_from_relations, xgcd
 from .groupring import GroupRingElement
 
-#: soft cap on the size of an enumerated standard-monomial box
+#: cap on the number of standard monomials the staircase walk visits
 BOX_LIMIT = 20000
 
 
@@ -265,13 +265,14 @@ class StrongGroebnerBasis:
     """Reduced strong Groebner basis, deterministic for a fixed input.
 
     ``strong_groebner`` also records the work of its completion in plain
-    ints, zero on a basis built any other way: pairs queued, popped and
-    skipped by the chain criterion; reductions of seeds and of S- and
+    ints, zero on a basis built any other way: pairs queued, popped,
+    skipped by the chain criterion and spared their S-polynomial by the
+    product criterion; reductions of seeds and of S- and
     G-polynomials, and how many of them gave zero; elements retired; and
     the largest number of live elements.
     """
 
-    COUNTERS = ("pairs_queued", "pairs_popped", "chain_skipped", "reductions",
+    COUNTERS = ("pairs_queued", "pairs_popped", "chain_skipped", "product_skipped", "reductions",
                 "reductions_to_zero", "retired", "peak_live")
 
     __slots__ = ("presentation", "elements", "input_generators", "_reducers") + COUNTERS
@@ -288,9 +289,10 @@ class StrongGroebnerBasis:
         return f"StrongGroebnerBasis({len(self.elements)} elements)"
 
 
-def _pair_polys(f, g):
-    """Term dicts of the S-polynomial of f and g and, unless one leading
-    coefficient divides the other, of their G-polynomial.
+def _pair_polys(f, g, s_poly=True):
+    """Term dicts of the S-polynomial of f and g, unless ``s_poly`` is
+    false, and, unless one leading coefficient divides the other, of their
+    G-polynomial.
 
     With leading terms a*X^A and b*X^B and L = lcm(A, B), each is
     x * X^(L - A) * f + y * X^(L - B) * g, built as one dict: (l/a, -l/b)
@@ -301,7 +303,7 @@ def _pair_polys(f, g):
     L = _lcm_exponent(A, B)
     u, v = tuple(map(sub, L, A)), tuple(map(sub, L, B))
     l = a // gcd(a, b) * b
-    out = [_shifted_sum(f.terms, u, l // a, g.terms, v, -(l // b))]
+    out = [_shifted_sum(f.terms, u, l // a, g.terms, v, -(l // b))] if s_poly else []
     if a % b and b % a:
         _, x, y = xgcd(a, b)
         out.append(_shifted_sum(f.terms, u, x, g.terms, v, y))
@@ -350,7 +352,12 @@ def strong_groebner(gens, presentation):
       than i and j, whose pairs with i and with j were both formed, has
       LM_k | L, lc_k | lcm(lc_i, lc_j), and neither lcm(LM_i, LM_k) nor
       lcm(LM_j, LM_k) equal to L.  Both lcms then properly divide L, so
-      those pairs come earlier in the queue and have been popped.
+      those pairs come earlier in the queue and have been popped;
+    - the S-polynomial of (i, j) is not built when gcd(lc_i, lc_j) = 1 and
+      LM_i, LM_j are coprime (Buchberger's first criterion; over the
+      integers, Lichtblau 2012).  It is then g_j*tail(g_i) - g_i*tail(g_j),
+      whose monomials all lie below L: an lcm-representation.  The
+      G-polynomial is still reduced when neither lc divides the other.
 
     Retiring g is sound over the integers because the coefficient divides
     too: h reduces every term that g reduces, to a remainder in [0, lc_h),
@@ -437,7 +444,9 @@ def strong_groebner(gens, presentation):
         if (a % b == 0 or b % a == 0) and chain_skips(i, j, _lcm_exponent(A, B)):
             work["chain_skipped"] += 1
             continue
-        for combo in _pair_polys(basis[i], basis[j]):
+        coprime = gcd(a, b) == 1 and not any(map(min, A, B))
+        work["product_skipped"] += coprime
+        for combo in _pair_polys(basis[i], basis[j], s_poly=not coprime):
             reduce_and_add(combo)
 
     return StrongGroebnerBasis(presentation, _interreduce(reducers), gens, **work)
@@ -474,7 +483,7 @@ class AbGroupInvariants:
     status is "exact" (a verified strong basis with a finite standard
     monomial set), "not_finitely_generated" (a verified strong basis whose
     standard monomial set is infinite), or "unknown" (the basis fails the
-    check, or the standard monomial box exceeds BOX_LIMIT).
+    check, or the staircase holds more than BOX_LIMIT standard monomials).
     """
 
     EXACT = "exact"
@@ -510,29 +519,30 @@ def _standard_monomials(gb):
 
     A monomial is standard when it is not divisible by the leading monomial
     of any unit-leading-coefficient basis element; the set is finite exactly
-    when each variable has such a pure power.
+    when each variable has such a pure power.  The walk reaches each
+    standard monomial once, from the one with its last nonzero coordinate
+    lowered by one, as the standard monomials are closed under division;
+    more than BOX_LIMIT of them raise _BoxTooLarge.
     """
     nvars = gb.presentation.num_vars
     unit_lms = [B for B, a, _, _ in gb._reducers if a == 1]
     if any(not any(B) for B in unit_lms):
         # a unit constant: the quotient is trivial
         return []
-    caps = []
     for v in range(nvars):
-        powers = [
-            B[v]
-            for B in unit_lms
-            if B[v] and all(B[w] == 0 for w in range(nvars) if w != v)
-        ]
-        if not powers:
+        if not any(B[v] and sum(B) == B[v] for B in unit_lms):
             return None
-        caps.append(min(powers))
-    if prod(caps, start=1) > BOX_LIMIT:
-        raise _BoxTooLarge()
-    box = itertools.product(*(range(c) for c in caps)) if caps else iter([()])
-    standard = [
-        E for E in box if not any(_divides(B, E) for B in unit_lms)
-    ]
+    standard = []
+    walk = [((0,) * nvars, 0)]  # a monomial and the first variable it may raise
+    while walk:
+        E, first = walk.pop()
+        standard.append(E)
+        if len(standard) > BOX_LIMIT:
+            raise _BoxTooLarge()
+        for v in range(first, nvars):
+            F = E[:v] + (E[v] + 1,) + E[v + 1:]
+            if not any(_divides(B, F) for B in unit_lms):
+                walk.append((F, v))
     standard.sort(key=_grevlex_key)
     return standard
 
@@ -581,7 +591,7 @@ def _is_strong_basis(gb):
 def zmodule_invariants(gb):
     """Abelian-group invariants of (polynomial ring)/(basis ideal) as a
     Z-module, with the status described in the module docstring: the
-    standard-monomial box is bounded, the basis is checked by Buchberger's
+    staircase walk is bounded, the basis is checked by Buchberger's
     criterion, and the invariants are read off the standard monomials."""
     try:
         standard = _standard_monomials(gb)

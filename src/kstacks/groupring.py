@@ -7,7 +7,8 @@ Products add keys and reduce the residues, so monomial identities of the
 group (for instance t^(pe) = t^(qe') in a presented group) hold
 automatically at the element level.  ``GroupElement`` appears only at the
 boundary: ``monomial`` takes one, and a group element operand is read as
-its monomial.
+its monomial.  The operators and the expression parser share one set of
+kernels on term dicts: ``_combine``, ``_product`` and ``_power``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ class GroupRingElement:
         """Image under t^a -> 1 for every a."""
         return sum(self.terms.values())
 
+    @classmethod
+    def _of(cls, group, terms):
+        """Element over ``group`` of a term dict with no zero coefficients, taken as is."""
+        e = object.__new__(cls)
+        e.group = group
+        e.terms = terms
+        return e
+
     def _coerce(self, other):
         """``other`` as a ring element over the same group, or None for an
         unsupported type; an int is a constant, a group element its
@@ -65,61 +74,42 @@ class GroupRingElement:
         return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, 0) + coeff
-        return GroupRingElement(self.group, terms)
+        if other.__class__ is not GroupRingElement or other.group is not self.group:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return GroupRingElement._of(self.group, _combine(self.terms, other.terms, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElement(self.group, {key: -c for key, c in self.terms.items()})
+        return GroupRingElement._of(self.group, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not GroupRingElement or other.group is not self.group:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return GroupRingElement._of(self.group, _combine(self.terms, other.terms, -1))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
+        group = self.group
         if isinstance(other, int):
-            return GroupRingElement(self.group, {key: other * c for key, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        r, torsion = self.group.free_rank, self.group.torsion
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(map(add, k1, k2))
-                if torsion:
-                    key = key[:r] + tuple(map(mod, key[r:], torsion))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return GroupRingElement(self.group, terms)
+            return GroupRingElement._of(group, {k: other * c for k, c in self.terms.items()} if other else {})
+        if other.__class__ is not GroupRingElement or other.group is not group:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return GroupRingElement._of(group, _product(self.terms, other.terms, group.free_rank, group.torsion))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            raise ValueError("negative powers are not defined in the group ring")
-        # square and multiply from the top bit, in a loop: the exponent may
-        # have more bits than the recursion limit allows frames
-        out = GroupRingElement.one(self.group)
-        for bit in bin(n)[2:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        group = self.group
+        return GroupRingElement._of(group, _power(self.terms, n, group.free_rank, group.torsion))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -174,6 +164,47 @@ def _render_monomial(key, r):
         tors = ",".join(map(str, key[r:]))
         return f"t^[{free};{tors}]"
     return f"t^[{free}]"
+
+
+def _combine(a, b, sign):
+    """Terms of a + sign * b, for term dicts with no zero coefficients and
+    sign 1 or -1."""
+    terms = dict(a)
+    for key, c in b.items():
+        c = terms.get(key, 0) + sign * c
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+    return terms
+
+
+def _product(a, b, r, torsion):
+    """Terms of the product of term dicts a and b over a group of free rank
+    r and the given torsion: keys add, and the residues wrap."""
+    terms = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(map(add, k1, k2))
+            if torsion:
+                key = key[:r] + tuple(map(mod, key[r:], torsion))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return {key: c for key, c in terms.items() if c}
+
+
+def _power(a, n, r, torsion):
+    """Terms of a**n for an int n >= 0, by square and multiply from the top
+    bit in a loop, as n may have more bits than the recursion limit allows."""
+    if not isinstance(n, int):
+        raise TypeError(f"powers must be ints, got {type(n).__name__}")
+    if n < 0:
+        raise ValueError("negative powers are not defined in the group ring")
+    out = {(0,) * (r + len(torsion)): 1}
+    for bit in bin(n)[2:]:
+        out = _product(out, out, r, torsion)
+        if bit == "1":
+            out = _product(out, a, r, torsion)
+    return out
 
 
 def one_minus(exponent):

@@ -313,16 +313,31 @@ def test_oversized_grading_group_is_rejected_quickly(tmp_path, capsys, group_obj
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_invariants_box_budget_is_reported(capsys):
-    # wps(150,151) has 301 standard monomials, but the box that holds them
-    # has 151^2 > BOX_LIMIT candidates: the status is unknown, not an error.
-    # wps(100,101) fits its box of 101^2 and is exact.
-    assert 101 ** 2 <= BOX_LIMIT < 151 ** 2
-    for weights, expected in ((["150", "151"], {"rank": None, "torsion": [], "status": "unknown"}),
-                              (["100", "101"], {"rank": 201, "torsion": [], "status": "exact"})):
+def test_invariants_box_budget_is_reported(tmp_path, capsys):
+    # P^1 x B(Z/m) over Z x Z/m has the 2m standard monomials y^a s^c with
+    # a < 2 and c < m.  With 2m > BOX_LIMIT the staircase walk stops at the
+    # budget: the status is unknown, not an error, and quickly so.
+    m = BOX_LIMIT // 2 + 1
+    data_path = tmp_path / "p1-bmu.json"
+    data_path.write_text(json.dumps({
+        "grading_group": {"free_rank": 1, "torsion": [m]},
+        "variables": [{"name": x, "degree": [1, 0], "inverted": False} for x in ("x0", "x1")],
+        "irrelevant": [["x0", "x1"]],
+    }))
+    started = time.perf_counter()
+    code, out, _ = run(["k0", "--input", str(data_path), "--invariants", "--json", "-"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert json.loads(out[out.index("\n{\n") + 1:])["invariants"] == {"rank": None, "torsion": [],
+                                                                    "status": "unknown"}
+    # the walk visits only the staircase, not the box of 151^2 > BOX_LIMIT
+    # candidates that holds the 301 standard monomials of wps(150,151)
+    assert 151 ** 2 > BOX_LIMIT
+    for weights, rank in ((["150", "151"], 301), (["100", "101"], 201)):
         code, out, _ = run(["k0", "--example", "wps", *weights, "--invariants", "--json", "-"], capsys)
         assert code == 0
-        assert json.loads(out[out.index("\n{\n") + 1:])["invariants"] == expected
+        assert json.loads(out[out.index("\n{\n") + 1:])["invariants"] == {"rank": rank, "torsion": [],
+                                                                        "status": "exact"}
 
 
 def test_json_to_stdout(capsys):

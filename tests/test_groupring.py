@@ -189,3 +189,20 @@ def test_tuple_keys_match_group_element_oracle(group):
         a + other.zero()
     with pytest.raises(ValueError):
         a * other.zero()
+
+
+def test_non_integers_are_rejected():
+    # a float exponent, scalar or coordinate used to be truncated by int()
+    Z = laurent()
+    with pytest.raises(TypeError):
+        t(Z) ** 2.5
+    with pytest.raises(TypeError):
+        Z.element([3]) * 2.5
+    with pytest.raises(TypeError):
+        2.5 * Z.element([3])
+    with pytest.raises(TypeError):
+        Z.element([1.5])
+    with pytest.raises(TypeError):
+        t(Z) * 2.5
+    assert Z.element([3]) * 2 == Z.element([6])
+    assert t(Z) ** True == t(Z)
