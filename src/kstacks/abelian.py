@@ -24,6 +24,16 @@ def xgcd(a, b):
     return g, x, y
 
 
+def _require_ints(values, what):
+    """``values`` as a tuple, after checking that each is an int: TypeError
+    otherwise, where ``int()`` would truncate a float.  One float, Fraction
+    or Decimal among ints makes the sum one too."""
+    values = tuple(values)
+    if not isinstance(sum(values), int):
+        raise TypeError(f"{what} must be ints, got {values}")
+    return values
+
+
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -34,7 +44,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=None):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(_require_ints(row, "matrix entries") for row in entries)
         rows = len(entries)
         if rows:
             cols = len(entries[0]) if cols is None else cols
@@ -275,7 +285,7 @@ class FgAbelianGroup:
 
     def __init__(self, free_rank, torsion, num_generators, to_canonical,
                  from_canonical, relations, canonical_presentation):
-        torsion = tuple(int(m) for m in torsion)
+        torsion = _require_ints(torsion, "torsion factors")
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion factors must form a divisibility chain")
@@ -291,10 +301,10 @@ class FgAbelianGroup:
 
     @classmethod
     def canonical(cls, free_rank, torsion=()):
-        r = int(free_rank)
+        (r,) = _require_ints((free_rank,), "the free rank")
         if r < 0:
             raise ValueError(f"the free rank must be nonnegative, got {r}")
-        torsion = tuple(int(m) for m in torsion)
+        torsion = _require_ints(torsion, "torsion factors")
         k = len(torsion)
         g = r + k
         rel_rows = []
@@ -379,7 +389,7 @@ class FgAbelianGroup:
 
 def group_from_relations(num_generators, relations):
     """The quotient of Z^num_generators by the row span of ``relations``."""
-    g = int(num_generators)
+    (g,) = _require_ints((num_generators,), "the generator count")
     if g < 0:
         raise ValueError(f"the generator count must be nonnegative, got {g}")
     if isinstance(relations, IntMatrix):

@@ -130,7 +130,10 @@ class _Parser:
                 raise ParseError("powers must be nonnegative integers")
             if kind != "int":
                 raise ParseError(f"expected an exponent, got {n!r}")
-            value = _power(value, n, self.r, self.torsion)
+            try:
+                value = _power(value, n, self.r, self.torsion)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
         return value
 
     def atom(self):

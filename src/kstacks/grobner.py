@@ -9,19 +9,30 @@ elements of one class share one normal form.  Arithmetic happens in the
 group ring; this module only completes and reduces.  Over the integers a
 Groebner basis must be closed under both S-polynomials and
 GCD-polynomials; reduction then leaves coefficient remainders in [0, lc),
-and ``normal_form(f, gb).is_zero()`` decides ideal membership.  Exponent
-vectors must have one entry per presentation variable; ``strong_groebner``
-and ``normal_form`` raise ValueError otherwise.
+and ``normal_form(f, gb).is_zero()`` decides ideal membership.
+
+Inside the kernels a monomial is one int (Bachmann & Schoenemann 1998;
+Monagan & Pearce 2011).  With n variables and W = 32 bits per field, the
+exponent vector E packs to K(E) = deg(E)*2^(W*n) - sum_i e_i*2^(W*i).
+Below the degree the e_i are the digits of one number, e_(n-1) the most
+significant, so int order compares the degree, then -e_(n-1), -e_(n-2),
+...: it is grevlex order (``_grevlex_key``).  K is linear, so a shift is
+one addition.  The low fields of K(B) - K(E) are the balanced digits
+e_i - b_i, so B | E exactly when ((K(B) - K(E) + H) & H) == H, where H has
+2^(W-1) in each low field: adding it sets a field's top bit just when its
+digit is >= 0.  This needs every digit below 2^(W-1) in size, so packing a
+term of total degree 2^(W-3) or more raises ValueError, and so does a new
+basis element of that degree; an S-polynomial term has degree at most
+deg LM_i + deg LM_j, and reduction never raises the degree.  Term dicts
+outside the kernels, basis elements included, keep tuple keys, and
+leading monomials keep their tuple for the pair criteria, retirement and
+the staircase walk.
 
 Completion follows the pair update of Gebauer & Moeller (1988), which
-carries over to strong bases over the integers (Lichtblau 2012);
-``strong_groebner`` states the update rule and why it is sound.  Each S-
-and G-polynomial is built as one term dict, and the certificate
-``_is_strong_basis`` uses the same builder on every pair of the final
-basis.  Basis elements and normal forms take their leading term from the
-order in which reduction emits terms; ``IntPolynomial._from_ordered``
-states that contract.  Each polynomial caches its reducer data, and each
-basis keeps the list of its elements' reducer data.
+carries over to strong bases over the integers (Lichtblau 2012); see
+``strong_groebner``.  The certificate ``_is_strong_basis`` builds S- and
+G-polynomials with the same builder.  Polynomials built from reduction
+output take their leading term from the order of its keys.
 
 Z-module invariants of a quotient are read off the standard monomials of
 the basis together with their leading-coefficient relations.  They are
@@ -36,14 +47,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
+from array import array
 from math import gcd, inf
-from operator import add, le, mod, neg, sub
+from operator import le, mod, neg
 
 from .abelian import group_from_relations, xgcd
 from .groupring import GroupRingElement
 
 #: cap on the number of standard monomials the staircase walk visits
 BOX_LIMIT = 20000
+
+_W = 8 * array("I").itemsize  # bits per exponent field of a packed monomial
 
 
 def _grevlex_key(exp):
@@ -58,17 +73,41 @@ def _lcm_exponent(A, B):
     return tuple(map(max, A, B))
 
 
+def _pack(E):
+    """K(E) of the module docstring, for an exponent E within the bounds."""
+    return (sum(E) << _W * len(E)) - int.from_bytes(array("I", E), sys.byteorder)
+
+
+def _unpack(K, n):
+    """The exponent vector of n entries that K packs."""
+    return tuple(array("I", (-K & ((1 << _W * n) - 1)).to_bytes(_W // 8 * n, sys.byteorder)))
+
+
+def _check_degree(E):
+    if sum(E) >> (_W - 3):
+        raise ValueError(f"exponent {E} has total degree {sum(E)}; total degrees must stay below 2^{_W - 3}")
+
+
+def _pack_terms(terms, n):
+    """Packed copy of a term dict of exponents with n entries and low degree."""
+    packed = {}
+    for E, c in terms.items():
+        if len(E) != n:
+            raise ValueError(f"exponent {E} has length {len(E)}; the presentation has {n} variables")
+        _check_degree(E)
+        packed[_pack(E)] = c
+    return packed
+
+
 class IntPolynomial:
     """Sparse polynomial with integer coefficients and nonnegative exponents.
 
-    Immutable by contract: ``terms`` is never written after construction.
-    Arithmetic belongs to ``GroupRingElement``.  The leading term and the
-    reducer data (leading monomial, lc, support of the leading monomial,
-    tail terms) are cached, so a caller that changed ``terms`` in place
-    would read stale ones.  The public constructor checks every term and
-    finds the leading term on first use as the grevlex maximum;
-    ``_from_ordered`` takes a dict whose first key is the grevlex maximum,
-    as ``_reduce_terms`` emits it, and skips the checks and the search.
+    Immutable by contract: ``terms`` is never written after construction,
+    as the leading term and the reducer data (packed leading monomial, lc,
+    packed tail) are cached.  Arithmetic belongs to ``GroupRingElement``.
+    The public constructor checks every term (TypeError for anything but
+    ints) and finds the leading term on first use; ``_from_packed`` takes
+    reduction output and skips the checks and the search.
     """
 
     __slots__ = ("terms", "_lt", "_reducer")
@@ -76,9 +115,10 @@ class IntPolynomial:
     def __init__(self, terms):
         clean = {}
         for exp, coeff in terms.items():
-            coeff = int(coeff)
+            if not (isinstance(coeff, int) and isinstance(sum(exp), int)):  # as abelian._require_ints
+                raise TypeError(f"exponents and coefficients must be ints, got {exp!r}: {coeff!r}")
             if coeff:
-                if any(e < 0 for e in exp):
+                if min(exp, default=0) < 0:
                     raise ValueError("exponents must be nonnegative")
                 clean[tuple(exp)] = coeff
         self.terms = clean
@@ -86,20 +126,13 @@ class IntPolynomial:
         self._reducer = None
 
     @classmethod
-    def _from_ordered(cls, terms, positive=False):
-        """Polynomial of a term dict with nonzero coefficients whose keys come
-        largest first in grevlex order, as ``_reduce_terms`` returns them; the
-        leading term is the first key.  With ``positive`` the signs are
-        flipped when the leading coefficient is negative."""
+    def _from_packed(cls, packed, n):
+        """Polynomial of n variables of a packed term dict whose keys come
+        largest first, as ``_reduce_terms`` returns them."""
         f = cls.__new__(cls)
-        f._lt = f._reducer = None
-        if terms:
-            E, c = next(iter(terms.items()))
-            if positive and c < 0:
-                terms = {F: -d for F, d in terms.items()}
-                c = -c
-            f._lt = (E, c)
-        f.terms = terms
+        f.terms = {_unpack(K, n): c for K, c in packed.items()}
+        f._lt = next(iter(f.terms.items()), None)
+        f._reducer = None
         return f
 
     def is_zero(self):
@@ -114,13 +147,13 @@ class IntPolynomial:
         return self._lt
 
     def _reducer_data(self):
-        """(leading monomial B, lc, [(i, B[i]) for nonzero B[i]], tail terms),
-        as ``_reduce_terms`` reads a reducer."""
+        """(K(LM), lc, [(K(F), c) for the other terms]), as ``_reduce_terms``
+        reads a reducer."""
         if self._reducer is None:
             B, a = self.leading_term()
-            support = [(i, b) for i, b in enumerate(B) if b]
-            tail = [(F, c) for F, c in self.terms.items() if F != B]
-            self._reducer = (B, a, support, tail)
+            KB = _pack(B)
+            tail = [(K, c) for K, c in _pack_terms(self.terms, len(B)).items() if K != KB]
+            self._reducer = (KB, a, tail)
         return self._reducer
 
     def __eq__(self, other):
@@ -140,28 +173,25 @@ class PolyPresentation:
 
     The variable order is y1, y1', ..., yr, yr', s1, ..., sk and the
     structural relations are always part of every ideal built over the
-    presentation.
+    presentation.  ``_mask`` is the H of the module docstring.
     """
 
-    __slots__ = ("group", "names", "num_vars", "structural")
+    __slots__ = ("group", "names", "num_vars", "structural", "_mask")
 
     def __init__(self, group, names, structural):
         self.group = group
         self.names = tuple(names)
         self.num_vars = len(self.names)
         self.structural = tuple(structural)
+        self._mask = sum(1 << (_W * i + _W - 1) for i in range(self.num_vars))
 
     @classmethod
     def for_group(cls, group):
-        r = group.free_rank
-        names = []
-        for i in range(r):
-            names.extend((f"y{i + 1}", f"y{i + 1}'"))
-        names.extend(f"s{j + 1}" for j in range(len(group.torsion)))
+        r, torsion = group.free_rank, group.torsion
+        names = [f"y{i // 2 + 1}" + "'" * (i % 2) for i in range(2 * r)] + [f"s{j + 1}" for j in range(len(torsion))]
         nvars = len(names)
         # yi*yi' - 1 sets positions 2i and 2i+1 to 1; sj^mj - 1 sets 2r+j to mj
-        leads = [(2 * i, 2 * i + 1, 1) for i in range(r)]
-        leads += [(2 * r + j, 2 * r + j, m) for j, m in enumerate(group.torsion)]
+        leads = [(2 * i, 2 * i + 1, 1) for i in range(r)] + [(2 * r + j, 2 * r + j, m) for j, m in enumerate(torsion)]
         structural = []
         for v, w, m in leads:
             exp = [0] * nvars
@@ -204,50 +234,39 @@ def unpresent(f, presentation):
     return GroupRingElement(group, terms)
 
 
-def _normalize_sign(f):
-    """Terms of f, with every sign flipped when the leading coefficient is
-    negative."""
-    _, lc = f.leading_term()
-    return f.terms if lc > 0 else {E: -c for E, c in f.terms.items()}
-
-
-def _reduce_terms(terms, reducers):
-    """Full reduction of a term dict by polynomials with positive leading
-    coefficients, given by their ``_reducer_data()``.
+def _reduce_terms(terms, reducers, H):
+    """Full reduction of a packed term dict by polynomials with positive
+    leading coefficients, given by their ``_reducer_data()``; H is the mask
+    of the module docstring.
 
     Every output term has its coefficient in [0, lc(g)) for every reducer g
-    whose leading monomial divides it.  Terms are taken largest
-    first from a heap in grevlex order; a heap entry whose exponent has left
-    ``work`` (cancelled, or already taken) is skipped.  Reduction only adds
-    terms below the one being reduced, so an exponent never returns to
-    ``work`` once taken, and the output dict lists its terms largest first.
-    One pass over the divisors in reducer order suffices: each step leaves
-    the coefficient in [0, a) and never raises it.
+    whose leading monomial divides it.  Keys are taken largest first from a
+    heap of negated keys, skipping those that left ``work`` (cancelled or
+    taken).  Reduction only adds terms below the one reduced, so the output
+    lists its terms largest first.  One pass over the divisors in reducer
+    order suffices: each step leaves the coefficient in [0, a).
     """
     work = dict(terms)
-    heap = [(-sum(E), E[::-1], E) for E in work]
+    heap = [-K for K in work]
     heapq.heapify(heap)
     out = {}
     while heap:
-        E = heapq.heappop(heap)[2]
-        c = work.pop(E, 0)
+        K = -heapq.heappop(heap)
+        c = work.pop(K, 0)
         if not c:
             continue
-        for B, a, support, tail in reducers:
-            for i, b in support:
-                if E[i] < b:
-                    break
-            else:
+        for KB, a, tail in reducers:
+            if (KB - K + H) & H == H:
                 q = c // a
                 if q:
                     c -= q * a
-                    shift = tuple(map(sub, E, B))
+                    shift = K - KB
                     for F, cf in tail:
-                        key = tuple(map(add, shift, F))
+                        key = shift + F
                         val = work.get(key)
                         if val is None:
                             work[key] = -q * cf
-                            heapq.heappush(heap, (-sum(key), key[::-1], key))
+                            heapq.heappush(heap, -key)
                         else:
                             val -= q * cf
                             if val:
@@ -257,19 +276,18 @@ def _reduce_terms(terms, reducers):
                     if not c:
                         break
         if c:
-            out[E] = c
+            out[K] = c
     return out
 
 
 class StrongGroebnerBasis:
     """Reduced strong Groebner basis, deterministic for a fixed input.
 
-    ``strong_groebner`` also records the work of its completion in plain
-    ints, zero on a basis built any other way: pairs queued, popped,
-    skipped by the chain criterion and spared their S-polynomial by the
-    product criterion; reductions of seeds and of S- and
-    G-polynomials, and how many of them gave zero; elements retired; and
-    the largest number of live elements.
+    ``strong_groebner`` records the work of its completion in COUNTERS,
+    plain ints, zero on a basis built any other way: pairs queued, popped,
+    skipped by the chain criterion or spared their S-polynomial by the
+    product criterion; reductions, and those to zero; elements retired; and
+    the peak number of live elements.
     """
 
     COUNTERS = ("pairs_queued", "pairs_popped", "chain_skipped", "product_skipped", "reductions",
@@ -289,59 +307,47 @@ class StrongGroebnerBasis:
         return f"StrongGroebnerBasis({len(self.elements)} elements)"
 
 
-def _pair_polys(f, g, s_poly=True):
-    """Term dicts of the S-polynomial of f and g, unless ``s_poly`` is
-    false, and, unless one leading coefficient divides the other, of their
-    G-polynomial.
+def _pair_polys(f, g, L, s_poly=True):
+    """Packed term dicts of the S-polynomial of f and g, given by their
+    reducer data, unless ``s_poly`` is false, and, unless one leading
+    coefficient divides the other, of their G-polynomial; L is the packed
+    lcm of their leading monomials.
 
-    With leading terms a*X^A and b*X^B and L = lcm(A, B), each is
-    x * X^(L - A) * f + y * X^(L - B) * g, built as one dict: (l/a, -l/b)
-    for l = lcm(a, b), so the leading terms cancel, and the Bezout pair of
-    x*a + y*b = gcd(a, b).  Neither x nor y is zero.
+    With leading terms a*X^A and b*X^B, each is x*X^(L-A)*f + y*X^(L-B)*g:
+    (l/a, -l/b) for l = lcm(a, b), so the leading terms cancel, and the
+    Bezout pair of x*a + y*b = gcd(a, b), which leaves gcd(a, b)*X^L.
+    Neither x nor y is zero, and the shifted tails lie below X^L.
     """
-    (A, a), (B, b) = f.leading_term(), g.leading_term()
-    L = _lcm_exponent(A, B)
-    u, v = tuple(map(sub, L, A)), tuple(map(sub, L, B))
+    (KA, a, ftail), (KB, b, gtail) = f, g
+    u, v = L - KA, L - KB
+
+    def shifted_tails(x, y):
+        terms = {K + u: x * c for K, c in ftail}
+        for K, c in gtail:
+            c = terms.get(K + v, 0) + y * c
+            if c:
+                terms[K + v] = c
+            else:
+                del terms[K + v]
+        return terms
+
     l = a // gcd(a, b) * b
-    out = [_shifted_sum(f.terms, u, l // a, g.terms, v, -(l // b))] if s_poly else []
+    out = [shifted_tails(l // a, -(l // b))] if s_poly else []
     if a % b and b % a:
-        _, x, y = xgcd(a, b)
-        out.append(_shifted_sum(f.terms, u, x, g.terms, v, y))
+        d, x, y = xgcd(a, b)
+        out.append({L: d, **shifted_tails(x, y)})
     return out
-
-
-def _shifted_sum(fterms, u, x, gterms, v, y):
-    """Terms of x * X^u * f + y * X^v * g, for nonzero x and y."""
-    terms = {tuple(map(add, E, u)): x * c for E, c in fterms.items()}
-    for E, c in gterms.items():
-        key = tuple(map(add, E, v))
-        c = terms.get(key, 0) + y * c
-        if c:
-            terms[key] = c
-        else:
-            del terms[key]
-    return terms
-
-
-def _check_exponents(polys, presentation):
-    n = presentation.num_vars
-    for f in polys:
-        for E in f.terms:
-            if len(E) != n:
-                raise ValueError(
-                    f"exponent {E} has length {len(E)}; the presentation has {n} variables"
-                )
 
 
 def strong_groebner(gens, presentation):
     """Complete ``gens`` plus the structural relations to a reduced strong
     Groebner basis.
 
-    Pairs (i, j) of basis elements wait in a queue ordered by the grevlex
-    key of L = lcm(LM_i, LM_j), then by (i, j); a popped pair adds the
-    reductions of its S-polynomial and its G-polynomial, when nonzero, to
-    the basis.  The update rule (Gebauer & Moeller 1988; over the integers,
-    Lichtblau 2012):
+    Pairs (i, j) of basis elements wait in a queue ordered by the packed
+    L = lcm(LM_i, LM_j), that is by its grevlex order, then by (i, j); a
+    popped pair adds the reductions of its S-polynomial and its
+    G-polynomial, when nonzero, to the basis.  The update rule (Gebauer &
+    Moeller 1988; over the integers, Lichtblau 2012):
 
     - a new element h forms pairs with every live element, then retires
       each live g with LM_h | LM_g and lc_h | lc_g;
@@ -367,32 +373,38 @@ def strong_groebner(gens, presentation):
     and the pairs (g, h) and (h, h') are formed.  G-polynomials are never
     skipped, the live elements are interreduced into the result, and
     ``_is_strong_basis`` checks every pair.  An exponent whose length is not
-    ``presentation.num_vars`` raises ValueError.
+    ``presentation.num_vars``, or whose degree is too high for the packed
+    encoding (see the module docstring), raises ValueError.
     """
     gens = list(gens)
-    _check_exponents(gens, presentation)
-    seeds = {}  # distinct nonzero inputs up to sign, in input order
+    n, H = presentation.num_vars, presentation._mask
+    seeds = {}  # distinct nonzero inputs up to sign, packed, in input order
     for f in itertools.chain(gens, presentation.structural):
-        if not f.is_zero():
-            terms = _normalize_sign(f)
+        terms = _pack_terms(f.terms, n)
+        if terms:
+            if terms[max(terms)] < 0:
+                terms = {K: -c for K, c in terms.items()}
             seeds.setdefault(frozenset(terms.items()), terms)
 
-    basis = []  # every element ever added; pairs refer to their indices
-    lts = []
-    until = []  # index of the element that retired basis[k], or inf while it is live
-    partners = []  # partners[j]: the elements live when basis[j] came, ascending
+    data = []  # reducer data of every element ever added; pairs refer to their indices
+    lts = []  # leading monomials as tuples, with their lcs
+    until = []  # index of the element that retired data[k], or inf while it is live
+    partners = []  # partners[j]: the elements live when data[j] came, ascending
     live = []  # indices of the live elements, ascending
     reducers = []  # reducer data of the live elements, in the same order
     pairs = []
     work = dict.fromkeys(StrongGroebnerBasis.COUNTERS, 0)
 
-    def add_element(h):
-        j = len(basis)
-        B, b = h.leading_term()
+    def add_element(terms):
+        j = len(data)
+        items = list(terms.items())
+        (KB, b), tail = items[0], items[1:]
+        B = _unpack(KB, n)
+        _check_degree(B)
         for i in live:
-            heapq.heappush(pairs, (_grevlex_key(_lcm_exponent(lts[i][0], B)), i, j))
+            heapq.heappush(pairs, (_pack(_lcm_exponent(lts[i][0], B)), i, j))
         work["pairs_queued"] += len(live)
-        basis.append(h)
+        data.append((KB, b, tail))
         lts.append((B, b))
         until.append(inf)
         partners.append(tuple(live))
@@ -402,7 +414,7 @@ def strong_groebner(gens, presentation):
                 until[k] = j
                 work["retired"] += 1
         live[:] = [k for k in live if until[k] > j] + [j]
-        reducers[:] = [basis[k]._reducer_data() for k in live]
+        reducers[:] = [data[k] for k in live]
         work["peak_live"] = max(work["peak_live"], len(live))
 
     def chain_skips(i, j, L):
@@ -415,22 +427,16 @@ def strong_groebner(gens, presentation):
         newer = range(j + 1, min(until[i], until[j], len(lts) - 1) + 1)
         for k in itertools.chain(partners[j], newer):
             C, c = lts[k]
-            if (
-                k != i
-                and k != j
-                and l % c == 0
-                and _divides(C, L)
-                and _lcm_exponent(A, C) != L
-                and _lcm_exponent(B, C) != L
-            ):
+            if (k != i and k != j and l % c == 0 and _divides(C, L)
+                    and _lcm_exponent(A, C) != L and _lcm_exponent(B, C) != L):
                 return True
         return False
 
     def reduce_and_add(terms):
         work["reductions"] += 1
-        r = _reduce_terms(terms, reducers)
+        r = _reduce_terms(terms, reducers, H)
         if r:
-            add_element(IntPolynomial._from_ordered(r, positive=True))
+            add_element(r if next(iter(r.values())) > 0 else {K: -c for K, c in r.items()})
         else:
             work["reductions_to_zero"] += 1
 
@@ -438,7 +444,7 @@ def strong_groebner(gens, presentation):
         reduce_and_add(terms)
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        KL, i, j = heapq.heappop(pairs)
         work["pairs_popped"] += 1
         (A, a), (B, b) = lts[i], lts[j]
         if (a % b == 0 or b % a == 0) and chain_skips(i, j, _lcm_exponent(A, B)):
@@ -446,44 +452,42 @@ def strong_groebner(gens, presentation):
             continue
         coprime = gcd(a, b) == 1 and not any(map(min, A, B))
         work["product_skipped"] += coprime
-        for combo in _pair_polys(basis[i], basis[j], s_poly=not coprime):
+        for combo in _pair_polys(data[i], data[j], KL, s_poly=not coprime):
             reduce_and_add(combo)
 
-    return StrongGroebnerBasis(presentation, _interreduce(reducers), gens, **work)
+    return StrongGroebnerBasis(presentation, _interreduce(reducers, H, n), gens, **work)
 
 
-def _interreduce(reducers):
+def _interreduce(reducers, H, n):
     """Tail-reduce each live element, given by its reducer data, by all of
     them.  No live leading term divides another's with its coefficient, so
-    none is dropped; leading terms are untouched, so one pass leaves every
-    non-leading term irreducible."""
+    none is dropped, and one pass leaves every tail term irreducible."""
     reduced = []
-    for B, a, _, tail in reducers:
-        terms = {B: a}
-        terms.update(_reduce_terms(dict(tail), reducers))
-        reduced.append(IntPolynomial._from_ordered(terms))
-    reduced.sort(key=lambda f: (_grevlex_key(f.leading_term()[0]), f.leading_term()[1]))
+    for KB, a, tail in reducers:
+        r = _reduce_terms(dict(tail), reducers, H)
+        f = IntPolynomial._from_packed({KB: a, **r}, n)
+        f._reducer = (KB, a, list(r.items()))
+        reduced.append(f)
+    reduced.sort(key=lambda f: f._reducer[:2])
     return reduced
 
 
 def normal_form(f, gb):
     """Canonical remainder of f modulo the ideal of the basis.  An exponent
-    whose length is not the presentation's ``num_vars`` raises ValueError."""
-    _check_exponents((f,), gb.presentation)
-    return IntPolynomial._from_ordered(_reduce_terms(f.terms, gb._reducers))
-
-
-# ---------------------------------------------------------------------------
-# Z-module invariants
+    whose length is not the presentation's ``num_vars``, or whose total
+    degree is too high for the packed encoding, raises ValueError."""
+    n = gb.presentation.num_vars
+    packed = _reduce_terms(_pack_terms(f.terms, n), gb._reducers, gb.presentation._mask)
+    return IntPolynomial._from_packed(packed, n)
 
 
 class AbGroupInvariants:
     """Abelian-group structure of a quotient ring, with an honesty status.
 
-    status is "exact" (a verified strong basis with a finite standard
-    monomial set), "not_finitely_generated" (a verified strong basis whose
-    standard monomial set is infinite), or "unknown" (the basis fails the
-    check, or the staircase holds more than BOX_LIMIT standard monomials).
+    status is "exact" (a verified strong basis, finitely many standard
+    monomials), "not_finitely_generated" (a verified strong basis, infinitely
+    many), or "unknown" (the basis fails the check, or the staircase holds
+    more than BOX_LIMIT standard monomials).
     """
 
     EXACT = "exact"
@@ -501,17 +505,10 @@ class AbGroupInvariants:
         return (self.free_rank, self.torsion)
 
     def __repr__(self):
-        return (
-            f"AbGroupInvariants(rank={self.free_rank}, torsion={list(self.torsion)}, "
-            f"status={self.status})"
-        )
+        return f"AbGroupInvariants(rank={self.free_rank}, torsion={list(self.torsion)}, status={self.status})"
 
     def to_json(self):
-        return {
-            "rank": self.free_rank,
-            "torsion": list(self.torsion),
-            "status": self.status,
-        }
+        return {"rank": self.free_rank, "torsion": list(self.torsion), "status": self.status}
 
 
 def _standard_monomials(gb):
@@ -525,10 +522,9 @@ def _standard_monomials(gb):
     more than BOX_LIMIT of them raise _BoxTooLarge.
     """
     nvars = gb.presentation.num_vars
-    unit_lms = [B for B, a, _, _ in gb._reducers if a == 1]
+    unit_lms = [B for B, a in (f.leading_term() for f in gb.elements) if a == 1]
     if any(not any(B) for B in unit_lms):
-        # a unit constant: the quotient is trivial
-        return []
+        return []  # a unit constant: the quotient is trivial
     for v in range(nvars):
         if not any(B[v] and sum(B) == B[v] for B in unit_lms):
             return None
@@ -552,20 +548,22 @@ class _BoxTooLarge(Exception):
 
 
 def _primary_invariants(gb, standard):
-    index = {E: i for i, E in enumerate(standard)}
+    """(rank, torsion) of the free module on the standard monomials modulo
+    one row mu*E - NF(mu*E) for each standard E that some leading monomial
+    divides, mu the least lc of those divisors.  The Smith form runs on the
+    columns some row touches; the other standard monomials are free."""
+    reducers, H = gb._reducers, gb.presentation._mask
     rows = []
-    for E in standard:
-        divisors = [a for B, a, _, _ in gb._reducers if _divides(B, E)]
-        if not divisors:
-            continue
-        mu = min(divisors)
-        nf = _reduce_terms({E: mu}, gb._reducers)
-        row = [0] * len(standard)
-        row[index[E]] = mu
-        for F, c in nf.items():
-            row[index[F]] -= c
-        rows.append(row)
-    return group_from_relations(len(standard), rows).invariants()
+    for K in map(_pack, standard):
+        divisors = [a for KB, a, _ in reducers if (KB - K + H) & H == H]
+        if divisors:
+            mu = min(divisors)
+            nf = _reduce_terms({K: mu}, reducers, H)
+            rows.append({K: mu, **{F: -c for F, c in nf.items()}})
+    touched = sorted({K for row in rows for K in row})
+    matrix = [[row.get(K, 0) for K in touched] for row in rows]
+    rank, torsion = group_from_relations(len(touched), matrix).invariants()
+    return rank + len(standard) - len(touched), torsion
 
 
 def _is_strong_basis(gb):
@@ -577,15 +575,17 @@ def _is_strong_basis(gb):
     The elements lie in the input ideal by construction, so passing proves
     that they form a strong Groebner basis of it.
     """
-    if any(a < 0 for _, a, _, _ in gb._reducers):
+    reducers, H, n = gb._reducers, gb.presentation._mask, gb.presentation.num_vars
+    if any(a < 0 for _, a, _ in reducers):
         return False
-    pairs = itertools.combinations(gb.elements, 2)
+    lms = [f.leading_term()[0] for f in gb.elements]
+    pairs = itertools.combinations(range(len(lms)), 2)
     must_vanish = itertools.chain(
-        (f.terms for f in gb.input_generators),
-        (f.terms for f in gb.presentation.structural),
-        (h for f, g in pairs for h in _pair_polys(f, g)),
+        (_pack_terms(f.terms, n) for f in itertools.chain(gb.input_generators, gb.presentation.structural)),
+        (h for i, j in pairs
+         for h in _pair_polys(reducers[i], reducers[j], _pack(_lcm_exponent(lms[i], lms[j])))),
     )
-    return not any(_reduce_terms(h, gb._reducers) for h in must_vanish)
+    return not any(_reduce_terms(h, reducers, H) for h in must_vanish)
 
 
 def zmodule_invariants(gb):

@@ -17,6 +17,10 @@ from operator import add, mod
 
 from .abelian import GroupElement
 
+#: the most term products one squaring inside a power may take: (1 + t)^1000
+#: squares 501 terms, (1 + t)^2000 would square 1001
+POWER_BUDGET = 500_000
+
 
 class GroupRingElement:
     """Finite map ``terms`` from exponent keys (flat tuples free +
@@ -194,13 +198,17 @@ def _product(a, b, r, torsion):
 
 def _power(a, n, r, torsion):
     """Terms of a**n for an int n >= 0, by square and multiply from the top
-    bit in a loop, as n may have more bits than the recursion limit allows."""
+    bit in a loop, as n may have more bits than the recursion limit allows.
+    A squaring of more than POWER_BUDGET term products raises ValueError."""
     if not isinstance(n, int):
         raise TypeError(f"powers must be ints, got {type(n).__name__}")
     if n < 0:
         raise ValueError("negative powers are not defined in the group ring")
     out = {(0,) * (r + len(torsion)): 1}
     for bit in bin(n)[2:]:
+        if len(out) ** 2 > POWER_BUDGET:
+            raise ValueError(f"power ^{n}: squaring {len(out)} terms takes more than "
+                             f"POWER_BUDGET = {POWER_BUDGET} term products")
         out = _product(out, out, r, torsion)
         if bit == "1":
             out = _product(out, a, r, torsion)

@@ -1,6 +1,8 @@
 import random
 from math import gcd
 
+import pytest
+
 from kstacks.abelian import (
     FgAbelianGroup,
     GroupHomomorphism,
@@ -171,3 +173,17 @@ def test_describe():
     assert FgAbelianGroup.canonical(0).describe() == "0"
     assert FgAbelianGroup.canonical(1).describe() == "Z"
     assert FgAbelianGroup.canonical(2, (2, 4)).describe() == "Z^2 x Z/2 x Z/4"
+
+
+def test_non_integers_are_type_errors():
+    # int() used to truncate each of these silently
+    Z = FgAbelianGroup.canonical(1)
+    for make in (lambda: IntMatrix([[1.7, 2]]),
+                 lambda: FgAbelianGroup.canonical(1.9),
+                 lambda: FgAbelianGroup.canonical(1, (2.0,)),
+                 lambda: group_from_relations(2.7, []),
+                 lambda: group_from_relations(2, [[1, 0.5]]),
+                 lambda: Z.element([1.5])):
+        with pytest.raises(TypeError):
+            make()
+    assert group_from_relations(2, [[2, 0]]).invariants() == (1, (2,))

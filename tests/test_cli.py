@@ -220,6 +220,17 @@ def test_non_ascii_integers_are_input_errors(capsys):
     assert run(["k0", "--example", "wps", "+1", "2"], capsys)[0] == 0
 
 
+def test_power_budget_and_degree_bound_are_input_errors(capsys):
+    # a power over the parser's budget, and a monomial of total degree 2^29
+    # (too high for the packed Groebner kernels), each exit 1 with a reason
+    for argv, reason in ((["eq", "--example", "p1", "--lhs", "(1+t^[1])^4000", "--rhs", "1"], "POWER_BUDGET"),
+                         (["eq", "--example", "p1", "--lhs", "t^[536870912]", "--rhs", "1"], "(536870912, 0)"),
+                         (["eq", "--example", "p1", "--lhs", "1", "--rhs", "t^[-536870912]"], "(0, 536870912)")):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and not out, argv
+        assert reason in err and "Traceback" not in err, err
+
+
 def _p1_with_z():
     return {
         "grading_group": {"free_rank": 1, "torsion": []},

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -12,10 +13,15 @@ from kstacks.grobner import (
     PolyPresentation,
     StrongGroebnerBasis,
     _grevlex_key,
+    _W,
+    _divides,
     _is_strong_basis,
+    _lcm_exponent,
+    _pack,
     _pair_polys,
     _primary_invariants,
     _standard_monomials,
+    _unpack,
     normal_form,
     present,
     strong_groebner,
@@ -488,6 +494,113 @@ def test_pinned_bases(name):
     assert [f.terms for f in PINNED_INPUTS[name]().elements] == PINNED_BASES[name]
 
 
+# Inputs of the benchmark's families: the wps tuples of `classes` and of
+# `invariants`, the Z x Z/m gradings of `classes` with fixed residues,
+# Hirzebruch F_0..F_4 and (P1)^2, with and without a Z/m grading.  The
+# residue of variable i of a Z x Z/m grading is (i + 1) mod m.
+DIGEST_WPS = [
+    (2, 3, 5), (3, 5, 7), (2, 7, 9), (4, 5, 11), (5, 7, 11), (3, 8, 13), (6, 9, 12), (7, 11, 13),
+    (1, 2, 3, 5), (2, 3, 5, 7), (1, 4, 6, 9), (3, 4, 5, 8), (2, 5, 7, 9), (3, 5, 7, 8), (2, 4, 8, 11),
+    (3, 7, 7, 9),
+    (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (1, 6), (5, 6),
+    (1, 1, 2), (1, 2, 3), (1, 2, 4), (2, 3, 4), (1, 3, 5), (1, 4, 6), (3, 4, 5),
+]
+DIGEST_ZZM = [((1, 2, 3), 2), ((2, 3, 5), 2), ((2, 3, 4), 3), ((1, 3, 4), 3), ((1, 2, 5), 4), ((3, 4, 5), 4)]
+
+
+def _digest_inputs():
+    inputs = {f"wps{w}": lambda w=w: builtin_example("wps", w) for w in DIGEST_WPS}
+    for weights, m in DIGEST_ZZM:
+        degrees = [[w, (i + 1) % m] for i, w in enumerate(weights)]
+        inputs[f"ZxZ/{m}{weights}"] = lambda d=degrees, m=m: _stack(
+            FgAbelianGroup.canonical(1, (m,)), d, [(0, len(d))])
+    Z2 = FgAbelianGroup.canonical(2)
+    for a in range(5):
+        inputs[f"F_{a}"] = lambda a=a: _stack(Z2, [[1, 0], [1, 0], [-a, 1], [0, 1]], [(0, 2), (2, 4)])
+    inputs["(P1)^2"] = lambda: _stack(Z2, [[1, 0], [1, 0], [0, 1], [0, 1]], [(0, 2), (2, 4)])
+    for m, (r, s) in ((2, (0, 1)), (3, (1, 0))):
+        inputs[f"(P1)^2xZ/{m}({r},{s})"] = lambda m=m, r=r, s=s: _stack(
+            FgAbelianGroup.canonical(2, (m,)), [[1, 0, r], [1, 0, r], [0, 1, s], [0, 1, s]], [(0, 2), (2, 4)])
+    return inputs
+
+
+DIGEST_INPUTS = _digest_inputs()
+
+
+def basis_digest(data):
+    """sha256 of the reduced basis of a stack's K0 presentation (its terms
+    in element order), its work counters and the normal forms of four fixed
+    queries."""
+    pres = k0_presentation(data)
+    G, gb = data.group, pres.basis
+
+    def mono(a):
+        return "t^[" + ",".join([str(a)] * G.free_rank) + (";" + ",".join(["1"] * len(G.torsion))
+                                                             if G.torsion else "") + "]"
+    queries = [mono(3), mono(-2), f"(1 - {mono(1)})^3 - 2*{mono(-1)}", f"5*{mono(2)} + 7"]
+    forms = [normal_form(present(parse_element(q, G), pres.presentation), gb) for q in queries]
+    record = ([sorted(f.terms.items()) for f in gb.elements],
+              [getattr(gb, k) for k in StrongGroebnerBasis.COUNTERS],
+              [sorted(f.terms.items()) for f in forms])
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+# A kernel change must keep every digest: a different term, pair order,
+# work counter or normal form moves it.
+PINNED_DIGESTS = {
+    "wps(2, 3, 5)": "d17de3dc01c4f9a0285bef3567631a18449157290436a991a574ca8a7a95b625",
+    "wps(3, 5, 7)": "0b0b0322243aaeefd4de8da00ef38150301a84ad4c73bb94818b7a45f9b2a20f",
+    "wps(2, 7, 9)": "9b524173c0ad2b8161a0485e0e2c5fe49c63e47722b555de6efe1b52798c6aed",
+    "wps(4, 5, 11)": "d7dcdacf342e46f33667d9ae8dc8af2c180db227fa8ddc1dec0e0e6c2578eb9b",
+    "wps(5, 7, 11)": "9b265453677dfebeead67911e95a24550b0b053d143d8a08af66bc0b89f2272b",
+    "wps(3, 8, 13)": "0e5e1f3add3b5e5783a6ae68978573b8177b3aac356fda88c98a797a38a1be57",
+    "wps(6, 9, 12)": "350c2277bcbe947851aadc4dea998b89dc3c5e6aff42ca174138698a61b881c2",
+    "wps(7, 11, 13)": "463bbf48f690e96e8dbc2019bc9a5bd3cdd91be027cd2bab6e6ecef6c0284a4e",
+    "wps(1, 2, 3, 5)": "db5304e3738b9d8848dfa4a5cc99e61abc8d737c76962cdf23aaafa026537ce4",
+    "wps(2, 3, 5, 7)": "2d12e5fdfe6522f5b4166f072d80645887ece421e87c25861649eac1c9fef4f9",
+    "wps(1, 4, 6, 9)": "1ffb597062db41d28144729754de60b6761475dc0974c7ea5f2227841e8ea4f0",
+    "wps(3, 4, 5, 8)": "55abb36476f22c81bfaffb6cc4c1451469f3f271f6bab628d1a6b1884630a55c",
+    "wps(2, 5, 7, 9)": "26339b5a09e75288e91819edfe25a7c89caf2717895f462d3b94cc7ed7ddd902",
+    "wps(3, 5, 7, 8)": "aa986eb970d829aa2f585dabb496baddcdd03c22f1808d8d114808f30fd26449",
+    "wps(2, 4, 8, 11)": "4adbcf76b41f7944c971fbd0936e338a886456d3511a5951e9b3490e8877385c",
+    "wps(3, 7, 7, 9)": "9d7d2173aa383d5b07362e779079373975bbd637fa2af4681c8284b65cd0350b",
+    "wps(1, 2)": "dc95597ac930d14bdca19fb1569fc2d7c744db8e5954665cd562d4be94bbd7ff",
+    "wps(1, 3)": "650a63ab15a43562d9578ce0ef3773dab49d8843770d616b98d3cbcd1a078055",
+    "wps(2, 3)": "18558f92fab5b7f0555f49ab032b47ac994c11116a964c9fb4aed8cdc05f9a85",
+    "wps(1, 4)": "77c0fcb66bcb4f223adcf77436fe2dd9364d2f7c374bd9a9730c4bcd80474915",
+    "wps(3, 4)": "7039312b871599886d49002cd0042dbc1ea42b6449bfbf8d1c6774ec349e353e",
+    "wps(2, 5)": "514abc514ac314f6b67428324eae8d79cecd07abfeecdc9c6fcf763e70e08957",
+    "wps(1, 6)": "590e6e8f45054410a332a00da2fa4bb75c1c8b7026b89b67266a6fee36158edb",
+    "wps(5, 6)": "c7bd29b8c26adf1bb05b8cdf551ffcb5dd46e963f1382e4f1d6e01c12bc084c0",
+    "wps(1, 1, 2)": "31b8078c47f8588cd2bcf693ae6b6ce4ad1fe28e1e965e2040998be378547f49",
+    "wps(1, 2, 3)": "3c5d202d9504ccfd5e977bb5582cfe209388ff5c230f63460582d529fa6a814c",
+    "wps(1, 2, 4)": "d4255ac79a8751a41da41db34acaf016da63b0f6d5269374bb966b5af6012a6a",
+    "wps(2, 3, 4)": "f1110db0f1cb73fbd1bbfd3a5b776b23de45d773653b76405d3c44c8e289f4a1",
+    "wps(1, 3, 5)": "ce563fbaae0882e052406b7daca9ae4fe3f188f20253bf9fc33bb0ba50d38473",
+    "wps(1, 4, 6)": "4c3513b64aeaeb25c121b8e5e6d7c9eb3413b0f227f47ae2c458e3bb50c3288f",
+    "wps(3, 4, 5)": "6ad92e01815120a0a6ee71b64e28cdfd28b01adf2b5aed4b402d943121e4c396",
+    "ZxZ/2(1, 2, 3)": "bd2b90afc17849c0ae9626322df72a62d3c65bfd5401e8d0ed8559b136c26099",
+    "ZxZ/2(2, 3, 5)": "f3900f7e5f58d335f34198ce5a83bd60b69991f31aba9b11482f376b5f0dd148",
+    "ZxZ/3(2, 3, 4)": "52121fe78f3db454b2bf4d041aac4efff729ea8f2dec7423dd44563c6e2d2bc6",
+    "ZxZ/3(1, 3, 4)": "6e4fc87937c07f47b47151227980485930620f2dff31df45b12ccb2d3a7dbaff",
+    "ZxZ/4(1, 2, 5)": "341b460e6a1ecd47d6546dcef9d36a9e744f069b72d1e50582d7917d2d831cfe",
+    "ZxZ/4(3, 4, 5)": "d1bde669f95e014eac161bfa059def0dc47f03943085df77399a1a075406090c",
+    "F_0": "01ffff283272b24c24d423f223ff1afc411e478d40bc0f448007544226cc449f",
+    "F_1": "2b1c314266f0b130c37011fbdfe5ec593a2645a69b8b1a3e474c6330f3da795b",
+    "F_2": "1c53811a266141693f29d28757239765bf88d76f4c6c6bbf1aac44a228203061",
+    "F_3": "53c93d39a4c93b0049da40c4ed2ebb3adf4b88adcbb2a0c23952b6e96df6c865",
+    "F_4": "41c85c669f480341199669a32b5346c7644eaca514c46f2f98d9c15f5e7bc204",
+    "(P1)^2": "01ffff283272b24c24d423f223ff1afc411e478d40bc0f448007544226cc449f",
+    "(P1)^2xZ/2(0,1)": "712611d3ba5a1df103535bfd70544b39dcc73a172d271b586ff2ea6c6b7557f7",
+    "(P1)^2xZ/3(1,0)": "98f4b37a114c57b3c0b43cd11a0a35788113c459f83e4f922dea1eee3b3a1625",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_pinned_basis_digests(name):
+    assert basis_digest(DIGEST_INPUTS[name]()) == PINNED_DIGESTS[name]
+
+
 def test_malformed_exponents_are_rejected():
     Z, p = laurent_presentation()
     gb = strong_groebner([IntPolynomial({(1, 0): 1, (0, 0): -1})], p)
@@ -541,9 +654,9 @@ def test_reduction_order_gives_leading_terms(group):
             E = max(f.terms, key=_grevlex_key)
             assert f._lt == (E, f.terms[E])
             assert list(f.terms)[0] == E
-            B, a, support, tail = f._reducer_data()
-            assert (B, a) == f._lt and dict(tail) == {F: c for F, c in f.terms.items() if F != E}
-            assert support == [(i, b) for i, b in enumerate(B) if b]
+            KB, a, tail = f._reducer_data()
+            assert (KB, a) == (_pack(E), f._lt[1])
+            assert dict(tail) == {_pack(F): c for F, c in f.terms.items() if F != E}
             checked += 1
         assert all(f._lt[1] > 0 for f in gb.elements)
     assert checked >= 25
@@ -605,10 +718,12 @@ def test_basis_deterministic():
 
 def assert_closed_under_pairs(gb):
     elems = list(gb.elements)
+    n = gb.presentation.num_vars
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            for terms in _pair_polys(elems[i], elems[j]):
-                combo = IntPolynomial(terms)
+            L = _lcm_exponent(elems[i].leading_term()[0], elems[j].leading_term()[0])
+            for terms in _pair_polys(elems[i]._reducer_data(), elems[j]._reducer_data(), _pack(L)):
+                combo = IntPolynomial({_unpack(K, n): c for K, c in terms.items()})
                 assert normal_form(combo, gb).is_zero()
 
 
@@ -640,3 +755,64 @@ def test_reduced_basis_canonical_under_input_order():
     a = strong_groebner([g1, g2], p)
     b = strong_groebner([g2, g1], p)
     assert a.elements == b.elements
+
+
+def test_packed_encoding_property():
+    # K order is grevlex order, the mask test is divisibility, K is linear
+    # and unpacking inverts packing, also for exponents near the degree bound
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        H = PolyPresentation(None, ["v"] * n, ())._mask
+        top = (1 << (_W - 3)) // (2 * max(n, 1)) - 1
+        E, F = (tuple(rng.choice((rng.randint(0, 3), rng.randint(0, top))) for _ in range(n))
+                for _ in range(2))
+        KE, KF = _pack(E), _pack(F)
+        assert (KE < KF) == (_grevlex_key(E) < _grevlex_key(F))
+        assert (KE == KF) == (E == F)
+        assert (((KE - KF + H) & H) == H) == _divides(E, F)
+        assert (((KF - KE + H) & H) == H) == _divides(F, E)
+        assert _pack(tuple(a + b for a, b in zip(E, F))) == KE + KF
+        assert _unpack(KE, n) == E and _unpack(KF, n) == F
+        if n:
+            G = E[:-1] + (E[-1] + rng.randint(1, 3),)  # E divides G
+            assert ((_pack(E) - _pack(G) + H) & H) == H
+
+
+def test_degree_bound_is_reported():
+    # a term of total degree 2^(W-3) raises ValueError naming the exponent,
+    # where terms are packed and when a new basis element would reach it
+    Z, p = laurent_presentation()
+    gb = strong_groebner([IntPolynomial({(0, 0): 2})], p)
+    big = 1 << (_W - 3)
+    assert normal_form(IntPolynomial({(big - 1, 0): 3}), gb).terms == {(big - 1, 0): 1}
+    for E in ((big, 0), (big - 7, 7)):
+        with pytest.raises(ValueError, match=rf"\({E[0]}, {E[1]}\)"):
+            normal_form(IntPolynomial({(0, 0): 1, E: 2}), gb)
+    with pytest.raises(ValueError, match=rf"\({big}, 0\)"):
+        strong_groebner([IntPolynomial({(big, 0): 1, (0, 0): -1})], p)
+    # with no structural relations, the G-polynomial of 2*a^A*b and 3*a*b^B
+    # is the monomial a^A*b^B, of degree 2^(W-3)
+    A = big // 2
+    free = PolyPresentation(FgAbelianGroup.canonical(2), ["a", "b"], ())
+    with pytest.raises(ValueError, match=rf"\({A}, {A}\)"):
+        strong_groebner([IntPolynomial({(A, 1): 2}), IntPolynomial({(1, A): 3})], free)
+
+
+def test_smith_form_on_touched_columns():
+    # P^1 x B(Z/500): 1000 standard monomials and no relation row, so no
+    # dense 1000 x 1000 Smith form
+    data = _stack(FgAbelianGroup.canonical(1, (500,)), [[1, 0], [1, 0]], [(0, 2)])
+    gb = k0_presentation(data).basis
+    started = time.perf_counter()
+    inv = zmodule_invariants(gb)
+    assert time.perf_counter() - started < 0.1
+    assert (inv.invariants(), inv.status) == ((1000, ()), AbGroupInvariants.EXACT)
+
+
+def test_int_polynomial_takes_only_ints():
+    for terms in ({(1, 0): 2.9}, {(1.5, 0): 1, (0, 0): -1}, {(1, 0): 0.0}):
+        with pytest.raises(TypeError):
+            IntPolynomial(terms)
+    with pytest.raises(ValueError):
+        IntPolynomial({(-1, 0): 1})

@@ -4,9 +4,9 @@ import time
 import pytest
 
 from kstacks.abelian import FgAbelianGroup, group_from_relations
-from kstacks.exprs import parse_element
+from kstacks.exprs import ParseError, parse_element
 from kstacks.grobner import PolyPresentation, present, unpresent
-from kstacks.groupring import GroupRingElement, one_minus
+from kstacks.groupring import POWER_BUDGET, GroupRingElement, one_minus
 
 
 def laurent():
@@ -134,6 +134,22 @@ def test_power_and_errors():
         pass
     else:
         raise AssertionError("group mismatch accepted")
+
+
+def test_power_budget():
+    # a squaring of more than POWER_BUDGET term products is refused before
+    # it runs: (1 + t)^4000 took 25 s; (1 + t)^1000 and single terms pass
+    Z = laurent()
+    assert len(parse_element("(1+t^[1])^1000", Z).terms) == 1001
+    wide = "(" + " + ".join(f"t^[{i}]" for i in range(801)) + ")"
+    for text in ("(1+t^[1])^4000", wide + "^2"):
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match="POWER_BUDGET"):
+            parse_element(text, Z)
+        assert time.perf_counter() - started < 5.0, text
+    with pytest.raises(ValueError, match="POWER_BUDGET"):
+        parse_element(wide, Z) ** 2
+    assert 801**2 > POWER_BUDGET >= 501**2
 
 
 def test_one_minus_coefficient_sum():
