@@ -17,8 +17,13 @@ from operator import add, mod
 
 from .abelian import GroupElement
 
-#: the most term products one squaring inside a power may take: (1 + t)^1000
-#: squares 501 terms, (1 + t)^2000 would square 1001
+#: the most weight one product inside a power may have.  A term dict weighs
+#: its number of terms times 1 + b // 1024, for b the bit length of its
+#: largest coefficient, and a product the product of its factors' weights:
+#: below 1024 bits a coefficient product costs no more than a few times the
+#: bookkeeping of one term, and schoolbook multiplication grows with both
+#: sizes.  (1 + t)^1000 squares 501 terms of under 1024 bits, 2^1000000 one
+#: term of 500001 bits (weight 489); (1 + t)^2000 would square 1001 terms
 POWER_BUDGET = 500_000
 
 
@@ -196,22 +201,33 @@ def _product(a, b, r, torsion):
     return {key: c for key, c in terms.items() if c}
 
 
+def _weight(terms):
+    """Weight of a term dict in POWER_BUDGET's cost model."""
+    return len(terms) * (1 + max(map(int.bit_length, terms.values()), default=0) // 1024)
+
+
 def _power(a, n, r, torsion):
     """Terms of a**n for an int n >= 0, by square and multiply from the top
     bit in a loop, as n may have more bits than the recursion limit allows.
-    A squaring of more than POWER_BUDGET term products raises ValueError."""
+    A squaring or multiply step that weighs more than POWER_BUDGET raises
+    ValueError before it runs."""
     if not isinstance(n, int):
         raise TypeError(f"powers must be ints, got {type(n).__name__}")
     if n < 0:
         raise ValueError("negative powers are not defined in the group ring")
+
+    def step(x, y):
+        weight = _weight(x) * _weight(y)
+        if weight > POWER_BUDGET:
+            raise ValueError(f"power ^{n}: a product of {len(x)} by {len(y)} terms weighs {weight}, "
+                             f"more than POWER_BUDGET = {POWER_BUDGET}")
+        return _product(x, y, r, torsion)
+
     out = {(0,) * (r + len(torsion)): 1}
     for bit in bin(n)[2:]:
-        if len(out) ** 2 > POWER_BUDGET:
-            raise ValueError(f"power ^{n}: squaring {len(out)} terms takes more than "
-                             f"POWER_BUDGET = {POWER_BUDGET} term products")
-        out = _product(out, out, r, torsion)
+        out = step(out, out)
         if bit == "1":
-            out = _product(out, a, r, torsion)
+            out = step(out, a)
     return out
 
 

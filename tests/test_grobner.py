@@ -28,7 +28,7 @@ from kstacks.grobner import (
     unpresent,
     zmodule_invariants,
 )
-from kstacks.ktheory import k0_presentation
+from kstacks.ktheory import _centred, k0_presentation
 from kstacks.stacks import builtin_example, make_stack_data
 
 from conftest import _MacaulayLattice, lattice_invariants, macaulay_member
@@ -527,78 +527,231 @@ def _digest_inputs():
 DIGEST_INPUTS = _digest_inputs()
 
 
-def basis_digest(data):
-    """sha256 of the reduced basis of a stack's K0 presentation (its terms
-    in element order), its work counters and the normal forms of four fixed
-    queries."""
+def _completed_digest_input(name):
+    """The K0 presentation of a digest input and the normal forms of four
+    fixed queries over its basis."""
+    data = DIGEST_INPUTS[name]()
     pres = k0_presentation(data)
-    G, gb = data.group, pres.basis
+    G = data.group
 
     def mono(a):
         return "t^[" + ",".join([str(a)] * G.free_rank) + (";" + ",".join(["1"] * len(G.torsion))
                                                              if G.torsion else "") + "]"
     queries = [mono(3), mono(-2), f"(1 - {mono(1)})^3 - 2*{mono(-1)}", f"5*{mono(2)} + 7"]
-    forms = [normal_form(present(parse_element(q, G), pres.presentation), gb) for q in queries]
-    record = ([sorted(f.terms.items()) for f in gb.elements],
-              [getattr(gb, k) for k in StrongGroebnerBasis.COUNTERS],
-              [sorted(f.terms.items()) for f in forms])
+    return pres, [normal_form(present(parse_element(q, G), pres.presentation), pres.basis) for q in queries]
+
+
+def basis_digest(pres, forms):
+    """sha256 of a reduced basis (its terms in element order) and of the
+    normal forms of the queries."""
+    record = ([sorted(f.terms.items()) for f in pres.basis.elements], [sorted(f.terms.items()) for f in forms])
     return hashlib.sha256(repr(record).encode()).hexdigest()
 
 
-# A kernel change must keep every digest: a different term, pair order,
-# work counter or normal form moves it.
+# The answers, pinned apart from the work: a kernel or seeding change must
+# keep every digest, as a different term or normal form moves it.  The
+# counters record the work of each completion and move with the pair
+# order, the update rule, the criteria and the seeds.
 PINNED_DIGESTS = {
-    "wps(2, 3, 5)": "d17de3dc01c4f9a0285bef3567631a18449157290436a991a574ca8a7a95b625",
-    "wps(3, 5, 7)": "0b0b0322243aaeefd4de8da00ef38150301a84ad4c73bb94818b7a45f9b2a20f",
-    "wps(2, 7, 9)": "9b524173c0ad2b8161a0485e0e2c5fe49c63e47722b555de6efe1b52798c6aed",
-    "wps(4, 5, 11)": "d7dcdacf342e46f33667d9ae8dc8af2c180db227fa8ddc1dec0e0e6c2578eb9b",
-    "wps(5, 7, 11)": "9b265453677dfebeead67911e95a24550b0b053d143d8a08af66bc0b89f2272b",
-    "wps(3, 8, 13)": "0e5e1f3add3b5e5783a6ae68978573b8177b3aac356fda88c98a797a38a1be57",
-    "wps(6, 9, 12)": "350c2277bcbe947851aadc4dea998b89dc3c5e6aff42ca174138698a61b881c2",
-    "wps(7, 11, 13)": "463bbf48f690e96e8dbc2019bc9a5bd3cdd91be027cd2bab6e6ecef6c0284a4e",
-    "wps(1, 2, 3, 5)": "db5304e3738b9d8848dfa4a5cc99e61abc8d737c76962cdf23aaafa026537ce4",
-    "wps(2, 3, 5, 7)": "2d12e5fdfe6522f5b4166f072d80645887ece421e87c25861649eac1c9fef4f9",
-    "wps(1, 4, 6, 9)": "1ffb597062db41d28144729754de60b6761475dc0974c7ea5f2227841e8ea4f0",
-    "wps(3, 4, 5, 8)": "55abb36476f22c81bfaffb6cc4c1451469f3f271f6bab628d1a6b1884630a55c",
-    "wps(2, 5, 7, 9)": "26339b5a09e75288e91819edfe25a7c89caf2717895f462d3b94cc7ed7ddd902",
-    "wps(3, 5, 7, 8)": "aa986eb970d829aa2f585dabb496baddcdd03c22f1808d8d114808f30fd26449",
-    "wps(2, 4, 8, 11)": "4adbcf76b41f7944c971fbd0936e338a886456d3511a5951e9b3490e8877385c",
-    "wps(3, 7, 7, 9)": "9d7d2173aa383d5b07362e779079373975bbd637fa2af4681c8284b65cd0350b",
-    "wps(1, 2)": "dc95597ac930d14bdca19fb1569fc2d7c744db8e5954665cd562d4be94bbd7ff",
-    "wps(1, 3)": "650a63ab15a43562d9578ce0ef3773dab49d8843770d616b98d3cbcd1a078055",
-    "wps(2, 3)": "18558f92fab5b7f0555f49ab032b47ac994c11116a964c9fb4aed8cdc05f9a85",
-    "wps(1, 4)": "77c0fcb66bcb4f223adcf77436fe2dd9364d2f7c374bd9a9730c4bcd80474915",
-    "wps(3, 4)": "7039312b871599886d49002cd0042dbc1ea42b6449bfbf8d1c6774ec349e353e",
-    "wps(2, 5)": "514abc514ac314f6b67428324eae8d79cecd07abfeecdc9c6fcf763e70e08957",
-    "wps(1, 6)": "590e6e8f45054410a332a00da2fa4bb75c1c8b7026b89b67266a6fee36158edb",
-    "wps(5, 6)": "c7bd29b8c26adf1bb05b8cdf551ffcb5dd46e963f1382e4f1d6e01c12bc084c0",
-    "wps(1, 1, 2)": "31b8078c47f8588cd2bcf693ae6b6ce4ad1fe28e1e965e2040998be378547f49",
-    "wps(1, 2, 3)": "3c5d202d9504ccfd5e977bb5582cfe209388ff5c230f63460582d529fa6a814c",
-    "wps(1, 2, 4)": "d4255ac79a8751a41da41db34acaf016da63b0f6d5269374bb966b5af6012a6a",
-    "wps(2, 3, 4)": "f1110db0f1cb73fbd1bbfd3a5b776b23de45d773653b76405d3c44c8e289f4a1",
-    "wps(1, 3, 5)": "ce563fbaae0882e052406b7daca9ae4fe3f188f20253bf9fc33bb0ba50d38473",
-    "wps(1, 4, 6)": "4c3513b64aeaeb25c121b8e5e6d7c9eb3413b0f227f47ae2c458e3bb50c3288f",
-    "wps(3, 4, 5)": "6ad92e01815120a0a6ee71b64e28cdfd28b01adf2b5aed4b402d943121e4c396",
-    "ZxZ/2(1, 2, 3)": "bd2b90afc17849c0ae9626322df72a62d3c65bfd5401e8d0ed8559b136c26099",
-    "ZxZ/2(2, 3, 5)": "f3900f7e5f58d335f34198ce5a83bd60b69991f31aba9b11482f376b5f0dd148",
-    "ZxZ/3(2, 3, 4)": "52121fe78f3db454b2bf4d041aac4efff729ea8f2dec7423dd44563c6e2d2bc6",
-    "ZxZ/3(1, 3, 4)": "6e4fc87937c07f47b47151227980485930620f2dff31df45b12ccb2d3a7dbaff",
-    "ZxZ/4(1, 2, 5)": "341b460e6a1ecd47d6546dcef9d36a9e744f069b72d1e50582d7917d2d831cfe",
-    "ZxZ/4(3, 4, 5)": "d1bde669f95e014eac161bfa059def0dc47f03943085df77399a1a075406090c",
-    "F_0": "01ffff283272b24c24d423f223ff1afc411e478d40bc0f448007544226cc449f",
-    "F_1": "2b1c314266f0b130c37011fbdfe5ec593a2645a69b8b1a3e474c6330f3da795b",
-    "F_2": "1c53811a266141693f29d28757239765bf88d76f4c6c6bbf1aac44a228203061",
-    "F_3": "53c93d39a4c93b0049da40c4ed2ebb3adf4b88adcbb2a0c23952b6e96df6c865",
-    "F_4": "41c85c669f480341199669a32b5346c7644eaca514c46f2f98d9c15f5e7bc204",
-    "(P1)^2": "01ffff283272b24c24d423f223ff1afc411e478d40bc0f448007544226cc449f",
-    "(P1)^2xZ/2(0,1)": "712611d3ba5a1df103535bfd70544b39dcc73a172d271b586ff2ea6c6b7557f7",
-    "(P1)^2xZ/3(1,0)": "98f4b37a114c57b3c0b43cd11a0a35788113c459f83e4f922dea1eee3b3a1625",
+    "wps(2, 3, 5)": "9a71378d293e2c0e6c0257a3136316058a1cb4c5786585a529fecdd4d775b4e3",
+    "wps(3, 5, 7)": "5a800756f2e24f67a7f07c1c58165c1c502e44043124506429b038d02793f2ac",
+    "wps(2, 7, 9)": "177713cb7f687523f15812291381509a14f9e0d3e1ec47d473af2207c7303e64",
+    "wps(4, 5, 11)": "b214fe4e6f30666a40ce0f0e674153d0297f3a283ffa0cbfe631c640b4b5736a",
+    "wps(5, 7, 11)": "2c3446275a148ceafba22a7cdd313756599d834f5328b53f02a0dfeeccaca8cc",
+    "wps(3, 8, 13)": "53ae1e74c06ec236fbcdadfb77a49719c24af627278cb2baa1c46f6e65452eaa",
+    "wps(6, 9, 12)": "257d449a15f63c94110c174e1cd68e91972d72b5d903a895fd8fe2f8da143e9e",
+    "wps(7, 11, 13)": "2b2519a7a298910f26c9dd405d5cb87127878528bf9bfdf663547b0bd0a6188a",
+    "wps(1, 2, 3, 5)": "bf7a3a1a30d10ee472fe6e4458a4534fa8a2c19eded54c30dbabf063a087b0bc",
+    "wps(2, 3, 5, 7)": "b71744195726a28318b7c85ea96e74d8fbdebd4414ae56d0ca847fa8f8cf4982",
+    "wps(1, 4, 6, 9)": "edbf38430ad0b109de6b2b51d1c31a58873bba6a8fddccf974b8cb83d22f1409",
+    "wps(3, 4, 5, 8)": "9a14c3e3401d550616501716104fdf372eeef7f56d438de7ef8589db92e96816",
+    "wps(2, 5, 7, 9)": "dd26bd6e94446a52b63d8aabde909523e526e250f8a97337ef68d5257114c495",
+    "wps(3, 5, 7, 8)": "d18ca469811268f866aaa4e6a18f705c8794c89e903598ecde51978407de6527",
+    "wps(2, 4, 8, 11)": "d6c2a78cb86969b7053a98f6ea102dc7813bb7d386f5fa11ef14d74fbe370371",
+    "wps(3, 7, 7, 9)": "0c5d656c00001b432cf74597ecfedf7a5ad20e1a57b8fec8f6904630244740ae",
+    "wps(1, 2)": "52790e80fe45ad74a4a3d5321ee451c072fc17efda38a795cabb27442d694d85",
+    "wps(1, 3)": "fac9e9a2d36966b1073dcd50a8d2d271c38521d06b0b39ffd9d34731d921e49a",
+    "wps(2, 3)": "97d2c113f37ca932fe36560adf53a4152009c63278e2491c6affb7248a105ab8",
+    "wps(1, 4)": "8e8cfb8c88524466475f1a4b4ee0be79df9bc9f787aa42d74a6ed8d36afd42fa",
+    "wps(3, 4)": "4d8f008ce748c3ec9766c03a07826e31335c900d2664684b2bd6cc766256a259",
+    "wps(2, 5)": "77da85337f0c064876bb7e06d5791f0643511067c1f35a790b53493c198e6b77",
+    "wps(1, 6)": "49891716ece539833663be342af6b6ad388d9a2824144c4179f0ce9ce25539e5",
+    "wps(5, 6)": "66d25c2673f12a10b6871fa201f913322b490541732d184357eb8f6ce3f6c882",
+    "wps(1, 1, 2)": "e0d6b4afbd59bbe5be5ab853ea26b6fd16fdf042a5be07327ce23fd399571974",
+    "wps(1, 2, 3)": "40790e19cef54de44ca24b765cc346a77cc6d807296a5b1c26808e0b91ff531e",
+    "wps(1, 2, 4)": "dbc9b44af9555843f7f49031a7bee126a39fb182102ad9bb085013236bce68f0",
+    "wps(2, 3, 4)": "244474022ff0885bf38ca8af0df5e776c20d4df9b24874dc5dd858d7147cf3df",
+    "wps(1, 3, 5)": "2a04ab6a74b01bdc9419991e865dbee7e3944424ae905147ee81bea17298a6bf",
+    "wps(1, 4, 6)": "9de588740d961b00d09ad91a4375f6da19af2f3984b8821d5fa61590d4dbd12a",
+    "wps(3, 4, 5)": "9381442c22f4e58caaa669001d95da37d5a9ab9b06622354b66471ec070b1979",
+    "ZxZ/2(1, 2, 3)": "ca089a8e2aacb15b7925c29d24942423a8939ea070d7fd3015b1e0fa39099c98",
+    "ZxZ/2(2, 3, 5)": "9ce34cfcf16ba7f62fffdcd49ca3b9b8660bb5a7b830c3d480edcbee3e0b5ff1",
+    "ZxZ/3(2, 3, 4)": "40bb4c1a2268d81537e0e4edea8c02bce893b45e0c7673e0c367e1cfa32621cb",
+    "ZxZ/3(1, 3, 4)": "2f87df71413265211a2d412f70db53a86104dccf996691978afc52130cc07de7",
+    "ZxZ/4(1, 2, 5)": "a7e0247cec98b13c919020ef114b6575f578cdd9f69d03f2bce5d268806d6cf3",
+    "ZxZ/4(3, 4, 5)": "48f9244568ac44a7ecb127bde948ffbf53860110d5709d8b68c997105e457157",
+    "F_0": "2c5047b68002307d118af66d24601f299b9ee49cf324e5cdd906843b21604611",
+    "F_1": "fcc8f4676ffe108a204c86a178ecb4038914dc6c19f3d279b22fdf9cf8bc07fd",
+    "F_2": "27058a32215c5e73ef0774b752b7ff1824e084edeb2860e367b690712fe90e61",
+    "F_3": "e1ced44ee81e5ddb69d7c10c9d155a3230149e0cb9b05347bfd037801072a5c0",
+    "F_4": "6eb863d968dbbe781717077f536b4ea339fb1b42262ce3401664a302d591d2b1",
+    "(P1)^2": "2c5047b68002307d118af66d24601f299b9ee49cf324e5cdd906843b21604611",
+    "(P1)^2xZ/2(0,1)": "72292b3b74375a7d6f7ee60a55b9b353367e8c5bf4f35f530b22d0b4c7941485",
+    "(P1)^2xZ/3(1,0)": "a4fbc3a2d9dd835f1e961b5f0e6ec8fbf4465b7197f0d72388e04fddcde2810e",
+}
+
+PINNED_DIGEST_COUNTERS = {
+    "wps(2, 3, 5)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(3, 5, 7)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(2, 7, 9)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(4, 5, 11)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                          reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(5, 7, 11)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                          reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(3, 8, 13)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                          reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(6, 9, 12)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                          reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(7, 11, 13)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                           reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 2, 3, 5)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                            reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(2, 3, 5, 7)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                            reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 4, 6, 9)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                            reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(3, 4, 5, 8)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                            reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(2, 5, 7, 9)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                            reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(3, 5, 7, 8)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                            reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(2, 4, 8, 11)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                             reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(3, 7, 7, 9)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                            reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 2)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                      reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 3)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                      reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(2, 3)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                      reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 4)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                      reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(3, 4)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                      reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(2, 5)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                      reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 6)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                      reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(5, 6)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                      reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 1, 2)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 2, 3)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 2, 4)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(2, 3, 4)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 3, 5)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(1, 4, 6)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "wps(3, 4, 5)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                         reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "ZxZ/2(1, 2, 3)": dict(pairs_queued=6, pairs_popped=6, chain_skipped=1, product_skipped=3,
+                           reductions=5, reductions_to_zero=1, retired=0, peak_live=4),
+    "ZxZ/2(2, 3, 5)": dict(pairs_queued=6, pairs_popped=6, chain_skipped=1, product_skipped=3,
+                           reductions=5, reductions_to_zero=1, retired=0, peak_live=4),
+    "ZxZ/3(2, 3, 4)": dict(pairs_queued=6, pairs_popped=6, chain_skipped=1, product_skipped=3,
+                           reductions=5, reductions_to_zero=1, retired=0, peak_live=4),
+    "ZxZ/3(1, 3, 4)": dict(pairs_queued=21, pairs_popped=21, chain_skipped=10, product_skipped=1,
+                           reductions=13, reductions_to_zero=6, retired=0, peak_live=7),
+    "ZxZ/4(1, 2, 5)": dict(pairs_queued=15, pairs_popped=15, chain_skipped=6, product_skipped=1,
+                           reductions=11, reductions_to_zero=5, retired=0, peak_live=6),
+    "ZxZ/4(3, 4, 5)": dict(pairs_queued=15, pairs_popped=15, chain_skipped=6, product_skipped=1,
+                           reductions=11, reductions_to_zero=5, retired=0, peak_live=6),
+    "F_0": dict(pairs_queued=6, pairs_popped=6, chain_skipped=0, product_skipped=6,
+                reductions=4, reductions_to_zero=0, retired=0, peak_live=4),
+    "F_1": dict(pairs_queued=21, pairs_popped=21, chain_skipped=6, product_skipped=6,
+                reductions=13, reductions_to_zero=6, retired=0, peak_live=7),
+    "F_2": dict(pairs_queued=27, pairs_popped=27, chain_skipped=7, product_skipped=7,
+                reductions=17, reductions_to_zero=9, retired=1, peak_live=7),
+    "F_3": dict(pairs_queued=29, pairs_popped=29, chain_skipped=8, product_skipped=7,
+                reductions=19, reductions_to_zero=10, retired=2, peak_live=7),
+    "F_4": dict(pairs_queued=34, pairs_popped=34, chain_skipped=8, product_skipped=8,
+                reductions=22, reductions_to_zero=12, retired=3, peak_live=7),
+    "(P1)^2": dict(pairs_queued=6, pairs_popped=6, chain_skipped=0, product_skipped=6,
+                   reductions=4, reductions_to_zero=0, retired=0, peak_live=4),
+    "(P1)^2xZ/2(0,1)": dict(pairs_queued=10, pairs_popped=10, chain_skipped=0, product_skipped=10,
+                            reductions=5, reductions_to_zero=0, retired=0, peak_live=5),
+    "(P1)^2xZ/3(1,0)": dict(pairs_queued=36, pairs_popped=36, chain_skipped=9, product_skipped=15,
+                            reductions=17, reductions_to_zero=8, retired=1, peak_live=8),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_DIGESTS)
 def test_pinned_basis_digests(name):
-    assert basis_digest(DIGEST_INPUTS[name]()) == PINNED_DIGESTS[name]
+    assert basis_digest(*_completed_digest_input(name)) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", PINNED_DIGEST_COUNTERS)
+def test_pinned_digest_counters(name):
+    gb = _completed_digest_input(name)[0].basis
+    assert {k: getattr(gb, k) for k in StrongGroebnerBasis.COUNTERS} == PINNED_DIGEST_COUNTERS[name]
+
+
+def _centred_and_plain(gens, p):
+    centred = strong_groebner([present(_centred(q), p) for q in gens], p)
+    plain = strong_groebner([present(q, p) for q in gens], p)
+    assert _is_strong_basis(centred) and _is_strong_basis(plain)
+    return [f.terms for f in centred.elements], [f.terms for f in plain.elements]
+
+
+@pytest.mark.parametrize(
+    "group", [(1, ()), (2, ()), (1, (2,)), (1, (3,))], ids=["Z", "Z2", "ZxZ2", "ZxZ3"]
+)
+def test_centring_keeps_the_basis(group):
+    # t^(-c) is a unit, so centring a seed keeps the ideal and its reduced
+    # strong basis; the certificate checks the centred inputs
+    rng = random.Random(f"centring/{group}")
+    G = FgAbelianGroup.canonical(*group)
+    p = PolyPresentation.for_group(G)
+    for _ in range(10):
+        gens = [g for g in (_random_element(rng, G, 2, WIDE_COEFFS) for _ in range(rng.randint(1, 3)))
+                if not g.is_zero()]
+        centred, plain = _centred_and_plain(gens, p)
+        assert centred == plain
+
+
+def test_centring_keeps_the_digest_bases():
+    for name, make in DIGEST_INPUTS.items():
+        pres = k0_presentation(make())
+        centred, plain = _centred_and_plain(pres.generators, pres.presentation)
+        assert centred == plain == [f.terms for f in pres.basis.elements], name
+
+
+def test_centring_edge_cases():
+    Z = FgAbelianGroup.canonical(1)
+    # a degree-zero variable makes its component product zero, which stays zero
+    flat = make_stack_data(Z, [("x0", [0], False), ("x1", [1], False), ("x2", [1], False)], [["x0"], ["x1", "x2"]])
+    pres = k0_presentation(flat, override=True)
+    assert pres.generators[0].is_zero() and _centred(pres.generators[0]).is_zero()
+    assert zmodule_invariants(pres.basis).invariants() == (2, ())
+    # over a torsion-only group there is no free coordinate to centre
+    C3 = FgAbelianGroup.canonical(0, (3,))
+    pres = k0_presentation(_stack(C3, [[1], [2]], [(0, 2)]), override=True)
+    assert _centred(pres.generators[0]) == pres.generators[0]
+    assert zmodule_invariants(pres.basis).invariants() == (1, (3,))
+    # the shift is floor((min + max) / 2) per free coordinate, here (-1, 2);
+    # residues stay
+    Z2xC3 = FgAbelianGroup.canonical(2, (3,))
+    q = parse_element("t^[-3,4;2] - 2*t^[0,1;1] + t^[2,1;0]", Z2xC3)
+    assert _centred(q) == parse_element("t^[-2,2;2] - 2*t^[1,-1;1] + t^[3,-1;0]", Z2xC3)
 
 
 def test_malformed_exponents_are_rejected():
@@ -662,14 +815,14 @@ def test_reduction_order_gives_leading_terms(group):
     assert checked >= 25
 
 
-# Work counters of two pinned completions; a changed pair order, update rule
-# or criterion moves them.  On ZxZ/4(1,2,5) the product criterion spares one
-# S-polynomial, which reduced to zero.
+# Work counters of two pinned completions; a changed pair order, update rule,
+# criterion or seeding moves them.  On ZxZ/4(1,2,5) the product criterion
+# spares one S-polynomial, which reduced to zero.
 PINNED_COUNTERS = {
-    "wps(5,7,11,13)": dict(pairs_queued=39, pairs_popped=39, chain_skipped=1, product_skipped=0,
-                           reductions=40, reductions_to_zero=19, retired=18, peak_live=3),
-    "ZxZ/4(1,2,5)": dict(pairs_queued=30, pairs_popped=30, chain_skipped=13, product_skipped=1,
-                         reductions=19, reductions_to_zero=9, retired=3, peak_live=7),
+    "wps(5,7,11,13)": dict(pairs_queued=3, pairs_popped=3, chain_skipped=1, product_skipped=0,
+                           reductions=4, reductions_to_zero=1, retired=0, peak_live=3),
+    "ZxZ/4(1,2,5)": dict(pairs_queued=21, pairs_popped=21, chain_skipped=10, product_skipped=1,
+                         reductions=13, reductions_to_zero=6, retired=0, peak_live=7),
 }
 
 

@@ -137,8 +137,8 @@ def test_power_and_errors():
 
 
 def test_power_budget():
-    # a squaring of more than POWER_BUDGET term products is refused before
-    # it runs: (1 + t)^4000 took 25 s; (1 + t)^1000 and single terms pass
+    # a squaring that weighs more than POWER_BUDGET is refused before it
+    # runs: (1 + t)^4000 took 25 s; (1 + t)^1000 and single terms pass
     Z = laurent()
     assert len(parse_element("(1+t^[1])^1000", Z).terms) == 1001
     wide = "(" + " + ".join(f"t^[{i}]" for i in range(801)) + ")"
@@ -150,6 +150,22 @@ def test_power_budget():
     with pytest.raises(ValueError, match="POWER_BUDGET"):
         parse_element(wide, Z) ** 2
     assert 801**2 > POWER_BUDGET >= 501**2
+
+
+def test_power_budget_weighs_coefficients():
+    # coefficients count by size: (2^10000 (1 + t))^300 did not finish in
+    # 20 s; a multiply step is budgeted like a squaring; powers with small
+    # results stay allowed
+    Z = laurent()
+    for text, product in (("(2^10000*(1+t^[1]))^300", "10 by 10 terms"),
+                          ("(" + " + ".join(f"t^[{i}]" for i in range(600)) + ")^3", "1199 by 600 terms")):
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match=f"a product of {product} .*POWER_BUDGET"):
+            parse_element(text, Z)
+        assert time.perf_counter() - started < 1.0, text
+    assert parse_element("2^1000000", Z) == 2**1000000
+    assert parse_element("t^[1]^100000000", Z) == t(Z, 100000000)
+    assert parse_element("(2^10000*(1+t^[1]))^4", Z) == 2**40000 * (1 + t(Z)) ** 4
 
 
 def test_one_minus_coefficient_sum():

@@ -111,6 +111,25 @@ def test_class_of_twist():
         assert lhs.representative == rhs.representative
 
 
+def test_class_arithmetic_refuses_other_operands():
+    # anything but a class (or, for *, an int) is refused with TypeError,
+    # from either side
+    data = builtin_example("rugby", (2, 3))
+    pres = k0_presentation(data)
+    G = data.group
+    c = class_of_twist(pres, G.element([1, 0]))
+    one = GroupRingElement.one(G)
+    for other in (2.5, "x", one, None):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(c, other)
+            with pytest.raises(TypeError):
+                op(other, c)
+    assert (3 * c - c * 2 + c * c).representative == c.representative + c.representative ** 2
+    with pytest.raises(ValueError, match="different presentations"):
+        c + class_of_twist(k0_presentation(data), G.element([1, 0]))
+
+
 def test_rugby_point_classes():
     for p, q in RUGBY_PAIRS:
         data = builtin_example("rugby", (p, q))
