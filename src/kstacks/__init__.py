@@ -22,9 +22,7 @@ from .grobner import (
     PolyPresentation,
     StrongGroebnerBasis,
     normal_form,
-    present,
     strong_groebner,
-    unpresent,
     zmodule_invariants,
 )
 from .stacks import (
@@ -93,13 +91,11 @@ __all__ = [
     "parse_element",
     "pic",
     "pic_open",
-    "present",
     "quotient_by_subgroup",
     "smith_normal_form",
     "stackdata_from_json",
     "stackdata_to_json",
     "strong_groebner",
     "units_subgroup",
-    "unpresent",
     "zmodule_invariants",
 ]

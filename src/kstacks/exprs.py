@@ -17,6 +17,7 @@ parse-then-render is the identity on canonical forms.
 from __future__ import annotations
 
 import re
+import sys
 from operator import mod
 
 from .groupring import GroupRingElement, _combine, _power, _product
@@ -41,7 +42,11 @@ def _tokenize(text):
         if mono:
             tokens.append(("mono", mono[3:-1]))
         elif num:
-            tokens.append(("int", int(num)))
+            try:
+                tokens.append(("int", int(num)))
+            except ValueError:  # ASCII digits fail only on the interpreter's int-from-text limit
+                raise ParseError(f"an integer literal of {len(num)} digits exceeds the "
+                                 f"{sys.get_int_max_str_digits()}-digit limit") from None
         elif op:
             tokens.append((op, op))
         elif name and (name[0].isalpha() or name[0] == "_"):

@@ -3,13 +3,14 @@
 The group ring of Z^r x Z/m1 x ... x Z/mk is presented as an ordinary
 polynomial ring on variables y1, y1', ..., yr, yr', s1, ..., sk modulo the
 structural relations yi*yi' - 1 and sj^mj - 1, which makes a monomial order
-available.  ``present`` writes an element as the polynomial equal to it (a
-free exponent -a < 0 becomes yi'^a) and ``unpresent`` maps back, so the
-elements of one class share one normal form.  Arithmetic happens in the
-group ring; this module only completes and reduces.  Over the integers a
-Groebner basis must be closed under both S-polynomials and
+available.  A group-ring term t^(a;c) stands for the monomial with yi^ai
+for ai >= 0, yi'^(-ai) for ai < 0 and sj^cj, so the elements of one class
+share one normal form.  Arithmetic happens in the group ring; this module
+only completes and reduces: ``strong_groebner`` and ``normal_form`` take
+group-ring elements, and ``normal_form`` returns the reduced element.  Over
+the integers a Groebner basis must be closed under both S-polynomials and
 GCD-polynomials; reduction then leaves coefficient remainders in [0, lc),
-and ``normal_form(f, gb).is_zero()`` decides ideal membership.
+and ``normal_form(e, gb).is_zero()`` decides ideal membership.
 
 Inside the kernels a monomial is one int (Bachmann & Schoenemann 1998;
 Monagan & Pearce 2011).  With n variables and W = 32 bits per field, the
@@ -17,16 +18,18 @@ exponent vector E packs to K(E) = deg(E)*2^(W*n) - sum_i e_i*2^(W*i).
 Below the degree the e_i are the digits of one number, e_(n-1) the most
 significant, so int order compares the degree, then -e_(n-1), -e_(n-2),
 ...: it is grevlex order (``_grevlex_key``).  K is linear, so a shift is
-one addition.  The low fields of K(B) - K(E) are the balanced digits
-e_i - b_i, so B | E exactly when ((K(B) - K(E) + H) & H) == H, where H has
-2^(W-1) in each low field: adding it sets a field's top bit just when its
-digit is >= 0.  This needs every digit below 2^(W-1) in size, so packing a
-term of total degree 2^(W-3) or more raises ValueError, and so does a new
-basis element of that degree; an S-polynomial term has degree at most
-deg LM_i + deg LM_j, and reduction never raises the degree.  Term dicts
-outside the kernels, basis elements included, keep tuple keys, and
-leading monomials keep their tuple for the pair criteria, retirement and
-the staircase walk.
+one addition, and a group-ring key packs with no exponent vector between:
+``PolyPresentation._encode`` sums ai*K(yi) or |ai|*K(yi') and cj*K(sj),
+and ``_decode`` reads the fields of -K back into a key.  The low fields of
+K(B) - K(E) are the balanced digits e_i - b_i, so B | E exactly when
+((K(B) - K(E) + H) & H) == H, where H has 2^(W-1) in each low field:
+adding it sets a field's top bit just when its digit is >= 0.  This needs
+every digit below 2^(W-1) in size, so packing a term of total degree
+2^(W-3) or more raises ValueError, and so does a new basis element of that
+degree; an S-polynomial term has degree at most deg LM_i + deg LM_j, and
+reduction never raises the degree.  Basis elements keep tuple exponents
+outside the kernels, and leading monomials keep their tuple for the pair
+criteria, retirement and the staircase walk.
 
 Completion follows the pair update of Gebauer & Moeller (1988), which
 carries over to strong bases over the integers (Lichtblau 2012); see
@@ -47,10 +50,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import struct
 import sys
 from array import array
 from math import gcd, inf
-from operator import le, mod, neg
+from operator import le, neg
 
 from .abelian import group_from_relations, xgcd
 from .groupring import GroupRingElement
@@ -84,19 +88,10 @@ def _unpack(K, n):
 
 
 def _check_degree(E):
+    """E, or ValueError if its total degree is too high to pack."""
     if sum(E) >> (_W - 3):
         raise ValueError(f"exponent {E} has total degree {sum(E)}; total degrees must stay below 2^{_W - 3}")
-
-
-def _pack_terms(terms, n):
-    """Packed copy of a term dict of exponents with n entries and low degree."""
-    packed = {}
-    for E, c in terms.items():
-        if len(E) != n:
-            raise ValueError(f"exponent {E} has length {len(E)}; the presentation has {n} variables")
-        _check_degree(E)
-        packed[_pack(E)] = c
-    return packed
+    return E
 
 
 class IntPolynomial:
@@ -106,8 +101,8 @@ class IntPolynomial:
     as the leading term and the reducer data (packed leading monomial, lc,
     packed tail) are cached.  Arithmetic belongs to ``GroupRingElement``.
     The public constructor checks every term (TypeError for anything but
-    ints) and finds the leading term on first use; ``_from_packed`` takes
-    reduction output and skips the checks and the search.
+    ints) and finds the leading term on first use; ``_interreduce`` skips
+    both on reduction output.
     """
 
     __slots__ = ("terms", "_lt", "_reducer")
@@ -125,16 +120,6 @@ class IntPolynomial:
         self._lt = None
         self._reducer = None
 
-    @classmethod
-    def _from_packed(cls, packed, n):
-        """Polynomial of n variables of a packed term dict whose keys come
-        largest first, as ``_reduce_terms`` returns them."""
-        f = cls.__new__(cls)
-        f.terms = {_unpack(K, n): c for K, c in packed.items()}
-        f._lt = next(iter(f.terms.items()), None)
-        f._reducer = None
-        return f
-
     def is_zero(self):
         return not self.terms
 
@@ -151,9 +136,7 @@ class IntPolynomial:
         reads a reducer."""
         if self._reducer is None:
             B, a = self.leading_term()
-            KB = _pack(B)
-            tail = [(K, c) for K, c in _pack_terms(self.terms, len(B)).items() if K != KB]
-            self._reducer = (KB, a, tail)
+            self._reducer = (_pack(B), a, [(_pack(E), c) for E, c in self.terms.items() if E != B])
         return self._reducer
 
     def __eq__(self, other):
@@ -173,17 +156,28 @@ class PolyPresentation:
 
     The variable order is y1, y1', ..., yr, yr', s1, ..., sk and the
     structural relations are always part of every ideal built over the
-    presentation.  ``_mask`` is the H of the module docstring.
+    presentation; ``_structural`` holds them packed.  ``_mask`` is the H of
+    the module docstring, ``_units`` holds (K(yi), K(yi')) per free
+    coordinate and (K(sj), K(sj)) per residue, K > ``_limit`` =
+    (2^(W-3) - 1)*2^(W*n) exactly when the degree of K reaches 2^(W-3), and
+    ``_lanes`` serves ``_decode``.
     """
 
-    __slots__ = ("group", "names", "num_vars", "structural", "_mask")
+    __slots__ = ("group", "names", "num_vars", "structural", "_structural", "_mask", "_units", "_limit", "_lanes")
 
     def __init__(self, group, names, structural):
         self.group = group
         self.names = tuple(names)
-        self.num_vars = len(self.names)
+        self.num_vars = n = len(self.names)
         self.structural = tuple(structural)
-        self._mask = sum(1 << (_W * i + _W - 1) for i in range(self.num_vars))
+        self._structural = [{_pack(_check_degree(E)): c for E, c in f.terms.items()} for f in self.structural]
+        self._mask = sum(1 << (_W * i + _W - 1) for i in range(n))
+        r, K = group.free_rank, [(1 << _W * n) - (1 << _W * v) for v in range(n)]
+        self._units = list(zip(K[:2 * r:2], K[1:2 * r:2])) + [(k, k) for k in K[2 * r:]]
+        self._limit = ((1 << (_W - 3)) - 1) << (_W * n)
+        lanes = range(0, 2 * _W * r, 2 * _W)  # lane i holds the fields of yi and yi'
+        self._lanes = (sum(((1 << _W) - 1) << b for b in lanes), sum(1 << (b + 2 * _W - 1) for b in lanes),
+                       2 * _W * r, struct.Struct(f"<{r}q{n - 2 * r}I"))
 
     @classmethod
     def for_group(cls, group):
@@ -199,39 +193,41 @@ class PolyPresentation:
             structural.append(IntPolynomial({tuple(exp): 1, (0,) * nvars: -1}))
         return cls(group, names, structural)
 
+    def _encode(self, e):
+        """Packed term dict of a group-ring element over the group, keyed by
+        K(key) = sum of ai*K(yi) (ai >= 0) or |ai|*K(yi') (ai < 0), plus
+        cj*K(sj).  K > _limit exactly when the degree sum |ai| + sum cj
+        reaches 2^(W-3), which raises ValueError naming the exponent."""
+        self.group.require_same(e.group)
+        packed = {}
+        for key, c in e.terms.items():
+            K = 0
+            for a, (P, N) in zip(key, self._units):
+                K += a * P if a >= 0 else -a * N
+            packed[K] = c
+        if packed and max(packed) > self._limit:
+            r = self.group.free_rank
+            for key in e.terms:
+                _check_degree(sum(((a, 0) if a >= 0 else (0, -a) for a in key[:r]), ()) + key[r:])
+        return packed
+
+    def _decode(self, packed):
+        """Group-ring term dict of packed reduction output, exact on normal
+        forms (never both yi and yi', nor sj^mj).  Field v of L = -K holds
+        e_v; lane i of (L & even) + bias - (L >> W & even), 2W bits with the
+        bias 2^(2W-1) against borrows, is e_(2i) - e_(2i+1) once xored with
+        the bias, and one unpack reads these and the residues after them."""
+        low = (1 << _W * self.num_vars) - 1
+        even, bias, top, fmt = self._lanes
+        terms = {}
+        for K, c in packed.items():
+            L = -K & low
+            lanes = ((L & even) + bias - (L >> _W & even)) ^ bias
+            terms[fmt.unpack((lanes | L >> top << top).to_bytes(fmt.size, "little"))] = c
+        return terms
+
     def __repr__(self):
         return f"PolyPresentation({', '.join(self.names)})"
-
-
-def present(e, presentation):
-    """The presentation polynomial equal to a group-ring element: a free
-    exponent a becomes yi^a when a >= 0 and yi'^(-a) when a < 0, a residue c
-    becomes sj^c.  unpresent(present(e, p), p) == e, and as yi*yi' - 1 lies
-    in every ideal, the elements of one class have one normal form."""
-    presentation.group.require_same(e.group)
-    r = e.group.free_rank
-    terms = {}
-    for key, coeff in e.terms.items():
-        exp = []
-        for a in key[:r]:
-            exp += (a, 0) if a >= 0 else (0, -a)
-        terms[tuple(exp) + key[r:]] = coeff
-    return IntPolynomial(terms)
-
-
-def unpresent(f, presentation):
-    """Map a presentation polynomial back to the group ring: the monomial
-    with exponent E becomes the term with key (E[0] - E[1], ...,
-    E[2r-2] - E[2r-1], then E[2r:] reduced mod the torsion).  This is the
-    quotient map by the structural relations, and it inverts ``present``."""
-    group = presentation.group
-    r, torsion = group.free_rank, group.torsion
-    terms = {}
-    for exp, coeff in f.terms.items():
-        free = tuple(exp[2 * i] - exp[2 * i + 1] for i in range(r))
-        key = free + tuple(map(mod, exp[2 * r:], torsion))
-        terms[key] = terms.get(key, 0) + coeff
-    return GroupRingElement(group, terms)
 
 
 def _reduce_terms(terms, reducers, H):
@@ -287,18 +283,19 @@ class StrongGroebnerBasis:
     plain ints, zero on a basis built any other way: pairs queued, popped,
     skipped by the chain criterion or spared their S-polynomial by the
     product criterion; reductions, and those to zero; elements retired; and
-    the peak number of live elements.
+    the peak number of live elements.  ``seeds`` holds the inputs as packed
+    term dicts, for the certificate ``_is_strong_basis``.
     """
 
     COUNTERS = ("pairs_queued", "pairs_popped", "chain_skipped", "product_skipped", "reductions",
                 "reductions_to_zero", "retired", "peak_live")
 
-    __slots__ = ("presentation", "elements", "input_generators", "_reducers") + COUNTERS
+    __slots__ = ("presentation", "elements", "seeds", "_reducers") + COUNTERS
 
-    def __init__(self, presentation, elements, input_generators, **counters):
+    def __init__(self, presentation, elements, seeds, **counters):
         self.presentation = presentation
         self.elements = tuple(elements)
-        self.input_generators = tuple(input_generators)
+        self.seeds = tuple(seeds)
         self._reducers = [f._reducer_data() for f in self.elements]
         for name in self.COUNTERS:
             setattr(self, name, counters.get(name, 0))
@@ -340,8 +337,17 @@ def _pair_polys(f, g, L, s_poly=True):
 
 
 def strong_groebner(gens, presentation):
-    """Complete ``gens`` plus the structural relations to a reduced strong
-    Groebner basis.
+    """Complete the group-ring elements ``gens`` plus the structural
+    relations to a reduced strong Groebner basis of their ideal over
+    ``presentation``.  An element over another group, or a term whose
+    degree is too high for the packed encoding (see the module docstring),
+    raises ValueError.  ``_complete`` does the work on the packed terms."""
+    return _complete([presentation._encode(g) for g in gens], presentation)
+
+
+def _complete(seeds, presentation):
+    """Complete a list of packed term dicts ``seeds`` plus the structural
+    relations to a reduced strong Groebner basis.
 
     Pairs (i, j) of basis elements wait in a queue ordered by the packed
     L = lcm(LM_i, LM_j), that is by its grevlex order, then by (i, j); a
@@ -372,19 +378,16 @@ def strong_groebner(gens, presentation):
     g: as in the chain criterion, LM_h | lcm(LM_g, LM_h') and lc_h | lc_g,
     and the pairs (g, h) and (h, h') are formed.  G-polynomials are never
     skipped, the live elements are interreduced into the result, and
-    ``_is_strong_basis`` checks every pair.  An exponent whose length is not
-    ``presentation.num_vars``, or whose degree is too high for the packed
-    encoding (see the module docstring), raises ValueError.
+    ``_is_strong_basis`` checks every pair.  A new element whose leading
+    monomial reaches the degree bound raises ValueError.
     """
-    gens = list(gens)
     n, H = presentation.num_vars, presentation._mask
-    seeds = {}  # distinct nonzero inputs up to sign, packed, in input order
-    for f in itertools.chain(gens, presentation.structural):
-        terms = _pack_terms(f.terms, n)
+    distinct = {}  # distinct nonzero inputs up to sign, in input order
+    for terms in itertools.chain(seeds, presentation._structural):
         if terms:
             if terms[max(terms)] < 0:
                 terms = {K: -c for K, c in terms.items()}
-            seeds.setdefault(frozenset(terms.items()), terms)
+            distinct.setdefault(frozenset(terms.items()), terms)
 
     data = []  # reducer data of every element ever added; pairs refer to their indices
     lts = []  # leading monomials as tuples, with their lcs
@@ -440,7 +443,7 @@ def strong_groebner(gens, presentation):
         else:
             work["reductions_to_zero"] += 1
 
-    for terms in seeds.values():
+    for terms in distinct.values():
         reduce_and_add(terms)
 
     while pairs:
@@ -455,7 +458,7 @@ def strong_groebner(gens, presentation):
         for combo in _pair_polys(data[i], data[j], KL, s_poly=not coprime):
             reduce_and_add(combo)
 
-    return StrongGroebnerBasis(presentation, _interreduce(reducers, H, n), gens, **work)
+    return StrongGroebnerBasis(presentation, _interreduce(reducers, H, n), seeds, **work)
 
 
 def _interreduce(reducers, H, n):
@@ -465,20 +468,22 @@ def _interreduce(reducers, H, n):
     reduced = []
     for KB, a, tail in reducers:
         r = _reduce_terms(dict(tail), reducers, H)
-        f = IntPolynomial._from_packed({KB: a, **r}, n)
-        f._reducer = (KB, a, list(r.items()))
+        f = IntPolynomial.__new__(IntPolynomial)
+        f.terms = {_unpack(K, n): c for K, c in {KB: a, **r}.items()}
+        f._lt, f._reducer = next(iter(f.terms.items())), (KB, a, list(r.items()))
         reduced.append(f)
     reduced.sort(key=lambda f: f._reducer[:2])
     return reduced
 
 
-def normal_form(f, gb):
-    """Canonical remainder of f modulo the ideal of the basis.  An exponent
-    whose length is not the presentation's ``num_vars``, or whose total
-    degree is too high for the packed encoding, raises ValueError."""
-    n = gb.presentation.num_vars
-    packed = _reduce_terms(_pack_terms(f.terms, n), gb._reducers, gb.presentation._mask)
-    return IntPolynomial._from_packed(packed, n)
+def normal_form(e, gb):
+    """The reduced element of the class of the group-ring element e modulo
+    the ideal of the basis: its terms are reduced as packed monomials and
+    read back as keys, so the elements of one class give one result.  An
+    element over another group, or a term whose degree is too high for the
+    packed encoding, raises ValueError."""
+    p = gb.presentation
+    return GroupRingElement._of(p.group, p._decode(_reduce_terms(p._encode(e), gb._reducers, p._mask)))
 
 
 class AbGroupInvariants:
@@ -575,13 +580,13 @@ def _is_strong_basis(gb):
     The elements lie in the input ideal by construction, so passing proves
     that they form a strong Groebner basis of it.
     """
-    reducers, H, n = gb._reducers, gb.presentation._mask, gb.presentation.num_vars
+    reducers, H = gb._reducers, gb.presentation._mask
     if any(a < 0 for _, a, _ in reducers):
         return False
     lms = [f.leading_term()[0] for f in gb.elements]
     pairs = itertools.combinations(range(len(lms)), 2)
     must_vanish = itertools.chain(
-        (_pack_terms(f.terms, n) for f in itertools.chain(gb.input_generators, gb.presentation.structural)),
+        gb.seeds, gb.presentation._structural,
         (h for i, j in pairs
          for h in _pair_polys(reducers[i], reducers[j], _pack(_lcm_exponent(lms[i], lms[j])))),
     )

@@ -13,6 +13,7 @@ kernels on term dicts: ``_combine``, ``_product`` and ``_power``.
 
 from __future__ import annotations
 
+import sys
 from operator import add, mod
 
 from .abelian import GroupElement
@@ -146,11 +147,11 @@ class GroupRingElement:
             mono = _render_monomial(key, r)
             mag = abs(coeff)
             if mono is None:
-                body = str(mag)
+                body = _text(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = f"{_text(mag)}*{mono}"
             if i == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -168,11 +169,20 @@ def _render_monomial(key, r):
     rank r, or None for the identity monomial."""
     if not any(key):
         return None
-    free = ",".join(map(str, key[:r]))
+    free = ",".join(map(_text, key[:r]))
     if len(key) > r:
         tors = ",".join(map(str, key[r:]))
         return f"t^[{free};{tors}]"
     return f"t^[{free}]"
+
+
+def _text(n):
+    """str(n), or a ValueError naming the size of n past the interpreter's int-to-text limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ValueError(f"an integer of about {int(n.bit_length() * 0.30103) + 1} digits exceeds the "
+                         f"{sys.get_int_max_str_digits()}-digit limit on int-to-text conversion") from None
 
 
 def _combine(a, b, sign):
@@ -240,10 +250,12 @@ def one_minus(exponent):
 def one_minus_product(group, degrees):
     """Product of (1 - t^d) over the degrees d, multiplied in order; the
     empty product is 1."""
-    out = GroupRingElement.one(group)
+    r, torsion = group.free_rank, group.torsion
+    out = one = {(0,) * (r + len(torsion)): 1}
     for d in degrees:
-        out = out * one_minus(d)
-    return out
+        group.require_same(d.group)
+        out = _product(out, _combine(one, {d.key(): 1}, -1), r, torsion)
+    return GroupRingElement._of(group, out)
 
 
 def component_product(data, m):

@@ -13,15 +13,8 @@ from __future__ import annotations
 from operator import sub
 
 from .abelian import GroupHomomorphism, IntMatrix
-from .groupring import GroupRingElement, component_product, one_minus_product
-from .grobner import (
-    PolyPresentation,
-    normal_form,
-    present,
-    strong_groebner,
-    unpresent,
-    zmodule_invariants,
-)
+from .groupring import GroupRingElement, _combine, component_product, one_minus_product
+from .grobner import PolyPresentation, normal_form, strong_groebner, zmodule_invariants
 from .stacks import check_connected
 
 
@@ -58,17 +51,13 @@ class K0Presentation:
         return f"K0Presentation({self.data.label or 'unlabeled'}, {len(self.generators)} generators)"
 
     def reduce(self, element):
-        """Canonical reduced representative of a group-ring element's class.
-
-        The polynomial equal to the element is reduced to its normal form
-        over the strong basis and mapped back, so two elements of one class
-        give the same result, and it equals the input modulo the ideal.
-        """
-        nf = normal_form(present(element, self.presentation), self.basis)
-        return unpresent(nf, self.presentation)
+        """Canonical reduced representative of a group-ring element's class:
+        its normal form over the strong basis, the same for two elements of
+        one class, and equal to the input modulo the ideal."""
+        return normal_form(element, self.basis)
 
     def is_zero_class(self, element):
-        return normal_form(present(element, self.presentation), self.basis).is_zero()
+        return normal_form(element, self.basis).is_zero()
 
     def class_of(self, element):
         return K0Class(self, element)
@@ -111,8 +100,7 @@ def k0_presentation(data, override=False, bound=None):
         )
     generators = [component_product(data, m) for m in range(1, len(data.irrelevant) + 1)]
     presentation = PolyPresentation.for_group(data.group)
-    polys = [present(_centred(q), presentation) for q in generators]
-    basis = strong_groebner(polys, presentation)
+    basis = strong_groebner([_centred(q) for q in generators], presentation)
     return K0Presentation(data, generators, presentation, basis, report)
 
 
@@ -197,18 +185,12 @@ def class_of_intersection(pres, components):
     components = [tuple(c) for c in components]
     if not components:
         raise ValueError("need at least one component")
-    total = GroupRingElement.zero(pres.group)
-    n = len(components)
-    for mask in range(1, 1 << n):
-        union = set()
-        for i in range(n):
-            if mask & (1 << i):
-                union.update(components[i])
-        degrees = (pres.data.variable(name).degree for name in sorted(union))
-        term = one_minus_product(pres.group, degrees)
-        sign = -1 if bin(mask).count("1") % 2 == 0 else 1
-        total = total + sign * term
-    return K0Class(pres, total)
+    total = {}
+    for mask in range(1, 1 << len(components)):
+        chosen = [c for i, c in enumerate(components) if mask >> i & 1]
+        degrees = (pres.data.variable(name).degree for name in sorted(set().union(*chosen)))
+        total = _combine(total, one_minus_product(pres.group, degrees).terms, (-1) ** (len(chosen) + 1))
+    return K0Class(pres, GroupRingElement._of(pres.group, total))
 
 
 def invariants(pres):

@@ -7,7 +7,6 @@ from fractions import Fraction
 from operator import add, sub
 
 from kstacks.abelian import IntMatrix, group_from_relations, xgcd
-from kstacks.grobner import present
 from kstacks.groupring import GroupRingElement
 
 
@@ -146,14 +145,32 @@ def _fp_reduce(f, basis, p):
     return rest
 
 
+def present(e):
+    """Exponent dict of the polynomial in y1, y1', ..., yr, yr', s1, ..., sk
+    equal to the group-ring element e: a free exponent a becomes yi^a when
+    a >= 0 and yi'^(-a) when a < 0, a residue c becomes sj^c.  The oracles
+    convert with it and share no conversion code with the engine.  It also
+    reads a reduced element back as polynomial exponents, exactly, as a
+    normal form never holds both yi and yi', nor sj^mj."""
+    r = e.group.free_rank
+    out = {}
+    for key, c in e.terms.items():
+        exp = []
+        for a in key[:r]:
+            exp += (a, 0) if a >= 0 else (0, -a)
+        out[tuple(exp) + key[r:]] = c
+    return out
+
+
 def fp_quotient_dimension(generators, presentation, p, limit=5000):
     """Dimension over F_p of the group ring of ``presentation.group`` modulo
     the ideal of the group-ring ``generators``.
 
     Plain Buchberger over the field F_p on the y, y', s variables with the
-    structural relations y*y' - 1 and s^m - 1; it shares no code with the
-    integer engine but ``present``.  The dimension is the number of standard
-    monomials, walked up from 1; more than ``limit`` fails the calling test.
+    structural relations y*y' - 1 and s^m - 1, the generators entered
+    through ``present`` above; it shares no code with the integer engine.
+    The dimension is the number of standard monomials, walked up from 1;
+    more than ``limit`` fails the calling test.
     """
     group, n = presentation.group, presentation.num_vars
     r = group.free_rank
@@ -165,7 +182,7 @@ def fp_quotient_dimension(generators, presentation, p, limit=5000):
         return tuple(exp)
 
     one = monomial()
-    pending = [present(q, presentation).terms for q in generators]
+    pending = [present(q) for q in generators]
     pending += [{monomial((2 * i, 1), (2 * i + 1, 1)): 1, one: -1} for i in range(r)]
     pending += [{monomial((2 * r + j, m)): 1, one: -1} for j, m in enumerate(group.torsion)]
     pending = [{e: c % p for e, c in f.items() if c % p} for f in pending]

@@ -231,6 +231,24 @@ def test_power_budget_and_degree_bound_are_input_errors(capsys):
         assert reason in err and "Traceback" not in err, err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int-text conversion")
+def test_integers_past_the_digit_limit_are_input_errors(capsys):
+    # Python refuses to convert ints of more than sys.get_int_max_str_digits()
+    # decimal digits to or from text; the messages name the input's size and
+    # the limit, not the interpreter setting that moves it
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv, size in ((["eq", "--example", "p1", "--lhs", "2^20000", "--rhs", "1"], "about 6021 digits"),
+                           (["eq", "--example", "p1", "--lhs", "7" * 5000, "--rhs", "1"], "5000 digits")):
+            code, out, err = run(argv, capsys)
+            assert code == 1 and not out, argv[:4]
+            assert size in err and "4300-digit limit" in err, err
+            assert "Traceback" not in err and "set_int_max_str_digits" not in err, err
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _p1_with_z():
     return {
         "grading_group": {"free_rank": 1, "torsion": []},
