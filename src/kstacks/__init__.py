@@ -31,7 +31,6 @@ from .stacks import (
     StackDataError,
     builtin_example,
     check_connected,
-    check_pic_hypotheses,
     connectify,
     load_stackdata,
     make_stack_data,
@@ -50,7 +49,7 @@ from .ktheory import (
     invariants,
     k0_presentation,
 )
-from .picard import pic, pic_open, units_subgroup
+from .picard import pic, pic_open
 from .exprs import ParseError, parse_element
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "StrongGroebnerBasis",
     "builtin_example",
     "check_connected",
-    "check_pic_hypotheses",
     "class_of_coordinate_quotient",
     "class_of_intersection",
     "class_of_koszul_quotient",
@@ -96,6 +94,5 @@ __all__ = [
     "stackdata_from_json",
     "stackdata_to_json",
     "strong_groebner",
-    "units_subgroup",
     "zmodule_invariants",
 ]

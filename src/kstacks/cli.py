@@ -143,17 +143,11 @@ def cmd_pic(args):
         "group": _group_json(result.group),
         "units_degrees": [_vec_json(data.group, u) for u in result.units_subgroup_generators],
         "removed_degree": _vec_json(data.group, removed) if removed is not None else None,
-        "certified": result.certified,
-        "hypotheses": result.hypotheses.to_json(),
-        "watermarks": [] if result.certified else ["hypotheses not verified"],
     }
-    tag = "certified" if result.certified else "NOT certified"
     what = data.label or "input"
     if removed is not None:
         what += f" minus a hypersurface of degree {list(_vec_json(data.group, removed))}"
-    lines = [f"Pic of {what}: {result.group.describe()} ({tag})"]
-    for note in result.hypotheses.notes:
-        lines.append(f"  note: {note}")
+    lines = [f"Pic of {what}: {result.group.describe()}"]
     return EXIT_OK, data.label, payload, lines
 
 

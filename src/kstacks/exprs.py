@@ -45,8 +45,7 @@ def _tokenize(text):
             try:
                 tokens.append(("int", int(num)))
             except ValueError:  # ASCII digits fail only on the interpreter's int-from-text limit
-                raise ParseError(f"an integer literal of {len(num)} digits exceeds the "
-                                 f"{sys.get_int_max_str_digits()}-digit limit") from None
+                raise ParseError(_past_digit_limit(num)) from None
         elif op:
             tokens.append((op, op))
         elif name and (name[0].isalpha() or name[0] == "_"):
@@ -62,11 +61,20 @@ def _tokenize(text):
 def ascii_int(text):
     """The integer that an optional sign and ASCII digits 0-9 spell, the
     grammar's INT with a sign.  Anything else raises ValueError, also text
-    that ``int()`` takes: other scripts' digits, '_' separators, spaces."""
+    that ``int()`` takes: other scripts' digits, '_' separators, spaces,
+    and digits past the interpreter's int-from-text limit, with a message
+    that names their number."""
     digits = text[1:] if text.startswith(("+", "-")) else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad integer {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(_past_digit_limit(digits)) from None
+
+
+def _past_digit_limit(digits):
+    return f"an integer literal of {len(digits)} digits exceeds the {sys.get_int_max_str_digits()}-digit limit"
 
 
 def _parse_int_list(text, what):
@@ -75,8 +83,8 @@ def _parse_int_list(text, what):
         piece = piece.strip()
         try:
             out.append(ascii_int(piece))
-        except ValueError:
-            raise ParseError(f"bad integer {piece!r} in {what}") from None
+        except ValueError as exc:
+            raise ParseError(f"{exc} in {what}") from None
     return tuple(out)
 
 

@@ -88,9 +88,13 @@ def _unpack(K, n):
 
 
 def _check_degree(E):
-    """E, or ValueError if its total degree is too high to pack."""
-    if sum(E) >> (_W - 3):
-        raise ValueError(f"exponent {E} has total degree {sum(E)}; total degrees must stay below 2^{_W - 3}")
+    """E, or ValueError if its total degree is too high to pack; the message
+    shows E only while its degree has at most 64 bits, so it stays short."""
+    d = sum(E)
+    if d >> (_W - 3):
+        what = f"exponent {E} has total degree {d}" if d.bit_length() <= 64 else \
+            f"an exponent has a total degree of {d.bit_length()} bits"
+        raise ValueError(f"{what}; total degrees must stay below 2^{_W - 3}")
     return E
 
 

@@ -74,10 +74,10 @@ def _centred(q):
 def k0_presentation(data, override=False, bound=None):
     """Build the K-group presentation of validated stack data.
 
-    Refuses when the ring has inverted variables (the product formula is
-    derived for polynomial rings) and, without ``override``, when the
-    degree-zero hypothesis is not verified; an override labels everything
-    downstream as unverified.
+    An inverted variable x counts as the polynomial variable x with the
+    component {x} (see ``stacks.validate``), so its product is 1 - t^deg(x).
+    Refuses, without ``override``, when the degree-zero hypothesis is not
+    verified; an override labels everything downstream as unverified.
 
     ``generators`` keeps the component products q as the formula gives
     them, but completion starts from their centred multiples t^(-c)*q
@@ -87,11 +87,6 @@ def k0_presentation(data, override=False, bound=None):
     in every ideal, and the reduced strong basis of an ideal is unique, so
     the basis, normal forms and invariants do not change.
     """
-    if data.has_inverted():
-        raise HypothesisError(
-            "the K-group presentation needs a polynomial coordinate ring; "
-            "inverted variables are not covered by the product formula"
-        )
     report = check_connected(data, bound=bound)
     if not report.is_connected() and not override:
         raise HypothesisError(

@@ -2,12 +2,16 @@
 
 A StackData is a grading group, a list of graded variables (each optionally
 inverted), and a list of irrelevant components: subsets of variable names
-whose common zero loci make up the removed locus.  A StackData is
-normalized when it is built: its constructor checks the names and drops
-redundant components.  This module also decides the degree-zero hypothesis
-(the only monomials of degree zero are constants), applies the transform
-that forces the hypothesis by adding one variable of an extra grading
-coordinate, and holds the registry of built-in examples.
+whose common zero loci make up the removed locus.  An inverted variable x
+is read as the component {x}: removing V(x) leaves an open set inside
+D(x), where x is a unit, so both forms describe the same stack, and every
+later layer sees a polynomial ring with components.  A StackData is
+normalized when it is built: its constructor checks the names, adds the
+component of each inverted variable and drops redundant components.
+This module also decides the degree-zero hypothesis (the only monomials
+of degree zero are constants), applies the transform that forces the
+hypothesis by adding one variable of an extra grading coordinate, and
+holds the registry of built-in examples.
 """
 
 from __future__ import annotations
@@ -95,10 +99,11 @@ def validate(variables, irrelevant):
     """Check the variables and irrelevant components of a StackData; returns
     the normalized components.
 
-    Components are de-duplicated, sorted by variable position, and any
-    component containing another is dropped (its zero locus is already
-    covered).  An empty irrelevant list is allowed and means nothing is
-    removed.
+    Each inverted variable x adds the component {x}.  Components are
+    de-duplicated, sorted by variable position, and any component
+    containing another is dropped (its zero locus is already covered; the
+    zero locus of a component holding x misses D(x)).  An empty irrelevant
+    list is allowed and means nothing is removed.
     """
     names = [v.name for v in variables]
     if len(set(names)) != len(names):
@@ -106,16 +111,13 @@ def validate(variables, irrelevant):
     if any(not n for n in names):
         raise StackDataError("empty variable name")
     order = {n: i for i, n in enumerate(names)}
-    inverted = {v.name for v in variables if v.inverted}
 
     components = []
-    for comp in irrelevant:
+    for comp in [*irrelevant, *([v.name] for v in variables if v.inverted)]:
         comp_set = set(comp)
         for n in comp_set:
             if n not in order:
                 raise StackDataError(f"irrelevant component names unknown variable {n!r}")
-            if n in inverted:
-                raise StackDataError(f"inverted variable {n!r} cannot lie in a component")
         if not comp_set:
             raise StackDataError("empty irrelevant component")
         components.append(comp_set)
@@ -131,8 +133,8 @@ class ConnectednessReport:
     """Outcome of the degree-zero check.
 
     verdict is "connected", "not_connected" (with a witness exponent vector
-    over the variables, zero on inverted ones), or "unknown" (a rational
-    annihilator exists but no integer witness was found within the bound).
+    over the variables), or "unknown" (a rational annihilator exists but no
+    integer witness was found within the bound).
     """
 
     CONNECTED = "connected"
@@ -240,33 +242,27 @@ def check_connected(data, bound=None):
     """Two-phase decision of the degree-zero hypothesis.
 
     Phase 1 rules out any nonzero nonnegative rational annihilator of the
-    free parts of the non-inverted degrees (verdict "connected").  Otherwise
-    phase 2 enumerates integer exponent vectors with entries up to the bound
-    and checks the full condition in the grading group; "unknown" is an
-    honest verdict when nothing is found.
+    free parts of the degrees (verdict "connected").  Otherwise phase 2
+    enumerates integer exponent vectors with entries up to the bound and
+    checks the full condition in the grading group; "unknown" is an honest
+    verdict when nothing is found.  An inverted variable counts like any
+    other, as it stands for a single-variable component.
     """
     if bound is None:
         bound = default_connected_bound(data)
-    active = [(i, v) for i, v in enumerate(data.variables) if not v.inverted]
-    degree_rows = [list(v.degree.free) for _, v in active]
-    if not _rational_annihilator_exists(degree_rows):
+    variables = data.variables
+    if not _rational_annihilator_exists([list(v.degree.free) for v in variables]):
         return ConnectednessReport(ConnectednessReport.CONNECTED, bound=bound)
 
-    nall = len(data.variables)
     zero = data.group.zero()
-    for total in range(1, len(active) * bound + 1):
-        for e in _bounded_compositions(total, len(active), bound):
+    for total in range(1, len(variables) * bound + 1):
+        for e in _bounded_compositions(total, len(variables), bound):
             acc = zero
-            for (_, v), k in zip(active, e):
+            for v, k in zip(variables, e):
                 if k:
                     acc = acc + k * v.degree
             if acc.is_zero():
-                witness = [0] * nall
-                for (i, _), k in zip(active, e):
-                    witness[i] = k
-                return ConnectednessReport(
-                    ConnectednessReport.NOT_CONNECTED, witness=witness, bound=bound
-                )
+                return ConnectednessReport(ConnectednessReport.NOT_CONNECTED, witness=e, bound=bound)
     return ConnectednessReport(ConnectednessReport.UNKNOWN, bound=bound)
 
 
@@ -284,11 +280,9 @@ def connectify(data):
 
     The grading group gains one free coordinate; every variable degree gets
     a 1 there, and one new variable of degree (0, ..., 0, 1) is appended
-    together with its own singleton component.  The result always passes
-    check_connected.
+    together with its own singleton component; inverted variables stay
+    inverted.  The result always passes check_connected.
     """
-    if data.has_inverted():
-        raise StackDataError("connectify requires a polynomial ring (no inverted variables)")
     G = data.group
     g = G.num_generators
     ext_rel = [list(row) + [0] for row in G.relations.entries]
@@ -297,60 +291,11 @@ def connectify(data):
     variables = []
     for v in data.variables:
         vec = list(G.user_representative(v.degree)) + [1]
-        variables.append((v.name, vec, False))
+        variables.append((v.name, vec, v.inverted))
     variables.append((zname, [0] * g + [1], False))
     irrelevant = [list(c) for c in data.irrelevant] + [[zname]]
     label = f"{data.label} (connectified)" if data.label else "connectified"
     return make_stack_data(G2, variables, irrelevant, label)
-
-
-class PicHypotheses:
-    """Report on the hypotheses behind the Pic computation.
-
-    For this ring class (polynomial ring over a field with a subset of the
-    variables inverted) the graded-domain and graded-factorial conditions
-    hold automatically.  The vanishing of the two local cohomology groups of
-    the ring along the irrelevant ideal is certified combinatorially: it
-    holds when nothing is removed, or when every normalized component has at
-    least two variables; otherwise it is reported as not verified.
-    """
-
-    __slots__ = ("domain_ok", "factorial_ok", "depth_ok", "notes")
-
-    def __init__(self, domain_ok, factorial_ok, depth_ok, notes=()):
-        self.domain_ok = domain_ok
-        self.factorial_ok = factorial_ok
-        self.depth_ok = depth_ok
-        self.notes = tuple(notes)
-
-    @property
-    def satisfied(self):
-        return self.domain_ok and self.factorial_ok and self.depth_ok
-
-    def to_json(self):
-        return {
-            "graded_domain": self.domain_ok,
-            "graded_factorial": self.factorial_ok,
-            "local_cohomology_vanishes": self.depth_ok,
-            "satisfied": self.satisfied,
-            "notes": list(self.notes),
-        }
-
-
-def check_pic_hypotheses(data):
-    notes = []
-    if data.has_inverted():
-        notes.append(
-            "homogeneous units are taken to be scalars times monomials in the "
-            "inverted variables"
-        )
-    depth_ok = (not data.irrelevant) or all(len(c) >= 2 for c in data.irrelevant)
-    if not depth_ok:
-        notes.append(
-            "a component with a single variable gives a codimension-one removed "
-            "locus; local cohomology vanishing is not certified"
-        )
-    return PicHypotheses(True, True, depth_ok, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +401,8 @@ def _int_in(x):
     if isinstance(x, str):
         try:
             return ascii_int(x)
-        except ValueError:
-            raise StackDataError(f"bad integer literal {x!r}") from None
+        except ValueError as exc:
+            raise StackDataError(str(exc)) from None
     raise StackDataError(f"expected an integer, got {type(x).__name__}")
 
 

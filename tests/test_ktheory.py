@@ -55,9 +55,16 @@ def test_cox_presentation_refused_without_override():
     assert pres.watermarks
 
 
-def test_inverted_variables_refused():
-    with pytest.raises(HypothesisError):
-        k0_presentation(builtin_example("b-mu", (5,)), override=True)
+def test_inverted_variables_give_exact_k0():
+    # b-mu q inverts x of degree q, read as the component {x}: K0 is
+    # Z[t^+-1]/(1 - t^q), the representation ring of mu_q, of rank q
+    for q in range(1, 8):
+        pres = k0_presentation(builtin_example("b-mu", (q,)))
+        assert pres.hypothesis_verified
+        assert [g.render() for g in pres.generators] == [f"1 - t^[{q}]"]
+        inv = invariants(pres)
+        assert inv.invariants() == (q, ())
+        assert inv.status == AbGroupInvariants.EXACT
 
 
 def test_connectified_cox_matches_hirzebruch():

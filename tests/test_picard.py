@@ -2,24 +2,14 @@ import random
 from math import gcd
 
 from kstacks.abelian import FgAbelianGroup, IntMatrix, smith_normal_form
-from kstacks.picard import pic, pic_open, units_subgroup
+from kstacks.picard import pic, pic_open
 from kstacks.stacks import builtin_example, make_stack_data
-
-
-def test_units_subgroup():
-    assert units_subgroup(builtin_example("wps", (2, 3, 5))) == []
-    bmu = units_subgroup(builtin_example("b-mu", (4,)))
-    assert len(bmu) == 1 and bmu[0].free == (4,)
-    Z = FgAbelianGroup.canonical(1)
-    mixed = make_stack_data(Z, [("x", [3], False), ("y", [5], True)], [])
-    assert [u.free for u in units_subgroup(mixed)] == [(5,)]
 
 
 def test_pic_weighted_projective():
     for weights in [(1, 1), (4, 6), (2, 3, 5), (1, 2, 3, 4)]:
         result = pic(builtin_example("wps", weights))
         assert result.invariants() == (1, ())
-        assert result.certified
 
 
 def test_pic_classifying_stacks():
@@ -27,7 +17,6 @@ def test_pic_classifying_stacks():
         result = pic(builtin_example("b-mu", (q,)))
         expected = (0, ()) if q == 1 else (0, (q,))
         assert result.invariants() == expected
-        assert result.certified
 
 
 def test_pic_rugby():
@@ -36,21 +25,22 @@ def test_pic_rugby():
         g = gcd(p, q)
         expected = (1, ()) if g == 1 else (1, (g,))
         assert result.invariants() == expected
-        assert result.certified
 
 
-def test_pic_single_variable_not_certified():
+def test_pic_single_variable_components():
+    # wps(3) is the classifying stack of mu_3: removing V(x0) makes x0 a unit
     result = pic(builtin_example("wps", (3,)))
-    assert result.invariants() == (1, ())
-    assert not result.certified
-    assert not result.hypotheses.depth_ok
+    assert result.invariants() == (0, (3,))
+    assert [u.free for u in result.units_subgroup_generators] == [(3,)]
+    # the same blowup of the affine plane in both gradings
+    assert pic(builtin_example("blowup-a2-hirzebruch")).invariants() == (1, ())
+    assert pic(builtin_example("blowup-a2-cox")).invariants() == (1, ())
 
 
 def test_pic_open_moduli_point():
     data = builtin_example("wps", (4, 6))
     result = pic_open(data, data.group.element([12]))
     assert result.invariants() == (0, (12,))
-    assert result.certified
 
 
 def test_pic_open_edges():
@@ -84,7 +74,6 @@ def test_pic_invariant_under_renaming_and_permutation():
         [["q", "p"]],
     )
     assert pic(base).invariants() == pic(renamed).invariants()
-    assert pic(base).certified == pic(renamed).certified
 
     two_comp = make_stack_data(
         Z,

@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
 from kstacks.abelian import FgAbelianGroup
+from kstacks.grobner import AbGroupInvariants
+from kstacks.ktheory import invariants, k0_presentation
+from kstacks.picard import pic, pic_open
 from kstacks.stacks import (
     MAX_GRADING_GENERATORS,
     ConnectednessReport,
@@ -11,7 +15,6 @@ from kstacks.stacks import (
     Variable,
     builtin_example,
     check_connected,
-    check_pic_hypotheses,
     connectify,
     make_stack_data,
     stackdata_from_json,
@@ -46,9 +49,11 @@ def test_validate_errors():
     with pytest.raises(StackDataError):
         make_stack_data(Z, [("x", [1], False), ("x", [2], False)], [])
     with pytest.raises(StackDataError):
-        make_stack_data(Z, [("x", [1], True)], [["x"]])
-    with pytest.raises(StackDataError):
         make_stack_data(Z, [("x", [1], False)], [[]])
+    # an inverted variable in a component is no error: x inverted adds {x},
+    # and {x} covers every component that holds x
+    data = make_stack_data(Z, [("x", [1], True), ("y", [1], False)], [["x"], ["y", "x"]])
+    assert data.irrelevant == (("x",),)
 
 
 def test_constructor_normalizes_and_checks():
@@ -64,11 +69,12 @@ def test_constructor_normalizes_and_checks():
         ([Variable("x", FgAbelianGroup.canonical(2).element([1, 2]))], []),
         ([x, Variable("x", Z.element([2]))], []),
         ([x, Variable("", Z.element([2]))], []),
-        ([x, u], [["x", "u"]]),
         ([x], [[]]),
     ]:
         with pytest.raises(StackDataError):
             StackData(Z, variables, irrelevant)
+    assert StackData(Z, [x, u], [["x", "u"]]).irrelevant == (("u",),)
+    assert StackData(Z, [u, x, y], [["x", "y"]]).irrelevant == (("x", "y"), ("u",))
 
 
 def test_check_connected_cox_witness():
@@ -139,9 +145,58 @@ def test_connectify_always_connected():
         assert len(out.irrelevant) == len(builtin_example(name, params).irrelevant) + 1
 
 
-def test_connectify_rejects_inverted():
-    with pytest.raises(StackDataError):
-        connectify(builtin_example("b-mu", (3,)))
+def test_connectify_keeps_inverted():
+    out = connectify(builtin_example("b-mu", (3,)))
+    assert [v.inverted for v in out.variables] == [True, False]
+    assert out.irrelevant == (("x",), ("z",))
+    assert check_connected(out).verdict == ConnectednessReport.CONNECTED
+    inv = invariants(k0_presentation(out))
+    assert inv.invariants() == (3, ()) and inv.status == AbGroupInvariants.EXACT
+
+
+def _answers(data, alpha):
+    report = check_connected(data)
+    inv = invariants(k0_presentation(data, override=True))
+    return (pic(data).invariants(), pic_open(data, data.group.element(alpha)).invariants(),
+            report.verdict, report.witness, inv.invariants(), inv.status)
+
+
+def test_inverted_variable_is_a_single_variable_component():
+    # moving a component {x} to "x inverted", plus a component holding x,
+    # which V(x) already covers, and back again changes neither the
+    # normalized data nor any answer: Pic, Pic of an open set, the
+    # degree-zero verdict, K0
+    rng = random.Random(20261019)
+    moved = 0
+    for _ in range(40):
+        rank, torsion = rng.choice([(1, ()), (2, ()), (1, (2,)), (1, (3,))])
+        G = FgAbelianGroup.canonical(rank, torsion)
+        n = rng.randint(2, 4)
+        names = [f"x{i}" for i in range(n)]
+        degrees = [[rng.randint(-2, 2) for _ in range(rank)] + [rng.randrange(m) for m in torsion]
+                   for _ in names]
+        singles = rng.sample(names, rng.randint(1, 2))
+        rest = [rng.sample(names, rng.randint(2, n)) for _ in range(rng.randint(0, 2))]
+        plain = make_stack_data(G, [(x, d, False) for x, d in zip(names, degrees)],
+                                [[x] for x in singles] + rest)
+        inverted = make_stack_data(
+            G, [(x, d, x in singles) for x, d in zip(names, degrees)],
+            rest + [rng.sample(names, rng.randint(1, n)) + singles[:1]] * rng.randint(0, 1))
+        back = make_stack_data(G, [(v.name, d, False) for v, d in zip(inverted.variables, degrees)],
+                               [list(c) for c in inverted.irrelevant])
+        assert sorted(inverted.irrelevant) == sorted(plain.irrelevant) == sorted(back.irrelevant)
+        alpha = [rng.randint(-3, 3) for _ in range(rank)] + [rng.randrange(m) for m in torsion]
+        assert _answers(inverted, alpha) == _answers(plain, alpha) == _answers(back, alpha)
+        moved += any(len(c) == 1 for c in inverted.irrelevant)
+    assert moved == 40
+
+
+def test_laurent_ring_degree_zero_witness():
+    # k[x^+-1, y] with degrees (1, -1): xy is a nonconstant monomial of degree zero
+    data = make_stack_data(FgAbelianGroup.canonical(1), [("x", [1], True), ("y", [-1], False)], [])
+    report = check_connected(data)
+    assert report.verdict == ConnectednessReport.NOT_CONNECTED
+    assert report.witness == (1, 1)
 
 
 def test_connectify_fresh_name():
@@ -158,7 +213,7 @@ def test_builtin_examples():
 
     bmu = builtin_example("b-mu", (5,))
     assert bmu.variables[0].inverted
-    assert bmu.irrelevant == ()
+    assert bmu.irrelevant == (("x",),)
     assert bmu.group.user_representative(bmu.variables[0].degree) == (5,)
 
     rugby = builtin_example("rugby", (2, 3))
@@ -192,15 +247,6 @@ def test_builtin_examples_validate_unchanged():
         again = StackData(data.group, data.variables, data.irrelevant, data.label)
         assert again.irrelevant == data.irrelevant
         assert again.variable_names() == data.variable_names()
-
-
-def test_pic_hypotheses():
-    assert check_pic_hypotheses(builtin_example("wps", (4, 6))).satisfied
-    assert check_pic_hypotheses(builtin_example("b-mu", (5,))).satisfied
-    single = builtin_example("wps", (3,))
-    report = check_pic_hypotheses(single)
-    assert not report.satisfied
-    assert not report.depth_ok
 
 
 def test_json_roundtrip():
