@@ -79,11 +79,10 @@ def _vec_json(group, element):
 
 
 def _parse_vector(text, length, what):
-    parts = [p.strip() for p in text.split(",")]
     try:
-        vec = [ascii_int(p) for p in parts]
-    except ValueError:
-        raise StackDataError(f"bad integer in {what}: {text!r}") from None
+        vec = [ascii_int(p.strip()) for p in text.split(",")]
+    except ValueError as exc:
+        raise StackDataError(f"{exc} in {what}") from None
     if len(vec) != length:
         raise StackDataError(f"{what} needs {length} entries, got {len(vec)}")
     return vec
@@ -276,7 +275,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def non_negative_int(text):
-    value = ascii_int(text)
+    try:
+        value = ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value

@@ -28,22 +28,22 @@ every digit below 2^(W-1) in size, so packing a term of total degree
 2^(W-3) or more raises ValueError, and so does a new basis element of that
 degree; an S-polynomial term has degree at most deg LM_i + deg LM_j, and
 reduction never raises the degree.  Basis elements keep tuple exponents
-outside the kernels, and leading monomials keep their tuple for the pair
-criteria, retirement and the staircase walk.
+outside the kernels, and leading monomials keep their tuple for pair lcms,
+the chain criterion and retirement.
 
 Completion follows the pair update of Gebauer & Moeller (1988), which
 carries over to strong bases over the integers (Lichtblau 2012); see
-``strong_groebner``.  The certificate ``_is_strong_basis`` builds S- and
-G-polynomials with the same builder.  Polynomials built from reduction
-output take their leading term from the order of its keys.
+``strong_groebner``.  The certificate ``_is_strong_basis`` shares its S-
+and G-polynomial builder, product criterion included.  Polynomials built
+from reduction output take their leading term from the order of its keys.
 
 Z-module invariants of a quotient are read off the standard monomials of
 the basis together with their leading-coefficient relations.  They are
 ``exact`` when the standard monomial set is finite and the basis passes
 Buchberger's criterion over the integers (Kandri-Rody & Kapur 1988;
 Lichtblau 2012): every input generator and structural relation reduces to
-zero, and so does the S-polynomial and the G-polynomial of every pair of
-basis elements.
+zero, and so do the G-polynomial and, unless they form a product pair
+(``_pair_polys``), the S-polynomial of every pair of basis elements.
 """
 
 from __future__ import annotations
@@ -161,13 +161,14 @@ class PolyPresentation:
     The variable order is y1, y1', ..., yr, yr', s1, ..., sk and the
     structural relations are always part of every ideal built over the
     presentation; ``_structural`` holds them packed.  ``_mask`` is the H of
-    the module docstring, ``_units`` holds (K(yi), K(yi')) per free
-    coordinate and (K(sj), K(sj)) per residue, K > ``_limit`` =
-    (2^(W-3) - 1)*2^(W*n) exactly when the degree of K reaches 2^(W-3), and
-    ``_lanes`` serves ``_decode``.
+    the module docstring, ``_steps`` holds K(x_v) per variable, ``_units``
+    (K(yi), K(yi')) per free coordinate and (K(sj), K(sj)) per residue,
+    K > ``_limit`` = (2^(W-3) - 1)*2^(W*n) exactly when the degree of K
+    reaches 2^(W-3), and ``_lanes`` serves ``_decode``.
     """
 
-    __slots__ = ("group", "names", "num_vars", "structural", "_structural", "_mask", "_units", "_limit", "_lanes")
+    __slots__ = ("group", "names", "num_vars", "structural", "_structural", "_mask", "_steps", "_units", "_limit",
+                 "_lanes")
 
     def __init__(self, group, names, structural):
         self.group = group
@@ -177,6 +178,7 @@ class PolyPresentation:
         self._structural = [{_pack(_check_degree(E)): c for E, c in f.terms.items()} for f in self.structural]
         self._mask = sum(1 << (_W * i + _W - 1) for i in range(n))
         r, K = group.free_rank, [(1 << _W * n) - (1 << _W * v) for v in range(n)]
+        self._steps = K
         self._units = list(zip(K[:2 * r:2], K[1:2 * r:2])) + [(k, k) for k in K[2 * r:]]
         self._limit = ((1 << (_W - 3)) - 1) << (_W * n)
         lanes = range(0, 2 * _W * r, 2 * _W)  # lane i holds the fields of yi and yi'
@@ -308,16 +310,19 @@ class StrongGroebnerBasis:
         return f"StrongGroebnerBasis({len(self.elements)} elements)"
 
 
-def _pair_polys(f, g, L, s_poly=True):
-    """Packed term dicts of the S-polynomial of f and g, given by their
-    reducer data, unless ``s_poly`` is false, and, unless one leading
-    coefficient divides the other, of their G-polynomial; L is the packed
-    lcm of their leading monomials.
+def _pair_polys(f, g, L):
+    """(product, polys) for f and g, given by their reducer data, and the
+    packed lcm L of their leading monomials.  product: the leading monomials
+    (K(A) + K(B) = L) and coefficients are coprime.  polys: the packed
+    S-polynomial unless product, and the G-polynomial unless one leading
+    coefficient divides the other.
 
     With leading terms a*X^A and b*X^B, each is x*X^(L-A)*f + y*X^(L-B)*g:
     (l/a, -l/b) for l = lcm(a, b), so the leading terms cancel, and the
     Bezout pair of x*a + y*b = gcd(a, b), which leaves gcd(a, b)*X^L.
-    Neither x nor y is zero, and the shifted tails lie below X^L.
+    Neither x nor y is zero, and the shifted tails lie below X^L.  A
+    product pair's S-polynomial is g*tail(f) - f*tail(g), an
+    lcm-representation (Buchberger's first criterion; Lichtblau 2012).
     """
     (KA, a, ftail), (KB, b, gtail) = f, g
     u, v = L - KA, L - KB
@@ -332,12 +337,13 @@ def _pair_polys(f, g, L, s_poly=True):
                 del terms[K + v]
         return terms
 
-    l = a // gcd(a, b) * b
-    out = [shifted_tails(l // a, -(l // b))] if s_poly else []
+    d = gcd(a, b)
+    product = d == 1 and KA + KB == L
+    out = [] if product else [shifted_tails(b // d, -(a // d))]
     if a % b and b % a:
         d, x, y = xgcd(a, b)
         out.append({L: d, **shifted_tails(x, y)})
-    return out
+    return product, out
 
 
 def strong_groebner(gens, presentation):
@@ -370,9 +376,7 @@ def _complete(seeds, presentation):
       lcm(LM_j, LM_k) equal to L.  Both lcms then properly divide L, so
       those pairs come earlier in the queue and have been popped;
     - the S-polynomial of (i, j) is not built when gcd(lc_i, lc_j) = 1 and
-      LM_i, LM_j are coprime (Buchberger's first criterion; over the
-      integers, Lichtblau 2012).  It is then g_j*tail(g_i) - g_i*tail(g_j),
-      whose monomials all lie below L: an lcm-representation.  The
+      LM_i, LM_j are coprime, a product pair (see ``_pair_polys``).  The
       G-polynomial is still reduced when neither lc divides the other.
 
     Retiring g is sound over the integers because the coefficient divides
@@ -381,8 +385,8 @@ def _complete(seeds, presentation):
     S-polynomial of the queued pair (g, h).  A later h' needs no pair with
     g: as in the chain criterion, LM_h | lcm(LM_g, LM_h') and lc_h | lc_g,
     and the pairs (g, h) and (h, h') are formed.  G-polynomials are never
-    skipped, the live elements are interreduced into the result, and
-    ``_is_strong_basis`` checks every pair.  A new element whose leading
+    skipped, the live elements are interreduced, and ``_is_strong_basis``
+    rechecks every pair but the product pairs.  A new element whose leading
     monomial reaches the degree bound raises ValueError.
     """
     n, H = presentation.num_vars, presentation._mask
@@ -457,9 +461,9 @@ def _complete(seeds, presentation):
         if (a % b == 0 or b % a == 0) and chain_skips(i, j, _lcm_exponent(A, B)):
             work["chain_skipped"] += 1
             continue
-        coprime = gcd(a, b) == 1 and not any(map(min, A, B))
-        work["product_skipped"] += coprime
-        for combo in _pair_polys(data[i], data[j], KL, s_poly=not coprime):
+        product, polys = _pair_polys(data[i], data[j], KL)
+        work["product_skipped"] += product
+        for combo in polys:
             reduce_and_add(combo)
 
     return StrongGroebnerBasis(presentation, _interreduce(reducers, H, n), seeds, **work)
@@ -521,54 +525,53 @@ class AbGroupInvariants:
 
 
 def _standard_monomials(gb):
-    """Finite standard-monomial set of the quotient, or None if infinite.
+    """Standard monomials of the quotient as ascending packed ints, None if
+    infinitely many.
 
-    A monomial is standard when it is not divisible by the leading monomial
-    of any unit-leading-coefficient basis element; the set is finite exactly
-    when each variable has such a pure power.  The walk reaches each
-    standard monomial once, from the one with its last nonzero coordinate
-    lowered by one, as the standard monomials are closed under division;
-    more than BOX_LIMIT of them raise _BoxTooLarge.
+    A monomial is standard when no unit-lc leading monomial divides it; the
+    set is finite exactly when each variable x_v has such a pure power,
+    K = deg(K)*K(x_v).  The walk reaches each standard monomial once, adding
+    K(x_v) to the one with its last nonzero coordinate v lowered by one, as
+    the standard monomials are closed under division; it stops after
+    BOX_LIMIT + 1 of them.
     """
-    nvars = gb.presentation.num_vars
-    unit_lms = [B for B, a in (f.leading_term() for f in gb.elements) if a == 1]
-    if any(not any(B) for B in unit_lms):
+    p = gb.presentation
+    n, H, steps = p.num_vars, p._mask, p._steps
+    units = [KB for KB, a, _ in gb._reducers if a == 1]
+    if 0 in units:
         return []  # a unit constant: the quotient is trivial
-    for v in range(nvars):
-        if not any(B[v] and sum(B) == B[v] for B in unit_lms):
-            return None
+    if not all(any(KB == -(-KB >> _W * n) * U for KB in units) for U in steps):
+        return None
     standard = []
-    walk = [((0,) * nvars, 0)]  # a monomial and the first variable it may raise
-    while walk:
-        E, first = walk.pop()
-        standard.append(E)
-        if len(standard) > BOX_LIMIT:
-            raise _BoxTooLarge()
-        for v in range(first, nvars):
-            F = E[:v] + (E[v] + 1,) + E[v + 1:]
-            if not any(_divides(B, F) for B in unit_lms):
+    walk = [(0, 0)]  # a monomial and the first variable it may raise
+    while walk and len(standard) <= BOX_LIMIT:
+        K, first = walk.pop()
+        standard.append(K)
+        for v in range(first, n):
+            F = K + steps[v]
+            if not any((KB - F + H) & H == H for KB in units):
                 walk.append((F, v))
-    standard.sort(key=_grevlex_key)
+    standard.sort()
     return standard
 
 
-class _BoxTooLarge(Exception):
-    pass
-
-
 def _primary_invariants(gb, standard):
-    """(rank, torsion) of the free module on the standard monomials modulo
-    one row mu*E - NF(mu*E) for each standard E that some leading monomial
-    divides, mu the least lc of those divisors.  The Smith form runs on the
-    columns some row touches; the other standard monomials are free."""
+    """(rank, torsion) of the free module on the packed standard monomials
+    modulo one row mu*E - NF(mu*E) for each standard E that some leading
+    monomial divides, mu the least lc of those divisors; these have lc > 1.
+    The Smith form runs on the columns some row touches; the other standard
+    monomials are free."""
     reducers, H = gb._reducers, gb.presentation._mask
+    nonunit = [(KB, a) for KB, a, _ in reducers if a != 1]
     rows = []
-    for K in map(_pack, standard):
-        divisors = [a for KB, a, _ in reducers if (KB - K + H) & H == H]
+    for K in standard:
+        divisors = [a for KB, a in nonunit if (KB - K + H) & H == H]
         if divisors:
             mu = min(divisors)
             nf = _reduce_terms({K: mu}, reducers, H)
             rows.append({K: mu, **{F: -c for F, c in nf.items()}})
+    if not rows:
+        return len(standard), ()
     touched = sorted({K for row in rows for K in row})
     matrix = [[row.get(K, 0) for K in touched] for row in rows]
     rank, torsion = group_from_relations(len(touched), matrix).invariants()
@@ -578,23 +581,19 @@ def _primary_invariants(gb, standard):
 def _is_strong_basis(gb):
     """Buchberger's criterion for a strong basis over the integers.
 
-    Passes only if every element has a positive leading coefficient, every
-    input generator and structural relation reduces to zero, and every pair
-    of elements has an S-polynomial and a G-polynomial that reduce to zero.
-    The elements lie in the input ideal by construction, so passing proves
-    that they form a strong Groebner basis of it.
+    Passes only if every element has a positive leading coefficient and
+    every input generator, structural relation and pair polynomial built by
+    ``_pair_polys`` reduces to zero; it leaves out only S-polynomials with
+    an lcm-representation.  The elements lie in the input ideal by
+    construction, so passing proves that they form a strong Groebner basis
+    of it.
     """
     reducers, H = gb._reducers, gb.presentation._mask
-    if any(a < 0 for _, a, _ in reducers):
-        return False
     lms = [f.leading_term()[0] for f in gb.elements]
-    pairs = itertools.combinations(range(len(lms)), 2)
-    must_vanish = itertools.chain(
-        gb.seeds, gb.presentation._structural,
-        (h for i, j in pairs
-         for h in _pair_polys(reducers[i], reducers[j], _pack(_lcm_exponent(lms[i], lms[j])))),
-    )
-    return not any(_reduce_terms(h, reducers, H) for h in must_vanish)
+    pair_polys = (h for (f, A), (g, B) in itertools.combinations(zip(reducers, lms), 2)
+                  for h in _pair_polys(f, g, _pack(_lcm_exponent(A, B)))[1])
+    must_vanish = itertools.chain(gb.seeds, gb.presentation._structural, pair_polys)
+    return all(a > 0 for _, a, _ in reducers) and not any(_reduce_terms(h, reducers, H) for h in must_vanish)
 
 
 def zmodule_invariants(gb):
@@ -602,11 +601,8 @@ def zmodule_invariants(gb):
     Z-module, with the status described in the module docstring: the
     staircase walk is bounded, the basis is checked by Buchberger's
     criterion, and the invariants are read off the standard monomials."""
-    try:
-        standard = _standard_monomials(gb)
-    except _BoxTooLarge:
-        return AbGroupInvariants(None, (), AbGroupInvariants.UNKNOWN)
-    if not _is_strong_basis(gb):
+    standard = _standard_monomials(gb)
+    if (standard is not None and len(standard) > BOX_LIMIT) or not _is_strong_basis(gb):
         return AbGroupInvariants(None, (), AbGroupInvariants.UNKNOWN)
     if standard is None:
         return AbGroupInvariants(None, (), AbGroupInvariants.NOT_FG)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from kstacks.abelian import IntMatrix, group_from_relations, xgcd
+from kstacks.grobner import _pack, _reduce_terms
 from kstacks.groupring import GroupRingElement
 
 
@@ -160,6 +161,51 @@ def present(e):
             exp += (a, 0) if a >= 0 else (0, -a)
         out[tuple(exp) + key[r:]] = c
     return out
+
+
+def all_pairs_certificate(gb):
+    """Buchberger's criterion over the integers with no pair criterion, an
+    oracle for ``_is_strong_basis``: every element has a positive leading
+    coefficient, and every input generator, structural relation and S- and
+    G-polynomial of every pair of elements reduces to zero.  The pair
+    polynomials are built here on exponent tuples and packed only for the
+    engine's reduction."""
+    reducers, H = gb._reducers, gb.presentation._mask
+    leads = [f.leading_term() for f in gb.elements]
+    must_vanish = list(gb.seeds) + list(gb.presentation._structural)
+    for (f, (A, a)), (g, (B, b)) in itertools.combinations(zip(gb.elements, leads), 2):
+        L = tuple(map(max, A, B))
+        l = math.lcm(a, b)
+        combos = [(l // a, -(l // b))] + ([xgcd(a, b)[1:]] if a % b and b % a else [])
+        for x, y in combos:
+            h = {}
+            for poly, c, M in ((f, x, A), (g, y, B)):
+                shift = tuple(map(sub, L, M))
+                for E, d in poly.terms.items():
+                    key = tuple(map(add, E, shift))
+                    h[key] = h.get(key, 0) + c * d
+            must_vanish.append({_pack(E): c for E, c in h.items() if c})
+    return all(a > 0 for _, a in leads) and not any(_reduce_terms(h, reducers, H) for h in must_vanish)
+
+
+def staircase_oracle(gb):
+    """Standard monomials of a basis as a set of exponent tuples, or None
+    when there are infinitely many: those that no leading monomial with
+    unit coefficient divides, found by closing {1} under raising any
+    variable, once every variable has a unit-coefficient pure power."""
+    n = gb.presentation.num_vars
+    units = [B for B, a in (f.leading_term() for f in gb.elements) if a == 1]
+    if (0,) * n in units:
+        return set()
+    if not all(any(B[v] == sum(B) > 0 for B in units) for v in range(n)):
+        return None
+    seen, todo = set(), [(0,) * n]
+    while todo:
+        E = todo.pop()
+        if E not in seen and not any(_fp_divides(B, E) for B in units):
+            seen.add(E)
+            todo.extend(E[:v] + (E[v] + 1,) + E[v + 1:] for v in range(n))
+    return seen
 
 
 def fp_quotient_dimension(generators, presentation, p, limit=5000):

@@ -241,15 +241,25 @@ def test_integers_past_the_digit_limit_are_input_errors(capsys):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     limit = "4300-digit limit"
+    big = "7" * 5000
+    cases = [(["eq", "--example", "p1", "--lhs", lhs, "--rhs", "1"], size, bound)
+             for lhs, size, bound in (("2^20000", "about 6021 digits", limit),
+                                      (big, "5000 digits", limit),
+                                      (f"t^[{big}]", "5000 digits", limit),
+                                      (f"(t^[1]^{'9' * 4300})^10", "total degree of 14288 bits",
+                                       "total degrees must stay below 2^29"))]
+    cases += [(argv, "5000 digits", limit) for argv in (
+        ["pic", "--example", "wps", "4", "6", "--remove-degree", big],
+        ["class", "--example", "rugby", "2", "3", "--koszul", f"1,{big}"],
+        ["map", "--example", "rugby", "2", "3", "--matrix", f"3;{big}", "--target", "wps", "3", "2"],
+        ["check-connected", "--example", "p1", "--bound", big])]
     try:
-        for lhs, size, bound in (("2^20000", "about 6021 digits", limit),
-                                 ("7" * 5000, "5000 digits", limit),
-                                 (f"t^[{'7' * 5000}]", "5000 digits", limit),
-                                 (f"(t^[1]^{'9' * 4300})^10", "total degree of 14288 bits",
-                                  "total degrees must stay below 2^29")):
-            code, out, err = run(["eq", "--example", "p1", "--lhs", lhs, "--rhs", "1"], capsys)
-            assert code == 1 and not out, lhs[:10]
-            assert size in err and bound in err and len(err) < 200, err
+        for argv, size, bound in cases:
+            code, out, err = run(argv, capsys)
+            assert code == 1 and not out, argv[0]
+            # an argparse error comes after the command's usage lines
+            message = err[err.index("error:"):] if err.startswith("usage:") else err
+            assert size in message and bound in message and len(message) < 200, err
             assert "Traceback" not in err and "set_int_max_str_digits" not in err, err
     finally:
         sys.set_int_max_str_digits(old)

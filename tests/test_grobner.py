@@ -17,7 +17,6 @@ from kstacks.grobner import (
     _complete,
     _divides,
     _is_strong_basis,
-    _lcm_exponent,
     _pack,
     _pair_polys,
     _primary_invariants,
@@ -31,7 +30,14 @@ from kstacks.grobner import (
 from kstacks.ktheory import _centred, k0_presentation
 from kstacks.stacks import builtin_example, make_stack_data
 
-from conftest import _MacaulayLattice, lattice_invariants, macaulay_member, present
+from conftest import (
+    _MacaulayLattice,
+    all_pairs_certificate,
+    lattice_invariants,
+    macaulay_member,
+    present,
+    staircase_oracle,
+)
 
 
 def laurent_presentation():
@@ -259,7 +265,7 @@ def test_unverified_basis_is_unknown():
     gens = [parse_element("t^[2] - 1", Z), parse_element("t^[-2] - 1", Z)]
     polys = [IntPolynomial(present(g)) for g in gens]
     unfinished = StrongGroebnerBasis(p, polys + list(p.structural), [p._encode(g) for g in gens])
-    assert len(_standard_monomials(unfinished)) == 3
+    assert _standard_monomials(unfinished) == sorted(map(_pack, [(0, 0), (1, 0), (0, 1)]))
     inv = zmodule_invariants(unfinished)
     assert inv.status == AbGroupInvariants.UNKNOWN
     assert inv.free_rank is None
@@ -299,7 +305,7 @@ def test_incremental_lattice_property(group):
         standard = _standard_monomials(gb)
         if standard is None:
             continue
-        inside = [next(iter(p._decode({_pack(E): 1}))) for E in standard]
+        inside = [next(iter(p._decode({K: 1}))) for K in standard]
         bound = rng.randint(0, 3)
         incremental = lattice_invariants(G, gens, inside, (bound, bound + 1))
         separate = [lattice_invariants(G, gens, inside, (b,))[0] for b in (bound, bound + 1)]
@@ -363,6 +369,72 @@ def test_completion_property(group, wide):
         assert _is_strong_basis(gb)
         assert strong_groebner(gens[::-1], p).elements == gb.elements
         assert all(normal_form(g, gb).is_zero() for g in gens)
+
+
+# random ideals for the certificate and staircase tests; exponent spread 2
+# over Z^2 x Z/3 makes some completions take seconds
+certificate_groups = pytest.mark.parametrize(
+    "group, spread", [((1, ()), 2), ((2, ()), 2), ((1, (2,)), 2), ((1, (3,)), 2), ((0, (6,)), 2), ((2, (3,)), 1)],
+    ids=["Z", "Z2", "ZxZ2", "ZxZ3", "Z6", "Z2xZ3"])
+
+
+@certificate_groups
+def test_certificate_agrees_with_all_pairs_oracle(group, spread):
+    # skipping the S-polynomials of product pairs changes no verdict: on
+    # completed random ideals and on each basis with one element dropped,
+    # the certificate agrees with the one that checks every pair
+    rng = random.Random(f"certificate/{group}")
+    G = FgAbelianGroup.canonical(*group)
+    p = PolyPresentation.for_group(G)
+    rejected = product_pairs = 0
+    for _ in range(60):
+        gens = [g for g in (_random_element(rng, G, spread, WIDE_COEFFS) for _ in range(rng.randint(1, 3)))
+                if not g.is_zero()]
+        gb = strong_groebner(gens, p)
+        assert _is_strong_basis(gb) and all_pairs_certificate(gb)
+        product_pairs += gb.product_skipped
+        for k in range(len(gb.elements)):
+            dropped = StrongGroebnerBasis(p, gb.elements[:k] + gb.elements[k + 1:], gb.seeds)
+            verdict = all_pairs_certificate(dropped)
+            assert _is_strong_basis(dropped) == verdict
+            rejected += not verdict
+    assert rejected and product_pairs
+
+
+def test_product_criterion_needs_coprime_coefficients():
+    # 2*y + 1 and 2*s + 1 have coprime leading monomials but not coprime
+    # leading coefficients: their S-polynomial s - y reduces to s + y + 1,
+    # so they are no strong basis of the ideal they generate
+    free = PolyPresentation(FgAbelianGroup.canonical(0), ["y", "s"], ())
+    gens = [{(1, 0): 2, (0, 0): 1}, {(0, 1): 2, (0, 0): 1}]
+    basis = StrongGroebnerBasis(free, map(IntPolynomial, gens), [{_pack(E): c for E, c in g.items()} for g in gens])
+    assert not _is_strong_basis(basis) and not all_pairs_certificate(basis)
+    assert _pair_polys(*basis._reducers, _pack((1, 1)))[0] is False
+    done = _complete(basis.seeds, free)
+    assert _is_strong_basis(done) and all_pairs_certificate(done)
+
+
+@certificate_groups
+def test_standard_monomials_walk_property(group, spread):
+    # the packed walk returns ascending ints, which is grevlex order, and
+    # they unpack to the staircase the tuple oracle finds
+    rng = random.Random(f"staircase/{group}")
+    G = FgAbelianGroup.canonical(*group)
+    p = PolyPresentation.for_group(G)
+    finite = 0
+    for _ in range(30):
+        gens = [g for g in (_random_element(rng, G, spread, WIDE_COEFFS) for _ in range(rng.randint(1, 3)))
+                if not g.is_zero()]
+        gb = strong_groebner(gens, p)
+        standard, oracle = _standard_monomials(gb), staircase_oracle(gb)
+        if oracle is None:
+            assert standard is None
+            continue
+        finite += 1
+        exps = [_unpack(K, p.num_vars) for K in standard]
+        assert standard == sorted(set(standard)) and set(exps) == oracle
+        assert exps == sorted(exps, key=_grevlex_key)
+    assert finite >= 5
 
 
 # Reduced bases recorded from the completion loop that formed pairs with
@@ -866,21 +938,12 @@ def test_basis_deterministic():
     assert gb1.elements == gb2.elements
 
 
-def assert_closed_under_pairs(gb):
-    elems = list(gb.elements)
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            L = _lcm_exponent(elems[i].leading_term()[0], elems[j].leading_term()[0])
-            for terms in _pair_polys(elems[i]._reducer_data(), elems[j]._reducer_data(), _pack(L)):
-                assert not _reduce_terms(terms, gb._reducers, gb.presentation._mask)
-
-
 def test_basis_closed_under_pairs():
     _, _, gb, _, _ = blowup_basis()
-    assert_closed_under_pairs(gb)
+    assert all_pairs_certificate(gb)
     for pq in [(2, 3), (2, 2), (3, 4)]:
         _, _, gb, _, _ = rugby_basis(*pq)
-        assert_closed_under_pairs(gb)
+        assert all_pairs_certificate(gb)
     rng = random.Random(31)
     G = FgAbelianGroup.canonical(1, (2,))
     p = PolyPresentation.for_group(G)
@@ -893,7 +956,7 @@ def test_basis_closed_under_pairs():
                 e = e + GroupRingElement.monomial(G.element(coords), rng.randint(-4, 4))
             if not e.is_zero():
                 gens.append(e)
-        assert_closed_under_pairs(strong_groebner(gens, p))
+        assert all_pairs_certificate(strong_groebner(gens, p))
 
 
 def test_reduced_basis_canonical_under_input_order():
