@@ -4,9 +4,17 @@ Everything is arbitrary precision: Smith normal forms that record the
 unimodular column transform and its inverse, groups in invariant-factor form
 ``Z^r x Z/m1 x ... x Z/mk`` with a change of basis back to the user's
 generators, quotients, and homomorphisms.
+
+The public constructors are the checking boundary: non-integer entries or
+coordinates raise TypeError.  ``IntMatrix._of`` and ``GroupElement._of``
+take their int arguments as given and serve only ints kstacks produced
+itself.  The Smith form's pivot rule and operation order fix V, and through
+it every group's canonical coordinates, so that order is part of the output.
 """
 
 from __future__ import annotations
+
+from operator import add, mod, mul, neg
 
 
 def xgcd(a, b):
@@ -26,16 +34,21 @@ def xgcd(a, b):
 
 def _require_ints(values, what):
     """``values`` as a tuple, after checking that each is an int: TypeError
-    otherwise, where ``int()`` would truncate a float.  One float, Fraction
-    or Decimal among ints makes the sum one too."""
+    otherwise, where ``int()`` would truncate a float or parse a string."""
     values = tuple(values)
-    if not isinstance(sum(values), int):
+    if not all(isinstance(x, int) for x in values):
         raise TypeError(f"{what} must be ints, got {values}")
     return values
 
 
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _torsion_rows(r, torsion):
+    """The relations m_i * e_(r+i) = 0 of Z^r x Z/m1 x ... on r + k generators."""
+    k = len(torsion)
+    return [(0,) * (r + i) + (m,) + (0,) * (k - 1 - i) for i, m in enumerate(torsion)]
 
 
 class IntMatrix:
@@ -45,20 +58,32 @@ class IntMatrix:
 
     def __init__(self, entries, cols=None):
         entries = tuple(_require_ints(row, "matrix entries") for row in entries)
-        rows = len(entries)
-        if rows:
-            cols = len(entries[0]) if cols is None else cols
-            if any(len(r) != cols for r in entries):
-                raise ValueError("ragged matrix")
-        elif cols is None:
-            raise ValueError("a 0-row matrix needs an explicit column count")
-        self.rows = rows
+        if cols is None:
+            if not entries:
+                raise ValueError("a 0-row matrix needs an explicit column count")
+            cols = len(entries[0])
+        if cols < 0:
+            raise ValueError(f"the column count must be nonnegative, got {cols}")
+        if any(len(r) != cols for r in entries):
+            raise ValueError("ragged matrix")
+        self.rows = len(entries)
         self.cols = cols
         self.entries = entries
 
     @classmethod
+    def _of(cls, rows, cols):
+        """Matrix of int rows of length ``cols`` that kstacks computed, taken as is."""
+        A = object.__new__(cls)
+        A.entries = tuple(map(tuple, rows))
+        A.rows = len(A.entries)
+        A.cols = cols
+        return A
+
+    @classmethod
     def identity(cls, n):
-        return cls(_identity_rows(n), cols=n)
+        if n < 0:
+            raise ValueError(f"the size must be nonnegative, got {n}")
+        return cls._of(_identity_rows(n), n)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -87,12 +112,12 @@ class IntMatrix:
         return IntMatrix(rows, cols=other.cols)
 
     def apply_row(self, vec):
-        """Row vector times matrix: returns tuple of length self.cols."""
+        """Row vector times matrix, a tuple of length self.cols."""
         if len(vec) != self.rows:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(vec[i] * self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)
-        )
+        if not self.rows:
+            return (0,) * self.cols
+        return tuple(sum(map(mul, vec, col)) for col in zip(*self.entries))
 
 
 class SmithDecomposition:
@@ -111,88 +136,69 @@ def smith_normal_form(A):
     """Smith normal form of an IntMatrix.
 
     Pivot rule: the nonzero entry of minimal absolute value in the active
-    submatrix, ties broken by lowest (row, col).  This makes the output a
-    pure function of the input.
+    submatrix, ties broken by lowest (row, col).  The pivot is swapped to
+    (t, t), floor-division steps clear its column by row operations and then
+    its row by column operations (recorded in V and V_inv), and a lower row
+    with an entry the pivot does not divide is added to the pivot row.  This
+    makes the output a pure function of the input.
     """
     m, n = A.rows, A.cols
     M = [list(row) for row in A.entries]
     V = _identity_rows(n)
     V_inv = _identity_rows(n)
-
-    def swap_cols(i, j):
-        for r in M:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
-
-    def add_col(j, i, q):
-        # col_j += q * col_i
-        for r in M:
-            r[j] += q * r[i]
-        for r in V:
-            r[j] += q * r[i]
-        Vi, Vj = V_inv[i], V_inv[j]
-        for c in range(n):
-            Vi[c] -= q * Vj[c]
-
     t = 0
     while t < m and t < n:
-        best = None
-        pivot = None
+        best = 0
         for i in range(t, m):
+            row = M[i]
             for j in range(t, n):
-                v = abs(M[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
+                v = abs(row[j])
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, j
+        if not best:
             break
-        i, j = pivot
-        if i != t:
-            M[t], M[i] = M[i], M[t]
-        if j != t:
-            swap_cols(t, j)
-        a = M[t][t]
+        M[t], M[pi] = M[pi], M[t]
+        if pj != t:
+            for r in M:
+                r[t], r[pj] = r[pj], r[t]
+            for r in V:
+                r[t], r[pj] = r[pj], r[t]
+            V_inv[t], V_inv[pj] = V_inv[pj], V_inv[t]
+        Mt = M[t]
+        a = Mt[t]
         dirty = False
         for i in range(t + 1, m):
-            if M[i][t]:
-                q = M[i][t] // a
+            Mi = M[i]
+            if Mi[t]:
+                q = Mi[t] // a
                 if q:
-                    add_row(i, t, -q)
-                if M[i][t]:
+                    M[i] = Mi = [x - q * y for x, y in zip(Mi, Mt)]
+                if Mi[t]:
                     dirty = True
         for j in range(t + 1, n):
-            if M[t][j]:
-                q = M[t][j] // a
+            if Mt[j]:
+                q = Mt[j] // a
                 if q:
-                    add_col(j, t, -q)
-                if M[t][j]:
+                    for r in M:
+                        r[j] -= q * r[t]
+                    for r in V:
+                        r[j] -= q * r[t]
+                    V_inv[t] = [x + q * y for x, y in zip(V_inv[t], V_inv[j])]
+                if Mt[j]:
                     dirty = True
         if dirty:
-            # remainders smaller than the pivot appeared; rescan
-            continue
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if M[i][j] % a:
-                    offender = i
-                    break
-            if offender is not None:
+            continue  # remainders smaller than the pivot appeared; rescan
+        for Mi in M[t + 1:]:
+            if any(x % a for x in Mi[t + 1:]):
+                # pull a non-divisible entry into the pivot row and keep reducing
+                M[t] = [x + y for x, y in zip(Mt, Mi)]
                 break
-        if offender is not None:
-            # pull a non-divisible entry into the pivot row and keep reducing
-            add_row(t, offender, 1)
-            continue
-        t += 1
+        else:
+            t += 1
 
     return SmithDecomposition(
-        IntMatrix(V, cols=n),
-        IntMatrix(V_inv, cols=n),
+        IntMatrix._of(V, n),
+        IntMatrix._of(V_inv, n),
         [abs(M[k][k]) for k in range(min(m, n))],
     )
 
@@ -202,19 +208,29 @@ class GroupElement:
 
     ``free`` has length group.free_rank, ``residues`` has one entry per
     torsion factor, always reduced into [0, m_i).  Equality is fieldwise,
-    so the canonical form is the identity test.
+    so the canonical form is the identity test.  The constructor checks
+    that the coordinates are ints (TypeError) of the right lengths
+    (ValueError); ``_of`` takes coordinates kstacks computed as given.
     """
 
     __slots__ = ("group", "free", "residues")
 
     def __init__(self, group, free, residues):
-        self.group = group
-        self.free = tuple(int(x) for x in free)
-        self.residues = tuple(
-            int(x) % m for x, m in zip(residues, group.torsion)
-        )
-        if len(self.free) != group.free_rank or len(residues) != len(group.torsion):
+        free = _require_ints(free, "coordinates")
+        residues = _require_ints(residues, "coordinates")
+        if len(free) != group.free_rank or len(residues) != len(group.torsion):
             raise ValueError("coordinate length mismatch")
+        self.group = group
+        self.free = free
+        self.residues = tuple(map(mod, residues, group.torsion))
+
+    @classmethod
+    def _of(cls, group, free, residues):
+        e = object.__new__(cls)
+        e.group = group
+        e.free = tuple(free)
+        e.residues = tuple(map(mod, residues, group.torsion))
+        return e
 
     def key(self):
         """The flat int tuple free + residues, a group-ring term's key."""
@@ -233,22 +249,20 @@ class GroupElement:
 
     def __add__(self, other):
         self.group.require_same(other.group)
-        return GroupElement(
-            self.group,
-            [a + b for a, b in zip(self.free, other.free)],
-            [a + b for a, b in zip(self.residues, other.residues)],
+        return GroupElement._of(
+            self.group, map(add, self.free, other.free), map(add, self.residues, other.residues)
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return GroupElement(self.group, [-a for a in self.free], [-a for a in self.residues])
+        return GroupElement._of(self.group, map(neg, self.free), map(neg, self.residues))
 
     def __mul__(self, n):
         if not isinstance(n, int):
             raise TypeError(f"group elements are multiplied by ints, not {type(n).__name__}")
-        return GroupElement(self.group, [n * a for a in self.free], [n * a for a in self.residues])
+        return GroupElement._of(self.group, [n * a for a in self.free], [n * a for a in self.residues])
 
     __rmul__ = __mul__
 
@@ -305,22 +319,9 @@ class FgAbelianGroup:
         if r < 0:
             raise ValueError(f"the free rank must be nonnegative, got {r}")
         torsion = _require_ints(torsion, "torsion factors")
-        k = len(torsion)
-        g = r + k
-        rel_rows = []
-        for i, m in enumerate(torsion):
-            row = [0] * g
-            row[r + i] = m
-            rel_rows.append(row)
-        return cls(
-            r,
-            torsion,
-            g,
-            IntMatrix.identity(g),
-            IntMatrix.identity(g),
-            IntMatrix(rel_rows, cols=g),
-            True,
-        )
+        g = r + len(torsion)
+        identity = IntMatrix.identity(g)
+        return cls(r, torsion, g, identity, identity, IntMatrix._of(_torsion_rows(r, torsion), g), True)
 
     def same_group(self, other):
         if self is other:
@@ -359,19 +360,17 @@ class FgAbelianGroup:
         return self.free_rank == 0 and not self.torsion
 
     def zero(self):
-        return GroupElement(self, (0,) * self.free_rank, (0,) * len(self.torsion))
+        return GroupElement._of(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
     def element(self, user_coords):
         """Element from coordinates in the user generators."""
-        user_coords = tuple(user_coords)
-        if not all(isinstance(x, int) for x in user_coords):
-            raise TypeError(f"coordinates must be ints, got {user_coords}")
+        user_coords = _require_ints(user_coords, "coordinates")
         if len(user_coords) != self.num_generators:
             raise ValueError(
                 f"expected {self.num_generators} coordinates, got {len(user_coords)}"
             )
         canon = self.to_canonical.apply_row(user_coords)
-        return GroupElement(self, canon[: self.free_rank], canon[self.free_rank:])
+        return GroupElement._of(self, canon[: self.free_rank], canon[self.free_rank:])
 
     def element_canonical(self, free, residues=()):
         return GroupElement(self, free, residues)
@@ -399,17 +398,14 @@ def group_from_relations(num_generators, relations):
     if R.cols != g:
         raise ValueError("relation rows must have num_generators entries")
     snf = smith_normal_form(R)
-    diag = list(snf.invariant_factors) + [0] * (g - len(snf.invariant_factors))
-    free_idx = [i for i in range(g) if diag[i] == 0]
-    tors_idx = [i for i in range(g) if diag[i] >= 2]
-    torsion = [diag[i] for i in tors_idx]
+    diag = snf.invariant_factors + (0,) * (g - len(snf.invariant_factors))
+    free_idx = [i for i, d in enumerate(diag) if d == 0]
+    tors_idx = [i for i, d in enumerate(diag) if d >= 2]
     pick = free_idx + tors_idx
-    to_canonical = IntMatrix(
-        [[snf.V.entries[i][j] for j in pick] for i in range(g)], cols=len(pick)
-    )
-    from_canonical = IntMatrix([list(snf.V_inv.entries[i]) for i in pick], cols=g)
+    to_canonical = IntMatrix._of([[row[j] for j in pick] for row in snf.V.entries], len(pick))
+    from_canonical = IntMatrix._of([snf.V_inv.entries[i] for i in pick], g)
     return FgAbelianGroup(
-        len(free_idx), torsion, g, to_canonical, from_canonical, R, False
+        len(free_idx), [diag[i] for i in tors_idx], g, to_canonical, from_canonical, R, False
     )
 
 
@@ -431,8 +427,10 @@ class GroupHomomorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        r, torsion = target.free_rank, target.torsion
         for row in source.relations.entries:
-            if not target.element(matrix.apply_row(row)).is_zero():
+            canon = target.to_canonical.apply_row(matrix.apply_row(row))
+            if any(canon[:r]) or any(map(mod, canon[r:], torsion)):
                 raise ValueError(
                     "matrix does not define a homomorphism: a relation has nonzero image"
                 )
@@ -449,15 +447,11 @@ def quotient_by_subgroup(G, gens):
     Returns (Q, projection) where Q is in invariant-factor form and the
     projection is a GroupHomomorphism sending each G-element to its class.
     """
-    r, k = G.free_rank, len(G.torsion)
-    rows = []
-    for i, m in enumerate(G.torsion):
-        row = [0] * (r + k)
-        row[r + i] = m
-        rows.append(row)
+    g = G.free_rank + len(G.torsion)
+    rows = _torsion_rows(G.free_rank, G.torsion)
     for e in gens:
         G.require_same(e.group)
-        rows.append(list(e.free) + list(e.residues))
-    Q = group_from_relations(r + k, IntMatrix(rows, cols=r + k))
+        rows.append(e.free + e.residues)
+    Q = group_from_relations(g, IntMatrix._of(rows, g))
     proj = GroupHomomorphism(G, Q, G.to_canonical)
     return Q, proj

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from operator import add, sub
 
-from kstacks.abelian import IntMatrix, group_from_relations, xgcd
+from kstacks.abelian import IntMatrix, SmithDecomposition, group_from_relations, xgcd
 from kstacks.grobner import _pack, _reduce_terms
 from kstacks.groupring import GroupRingElement
 
@@ -30,6 +30,122 @@ def determinant(M):
         return total
 
     return rec(rows)
+
+
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+# A closure-based Smith normal form kept as the reference: its pivot rule and
+# operation order fix every group's canonical coordinates, so the engine's
+# output must equal this one exactly, not only up to equivalence.
+def reference_smith_normal_form(A):
+    """Smith normal form of an IntMatrix.
+
+    Pivot rule: the nonzero entry of minimal absolute value in the active
+    submatrix, ties broken by lowest (row, col).  This makes the output a
+    pure function of the input.
+    """
+    m, n = A.rows, A.cols
+    M = [list(row) for row in A.entries]
+    V = _identity_rows(n)
+    V_inv = _identity_rows(n)
+
+    def swap_cols(i, j):
+        for r in M:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
+
+    def add_row(i, j, q):
+        # row_i += q * row_j
+        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+
+    def add_col(j, i, q):
+        # col_j += q * col_i
+        for r in M:
+            r[j] += q * r[i]
+        for r in V:
+            r[j] += q * r[i]
+        Vi, Vj = V_inv[i], V_inv[j]
+        for c in range(n):
+            Vi[c] -= q * Vj[c]
+
+    t = 0
+    while t < m and t < n:
+        best = None
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(M[i][j])
+                if v and (best is None or v < best):
+                    best = v
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            M[t], M[i] = M[i], M[t]
+        if j != t:
+            swap_cols(t, j)
+        a = M[t][t]
+        dirty = False
+        for i in range(t + 1, m):
+            if M[i][t]:
+                q = M[i][t] // a
+                if q:
+                    add_row(i, t, -q)
+                if M[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if M[t][j]:
+                q = M[t][j] // a
+                if q:
+                    add_col(j, t, -q)
+                if M[t][j]:
+                    dirty = True
+        if dirty:
+            # remainders smaller than the pivot appeared; rescan
+            continue
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if M[i][j] % a:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            # pull a non-divisible entry into the pivot row and keep reducing
+            add_row(t, offender, 1)
+            continue
+        t += 1
+
+    return SmithDecomposition(
+        IntMatrix(V, cols=n),
+        IntMatrix(V_inv, cols=n),
+        [abs(M[k][k]) for k in range(min(m, n))],
+    )
+
+
+def determinantal_invariants(num_generators, rows):
+    """(free rank, torsion chain) of Z^g / rowspan(rows), from the
+    determinantal divisors d_k = gcd of the k x k minors; independent of
+    the Smith normal form."""
+    rows = [list(r) for r in rows if any(r)]
+    divisors = [1]
+    for k in range(1, min(len(rows), num_generators) + 1):
+        d = 0
+        for rs in itertools.combinations(rows, k):
+            for cs in itertools.combinations(range(num_generators), k):
+                d = math.gcd(d, determinant(IntMatrix([[r[c] for c in cs] for r in rs])))
+        if d == 0:
+            break
+        divisors.append(d)
+    rank = len(divisors) - 1
+    factors = [divisors[k] // divisors[k - 1] for k in range(1, rank + 1)]
+    return num_generators - rank, tuple(m for m in factors if m > 1)
 
 
 def check_smith_decomposition(A, snf):

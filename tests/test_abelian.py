@@ -12,7 +12,7 @@ from kstacks.abelian import (
     smith_normal_form,
 )
 
-from conftest import check_smith_decomposition
+from conftest import check_smith_decomposition, reference_smith_normal_form
 
 
 def test_snf_examples():
@@ -187,3 +187,51 @@ def test_non_integers_are_type_errors():
         with pytest.raises(TypeError):
             make()
     assert group_from_relations(2, [[2, 0]]).invariants() == (1, (2,))
+    # canonical coordinates used to go through int() as well
+    G = FgAbelianGroup.canonical(1, (3,))
+    for free, residues in (((1.5,), (2,)), ((1,), (2.7,)), (("7",), (0,)), ((1,), ("2",))):
+        with pytest.raises(TypeError, match="coordinates must be ints"):
+            G.element_canonical(free, residues)
+    assert G.element_canonical((1,), (5,)).key() == (1, 2)
+
+
+def test_negative_column_count_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntMatrix([], cols=-2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntMatrix.identity(-1)
+    assert IntMatrix([], cols=0).cols == 0
+
+
+def _seeded_matrices(rng, count):
+    """0-5 x 1-5 matrices, about half the entries zero, the rest bounded by
+    a per-matrix choice of 3, 30 or 10^6 so that pivot ties are common."""
+    for _ in range(count):
+        m, n = rng.randint(0, 5), rng.randint(1, 5)
+        bound = rng.choice((3, 30, 10**6))
+        yield IntMatrix(
+            [[rng.randint(-bound, bound) if rng.random() < 0.5 else 0 for _ in range(n)]
+             for _ in range(m)],
+            cols=n,
+        )
+    big = 2**100
+    for _ in range(20):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        yield IntMatrix([[rng.choice((0, rng.randint(-big, big))) for _ in range(n)]
+                         for _ in range(m)], cols=n)
+
+
+def test_snf_matches_reference_implementation():
+    # V fixes every group's canonical coordinates, so the output must match
+    # the reference operation for operation, not only up to equivalence
+    for A in _seeded_matrices(random.Random(20261019), 2000):
+        got, ref = smith_normal_form(A), reference_smith_normal_form(A)
+        assert (got.V, got.V_inv, got.invariant_factors) == (ref.V, ref.V_inv, ref.invariant_factors), A
+        g = A.cols
+        diag = list(ref.invariant_factors) + [0] * (g - len(ref.invariant_factors))
+        pick = [i for i in range(g) if diag[i] == 0] + [i for i in range(g) if diag[i] >= 2]
+        G = group_from_relations(g, A)
+        assert G.invariants() == (diag.count(0), tuple(d for d in diag if d >= 2))
+        assert G.to_canonical == IntMatrix([[row[j] for j in pick] for row in ref.V.entries],
+                                           cols=len(pick))
+        assert G.from_canonical == IntMatrix([ref.V_inv.entries[i] for i in pick], cols=g)

@@ -1,9 +1,11 @@
 import random
 from math import gcd
 
-from kstacks.abelian import FgAbelianGroup, IntMatrix, smith_normal_form
+from kstacks.abelian import FgAbelianGroup, group_from_relations
 from kstacks.picard import pic, pic_open
 from kstacks.stacks import builtin_example, make_stack_data
+
+from conftest import determinantal_invariants
 
 
 def test_pic_weighted_projective():
@@ -97,31 +99,31 @@ def test_pic_independent_of_non_inverted_variables():
     assert pic(small).invariants() == pic(bigger).invariants()
 
 
-def test_pic_open_matches_direct_snf_oracle():
+def test_pic_matches_determinantal_oracle():
+    # the quotient presented on the user generators, with invariants from
+    # gcds of minors, so no Smith form of kstacks enters the expectation
     rng = random.Random(20260809)
-    for _ in range(20):
-        rank = rng.randint(1, 2)
-        torsion = rng.choice([(), (2,), (3,), (2, 4)])
-        G = FgAbelianGroup.canonical(rank, torsion)
+    for trial in range(60):
+        if trial % 3 == 2:
+            # relations such as rugby p q with gcd > 1: to_canonical is not the identity
+            g = rng.randint(2, 3)
+            rels = [[rng.randint(-6, 6) for _ in range(g)] for _ in range(rng.randint(1, 2))]
+            if trial % 2:
+                p, q = rng.choice([(2, 2), (2, 4), (4, 6), (3, 9), (6, 4)])
+                g, rels = 2, [[p, -q]]
+            G = group_from_relations(g, rels)
+        else:
+            G = FgAbelianGroup.canonical(rng.randint(1, 2), rng.choice([(), (2,), (3,), (2, 4)]))
         g = G.num_generators
-        n_inverted = rng.randint(0, 2)
-        variables = []
-        for i in range(n_inverted):
-            vec = [rng.randint(-6, 6) for _ in range(g)]
-            variables.append((f"u{i}", vec, True))
+        variables = [(f"u{i}", [rng.randint(-6, 6) for _ in range(g)], True)
+                     for i in range(rng.randint(0, 2))]
         variables.append(("x", [rng.randint(-6, 6) for _ in range(g)], False))
         alpha_vec = [rng.randint(-6, 6) for _ in range(g)]
         data = make_stack_data(G, variables, [])
-        result = pic_open(data, G.element(alpha_vec))
 
-        # oracle: quotient presented directly on the user generators
         rows = [list(r) for r in G.relations.entries]
-        for _, vec, inv in variables:
-            if inv:
-                rows.append(list(vec))
-        rows.append(list(alpha_vec))
-        snf = smith_normal_form(IntMatrix(rows, cols=g))
-        diag = list(snf.invariant_factors) + [0] * (g - len(snf.invariant_factors))
-        expected_rank = sum(1 for d in diag if d == 0)
-        expected_torsion = tuple(d for d in diag if d >= 2)
-        assert result.invariants() == (expected_rank, expected_torsion)
+        rows += [list(vec) for _, vec, inv in variables if inv]
+        assert pic(data).invariants() == determinantal_invariants(g, rows)
+        result = pic_open(data, G.element(alpha_vec))
+        assert result.invariants() == determinantal_invariants(g, rows + [alpha_vec])
+        assert result.projection(G.element(alpha_vec)).is_zero()
