@@ -18,7 +18,6 @@ from .abelian import (
 from .groupring import GroupRingElement, component_product, one_minus
 from .grobner import (
     AbGroupInvariants,
-    IntPolynomial,
     PolyPresentation,
     StrongGroebnerBasis,
     normal_form,
@@ -62,7 +61,6 @@ __all__ = [
     "GroupRingElement",
     "HypothesisError",
     "IntMatrix",
-    "IntPolynomial",
     "K0Class",
     "ParseError",
     "PolyPresentation",

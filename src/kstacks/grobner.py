@@ -17,8 +17,8 @@ Monagan & Pearce 2011).  With n variables and W = 32 bits per field, the
 exponent vector E packs to K(E) = deg(E)*2^(W*n) - sum_i e_i*2^(W*i).
 Below the degree the e_i are the digits of one number, e_(n-1) the most
 significant, so int order compares the degree, then -e_(n-1), -e_(n-2),
-...: it is grevlex order (``_grevlex_key``).  K is linear, so a shift is
-one addition, and a group-ring key packs with no exponent vector between:
+...: it is grevlex order.  K is linear, so a shift is one addition, and a
+group-ring key packs with no exponent vector between:
 ``PolyPresentation._encode`` sums ai*K(yi) or |ai|*K(yi') and cj*K(sj),
 and ``_decode`` reads the fields of -K back into a key.  The low fields of
 K(B) - K(E) are the balanced digits e_i - b_i, so B | E exactly when
@@ -27,9 +27,17 @@ adding it sets a field's top bit just when its digit is >= 0.  This needs
 every digit below 2^(W-1) in size, so packing a term of total degree
 2^(W-3) or more raises ValueError, and so does a new basis element of that
 degree; an S-polynomial term has degree at most deg LM_i + deg LM_j, and
-reduction never raises the degree.  Basis elements keep tuple exponents
-outside the kernels, and leading monomials keep their tuple for pair lcms,
-the chain criterion and retirement.
+reduction never raises the degree.
+
+Basis elements are packed term dicts, and pair lcms are packed too
+(``_lcm_packer``).  With ``low`` masking the n fields and X = -K & low,
+M = (((X_A | H) - X_B) & H) >> (W-1) has a 1 at the base of each field with
+a_i >= b_i, and mask = M*(2^W - 1).  The lcm has the fields
+X_L = (X_A & mask) | (X_B & (low ^ mask)), its degree is field n-1 of
+X_L*sum_i 2^(W*i), and K_L = deg(L)*2^(W*n) - X_L.  No field overflows:
+every basis element has degree below 2^(W-3), so a field of X_A | H minus
+one of X_B borrows from no neighbour, and field j of the product, the sum
+of the fields 0..j of X_L, is at most deg(L) < 2^(W-2).
 
 Completion follows the pair update of Gebauer & Moeller (1988), which
 carries over to strong bases over the integers (Lichtblau 2012); see
@@ -54,7 +62,6 @@ import struct
 import sys
 from array import array
 from math import gcd, inf
-from operator import le, neg
 
 from .abelian import group_from_relations, xgcd
 from .groupring import GroupRingElement
@@ -65,18 +72,6 @@ BOX_LIMIT = 20000
 _W = 8 * array("I").itemsize  # bits per exponent field of a packed monomial
 
 
-def _grevlex_key(exp):
-    return (sum(exp), tuple(map(neg, exp[::-1])))
-
-
-def _divides(B, E):
-    return all(map(le, B, E))
-
-
-def _lcm_exponent(A, B):
-    return tuple(map(max, A, B))
-
-
 def _pack(E):
     """K(E) of the module docstring, for an exponent E within the bounds."""
     return (sum(E) << _W * len(E)) - int.from_bytes(array("I", E), sys.byteorder)
@@ -85,6 +80,22 @@ def _pack(E):
 def _unpack(K, n):
     """The exponent vector of n entries that K packs."""
     return tuple(array("I", (-K & ((1 << _W * n) - 1)).to_bytes(_W // 8 * n, sys.byteorder)))
+
+
+def _lcm_packer(n):
+    """The function (K(A), K(B)) -> K(lcm(A, B)) on n variables, for
+    exponents of degree below 2^(W-3): the packed lcm of the module
+    docstring."""
+    low, field, top = (1 << _W * n) - 1, (1 << _W) - 1, _W * max(n - 1, 0)
+    ones = low // field  # 1 in each field
+    H = ones << (_W - 1)
+
+    def lcm(KA, KB):
+        XA, XB = -KA & low, -KB & low
+        mask = ((((XA | H) - XB) & H) >> (_W - 1)) * field
+        X = (XA & mask) | (XB & (low ^ mask))
+        return ((X * ones >> top & field) << _W * n) - X
+    return lcm
 
 
 def _check_degree(E):
@@ -98,86 +109,33 @@ def _check_degree(E):
     return E
 
 
-class IntPolynomial:
-    """Sparse polynomial with integer coefficients and nonnegative exponents.
-
-    Immutable by contract: ``terms`` is never written after construction,
-    as the leading term and the reducer data (packed leading monomial, lc,
-    packed tail) are cached.  Arithmetic belongs to ``GroupRingElement``.
-    The public constructor checks every term (TypeError for anything but
-    ints) and finds the leading term on first use; ``_interreduce`` skips
-    both on reduction output.
-    """
-
-    __slots__ = ("terms", "_lt", "_reducer")
-
-    def __init__(self, terms):
-        clean = {}
-        for exp, coeff in terms.items():
-            if not (isinstance(coeff, int) and isinstance(sum(exp), int)):  # as abelian._require_ints
-                raise TypeError(f"exponents and coefficients must be ints, got {exp!r}: {coeff!r}")
-            if coeff:
-                if min(exp, default=0) < 0:
-                    raise ValueError("exponents must be nonnegative")
-                clean[tuple(exp)] = coeff
-        self.terms = clean
-        self._lt = None
-        self._reducer = None
-
-    def is_zero(self):
-        return not self.terms
-
-    def leading_term(self):
-        if self._lt is None:
-            if not self.terms:
-                raise ValueError("zero polynomial has no leading term")
-            exp = max(self.terms, key=_grevlex_key)
-            self._lt = (exp, self.terms[exp])
-        return self._lt
-
-    def _reducer_data(self):
-        """(K(LM), lc, [(K(F), c) for the other terms]), as ``_reduce_terms``
-        reads a reducer."""
-        if self._reducer is None:
-            B, a = self.leading_term()
-            self._reducer = (_pack(B), a, [(_pack(E), c) for E, c in self.terms.items() if E != B])
-        return self._reducer
-
-    def __eq__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"IntPolynomial({self.terms!r})"
-
-
 class PolyPresentation:
     """Polynomial model of a group ring.
 
-    The variable order is y1, y1', ..., yr, yr', s1, ..., sk and the
-    structural relations are always part of every ideal built over the
-    presentation; ``_structural`` holds them packed.  ``_mask`` is the H of
-    the module docstring, ``_steps`` holds K(x_v) per variable, ``_units``
-    (K(yi), K(yi')) per free coordinate and (K(sj), K(sj)) per residue,
-    K > ``_limit`` = (2^(W-3) - 1)*2^(W*n) exactly when the degree of K
-    reaches 2^(W-3), and ``_lanes`` serves ``_decode``.
+    The variable order is y1, y1', ..., yr, yr', s1, ..., sk, and a
+    presentation needs at least these 2r + k names.  The structural
+    relations, given as {exponent tuple: int} dicts, are part of every ideal
+    built over the presentation; ``_structural`` holds them packed.
+    ``_mask`` is the H of the module docstring, ``_lcm`` the packed lcm,
+    ``_steps`` holds K(x_v) per variable, ``_units`` (K(yi), K(yi')) per
+    free coordinate and (K(sj), K(sj)) per residue, K > ``_limit`` =
+    (2^(W-3) - 1)*2^(W*n) exactly when the degree of K reaches 2^(W-3), and
+    ``_lanes`` serves ``_decode``.
     """
 
-    __slots__ = ("group", "names", "num_vars", "structural", "_structural", "_mask", "_steps", "_units", "_limit",
-                 "_lanes")
+    __slots__ = ("group", "names", "num_vars", "_structural", "_mask", "_lcm", "_steps", "_units", "_limit", "_lanes")
 
     def __init__(self, group, names, structural):
         self.group = group
         self.names = tuple(names)
         self.num_vars = n = len(self.names)
-        self.structural = tuple(structural)
-        self._structural = [{_pack(_check_degree(E)): c for E, c in f.terms.items()} for f in self.structural]
-        self._mask = sum(1 << (_W * i + _W - 1) for i in range(n))
-        r, K = group.free_rank, [(1 << _W * n) - (1 << _W * v) for v in range(n)]
+        r = group.free_rank
+        if n < 2 * r + len(group.torsion):
+            raise ValueError(f"{n} variable names for a group whose encoding uses {2 * r + len(group.torsion)}")
+        self._structural = [self._pack_relation(f) for f in structural]
+        self._mask = ((1 << _W * n) - 1) // ((1 << _W) - 1) << (_W - 1)
+        self._lcm = _lcm_packer(n)
+        K = [(1 << _W * n) - (1 << _W * v) for v in range(n)]
         self._steps = K
         self._units = list(zip(K[:2 * r:2], K[1:2 * r:2])) + [(k, k) for k in K[2 * r:]]
         self._limit = ((1 << (_W - 3)) - 1) << (_W * n)
@@ -185,19 +143,33 @@ class PolyPresentation:
         self._lanes = (sum(((1 << _W) - 1) << b for b in lanes), sum(1 << (b + 2 * _W - 1) for b in lanes),
                        2 * _W * r, struct.Struct(f"<{r}q{n - 2 * r}I"))
 
+    def _pack_relation(self, f):
+        """The packed term dict of {exponent tuple: int}, zero terms dropped:
+        TypeError unless exponents and coefficients are ints, ValueError for
+        an exponent of the wrong length, a negative entry or too high a
+        degree."""
+        packed = {}
+        for E, c in f.items():
+            if not (isinstance(c, int) and all(isinstance(e, int) for e in E)):
+                raise TypeError(f"exponents and coefficients must be ints, got {E!r}: {c!r}")
+            if len(E) != self.num_vars or min(E, default=0) < 0:
+                raise ValueError(f"exponent {E!r} is not {self.num_vars} nonnegative ints")
+            if c:
+                packed[_pack(_check_degree(E))] = c
+        return packed
+
     @classmethod
     def for_group(cls, group):
+        """The presentation with the relations yi*yi' - 1 and sj^mj - 1,
+        packed as K(yi) + K(yi') and mj*K(sj)."""
         r, torsion = group.free_rank, group.torsion
         names = [f"y{i // 2 + 1}" + "'" * (i % 2) for i in range(2 * r)] + [f"s{j + 1}" for j in range(len(torsion))]
-        nvars = len(names)
-        # yi*yi' - 1 sets positions 2i and 2i+1 to 1; sj^mj - 1 sets 2r+j to mj
-        leads = [(2 * i, 2 * i + 1, 1) for i in range(r)] + [(2 * r + j, 2 * r + j, m) for j, m in enumerate(torsion)]
-        structural = []
-        for v, w, m in leads:
-            exp = [0] * nvars
-            exp[v] = exp[w] = m
-            structural.append(IntPolynomial({tuple(exp): 1, (0,) * nvars: -1}))
-        return cls(group, names, structural)
+        p = cls(group, names, ())
+        for v, m in enumerate(torsion, 2 * r):
+            _check_degree((0,) * v + (m,) + (0,) * (len(names) - 1 - v))
+        p._structural = [{P + N: 1, 0: -1} for P, N in p._units[:r]] + \
+            [{m * S: 1, 0: -1} for m, (S, _) in zip(torsion, p._units[r:])]
+        return p
 
     def _encode(self, e):
         """Packed term dict of a group-ring element over the group, keyed by
@@ -238,7 +210,8 @@ class PolyPresentation:
 
 def _reduce_terms(terms, reducers, H):
     """Full reduction of a packed term dict by polynomials with positive
-    leading coefficients, given by their ``_reducer_data()``; H is the mask
+    leading coefficients, given as (K(LM), lc, [(K(F), c) for the other
+    terms]) (``StrongGroebnerBasis._reducers``); H is the mask
     of the module docstring.
 
     Every output term has its coefficient in [0, lc(g)) for every reducer g
@@ -289,8 +262,11 @@ class StrongGroebnerBasis:
     plain ints, zero on a basis built any other way: pairs queued, popped,
     skipped by the chain criterion or spared their S-polynomial by the
     product criterion; reductions, and those to zero; elements retired; and
-    the peak number of live elements.  ``seeds`` holds the inputs as packed
-    term dicts, for the certificate ``_is_strong_basis``.
+    the peak number of live elements.  ``elements`` and ``seeds`` hold
+    packed term dicts, never written after construction; an element's
+    leading term is its largest key, as int order is grevlex order, and
+    ``decoded()`` reads the elements as {exponent tuple: int} dicts.
+    ``seeds`` holds the inputs, for the certificate ``_is_strong_basis``.
     """
 
     COUNTERS = ("pairs_queued", "pairs_popped", "chain_skipped", "product_skipped", "reductions",
@@ -302,9 +278,16 @@ class StrongGroebnerBasis:
         self.presentation = presentation
         self.elements = tuple(elements)
         self.seeds = tuple(seeds)
-        self._reducers = [f._reducer_data() for f in self.elements]
+        self._reducers = [(KB, f[KB], [(K, c) for K, c in f.items() if K != KB])
+                          for f, KB in zip(self.elements, map(max, self.elements))]
         for name in self.COUNTERS:
             setattr(self, name, counters.get(name, 0))
+
+    def decoded(self):
+        """The elements as {exponent tuple: int} dicts in the presentation's
+        variables, in element order and in the order of their terms."""
+        n = self.presentation.num_vars
+        return [{_unpack(K, n): c for K, c in f.items()} for f in self.elements]
 
     def __repr__(self):
         return f"StrongGroebnerBasis({len(self.elements)} elements)"
@@ -389,7 +372,7 @@ def _complete(seeds, presentation):
     rechecks every pair but the product pairs.  A new element whose leading
     monomial reaches the degree bound raises ValueError.
     """
-    n, H = presentation.num_vars, presentation._mask
+    H, lcm = presentation._mask, presentation._lcm
     distinct = {}  # distinct nonzero inputs up to sign, in input order
     for terms in itertools.chain(seeds, presentation._structural):
         if terms:
@@ -398,7 +381,6 @@ def _complete(seeds, presentation):
             distinct.setdefault(frozenset(terms.items()), terms)
 
     data = []  # reducer data of every element ever added; pairs refer to their indices
-    lts = []  # leading monomials as tuples, with their lcs
     until = []  # index of the element that retired data[k], or inf while it is live
     partners = []  # partners[j]: the elements live when data[j] came, ascending
     live = []  # indices of the live elements, ascending
@@ -410,20 +392,18 @@ def _complete(seeds, presentation):
         j = len(data)
         items = list(terms.items())
         (KB, b), tail = items[0], items[1:]
-        B = _unpack(KB, n)
-        _check_degree(B)
-        for i in live:
-            heapq.heappush(pairs, (_pack(_lcm_exponent(lts[i][0], B)), i, j))
-        work["pairs_queued"] += len(live)
-        data.append((KB, b, tail))
-        lts.append((B, b))
-        until.append(inf)
-        partners.append(tuple(live))
+        if KB > presentation._limit:
+            _check_degree(_unpack(KB, presentation.num_vars))
         for k in live:
-            C, c = lts[k]
-            if c % b == 0 and _divides(B, C):
+            KC, c, _ = data[k]
+            heapq.heappush(pairs, (lcm(KC, KB), k, j))
+            if c % b == 0 and (KB - KC + H) & H == H:
                 until[k] = j
                 work["retired"] += 1
+        work["pairs_queued"] += len(live)
+        data.append((KB, b, tail))
+        until.append(inf)
+        partners.append(tuple(live))
         live[:] = [k for k in live if until[k] > j] + [j]
         reducers[:] = [data[k] for k in live]
         work["peak_live"] = max(work["peak_live"], len(live))
@@ -433,13 +413,13 @@ def _complete(seeds, presentation):
         # queued: k <= until[i] and k <= until[j], and an older k was still
         # live when j came.  Those pairs were popped before (i, j): see the
         # docstring.  The older k that qualify are partners[j].
-        (A, a), (B, b) = lts[i], lts[j]
+        (KA, a, _), (KB, b, _) = data[i], data[j]
         l = max(a, b)  # lcm(a, b), as one divides the other
-        newer = range(j + 1, min(until[i], until[j], len(lts) - 1) + 1)
+        newer = range(j + 1, min(until[i], until[j], len(data) - 1) + 1)
         for k in itertools.chain(partners[j], newer):
-            C, c = lts[k]
-            if (k != i and k != j and l % c == 0 and _divides(C, L)
-                    and _lcm_exponent(A, C) != L and _lcm_exponent(B, C) != L):
+            KC, c, _ = data[k]
+            if (k != i and k != j and l % c == 0 and (KC - L + H) & H == H
+                    and lcm(KA, KC) != L and lcm(KB, KC) != L):
                 return True
         return False
 
@@ -455,33 +435,27 @@ def _complete(seeds, presentation):
         reduce_and_add(terms)
 
     while pairs:
-        KL, i, j = heapq.heappop(pairs)
+        L, i, j = heapq.heappop(pairs)
         work["pairs_popped"] += 1
-        (A, a), (B, b) = lts[i], lts[j]
-        if (a % b == 0 or b % a == 0) and chain_skips(i, j, _lcm_exponent(A, B)):
+        a, b = data[i][1], data[j][1]
+        if (a % b == 0 or b % a == 0) and chain_skips(i, j, L):
             work["chain_skipped"] += 1
             continue
-        product, polys = _pair_polys(data[i], data[j], KL)
+        product, polys = _pair_polys(data[i], data[j], L)
         work["product_skipped"] += product
         for combo in polys:
             reduce_and_add(combo)
 
-    return StrongGroebnerBasis(presentation, _interreduce(reducers, H, n), seeds, **work)
+    return StrongGroebnerBasis(presentation, _interreduce(reducers, H), seeds, **work)
 
 
-def _interreduce(reducers, H, n):
+def _interreduce(reducers, H):
     """Tail-reduce each live element, given by its reducer data, by all of
-    them.  No live leading term divides another's with its coefficient, so
-    none is dropped, and one pass leaves every tail term irreducible."""
-    reduced = []
-    for KB, a, tail in reducers:
-        r = _reduce_terms(dict(tail), reducers, H)
-        f = IntPolynomial.__new__(IntPolynomial)
-        f.terms = {_unpack(K, n): c for K, c in {KB: a, **r}.items()}
-        f._lt, f._reducer = next(iter(f.terms.items())), (KB, a, list(r.items()))
-        reduced.append(f)
-    reduced.sort(key=lambda f: f._reducer[:2])
-    return reduced
+    them, as packed term dicts in (K(LM), lc) order, leading term first.  No
+    live leading term divides another's with its coefficient, so none is
+    dropped, and one pass leaves every tail term irreducible."""
+    return [{KB: a, **_reduce_terms(dict(tail), reducers, H)}
+            for KB, a, tail in sorted(reducers, key=lambda f: f[:2])]
 
 
 def normal_form(e, gb):
@@ -588,10 +562,8 @@ def _is_strong_basis(gb):
     construction, so passing proves that they form a strong Groebner basis
     of it.
     """
-    reducers, H = gb._reducers, gb.presentation._mask
-    lms = [f.leading_term()[0] for f in gb.elements]
-    pair_polys = (h for (f, A), (g, B) in itertools.combinations(zip(reducers, lms), 2)
-                  for h in _pair_polys(f, g, _pack(_lcm_exponent(A, B)))[1])
+    reducers, H, lcm = gb._reducers, gb.presentation._mask, gb.presentation._lcm
+    pair_polys = (h for f, g in itertools.combinations(reducers, 2) for h in _pair_polys(f, g, lcm(f[0], g[0]))[1])
     must_vanish = itertools.chain(gb.seeds, gb.presentation._structural, pair_polys)
     return all(a > 0 for _, a, _ in reducers) and not any(_reduce_terms(h, reducers, H) for h in must_vanish)
 

@@ -4,11 +4,32 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, le, neg, sub
 
 from kstacks.abelian import IntMatrix, SmithDecomposition, group_from_relations, xgcd
 from kstacks.grobner import _pack, _reduce_terms
 from kstacks.groupring import GroupRingElement
+
+
+def _grevlex_key(exp):
+    """Sort key of grevlex order on exponent tuples: the degree, then the
+    smaller exponent in the later variable is larger."""
+    return (sum(exp), tuple(map(neg, exp[::-1])))
+
+
+def _divides(B, E):
+    return all(map(le, B, E))
+
+
+def _lcm_exponent(A, B):
+    return tuple(map(max, A, B))
+
+
+def grevlex_leading_term(f):
+    """(exponent, coefficient) of the grevlex-largest term of an
+    {exponent tuple: int} dict."""
+    E = max(f, key=_grevlex_key)
+    return E, f[E]
 
 
 def determinant(M):
@@ -231,10 +252,6 @@ def _fp_leading(f):
     return max(f, key=lambda e: (sum(e), e))
 
 
-def _fp_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _fp_shifted_sub(f, g, shift, c, p):
     """f - c * X^shift * g in place, over F_p."""
     for e, d in g.items():
@@ -254,7 +271,7 @@ def _fp_reduce(f, basis, p):
     while f:
         lead = _fp_leading(f)
         for g_lead, g in basis:
-            if _fp_divides(g_lead, lead):
+            if _divides(g_lead, lead):
                 _fp_shifted_sub(f, g, tuple(map(sub, lead, g_lead)), f[lead], p)
                 break
         else:
@@ -285,19 +302,20 @@ def all_pairs_certificate(gb):
     coefficient, and every input generator, structural relation and S- and
     G-polynomial of every pair of elements reduces to zero.  The pair
     polynomials are built here on exponent tuples and packed only for the
-    engine's reduction."""
+    engine's reduction, from the decoded elements."""
     reducers, H = gb._reducers, gb.presentation._mask
-    leads = [f.leading_term() for f in gb.elements]
+    polys = gb.decoded()
+    leads = [grevlex_leading_term(f) for f in polys]
     must_vanish = list(gb.seeds) + list(gb.presentation._structural)
-    for (f, (A, a)), (g, (B, b)) in itertools.combinations(zip(gb.elements, leads), 2):
-        L = tuple(map(max, A, B))
+    for (f, (A, a)), (g, (B, b)) in itertools.combinations(zip(polys, leads), 2):
+        L = _lcm_exponent(A, B)
         l = math.lcm(a, b)
         combos = [(l // a, -(l // b))] + ([xgcd(a, b)[1:]] if a % b and b % a else [])
         for x, y in combos:
             h = {}
             for poly, c, M in ((f, x, A), (g, y, B)):
                 shift = tuple(map(sub, L, M))
-                for E, d in poly.terms.items():
+                for E, d in poly.items():
                     key = tuple(map(add, E, shift))
                     h[key] = h.get(key, 0) + c * d
             must_vanish.append({_pack(E): c for E, c in h.items() if c})
@@ -310,7 +328,7 @@ def staircase_oracle(gb):
     unit coefficient divides, found by closing {1} under raising any
     variable, once every variable has a unit-coefficient pure power."""
     n = gb.presentation.num_vars
-    units = [B for B, a in (f.leading_term() for f in gb.elements) if a == 1]
+    units = [B for B, a in map(grevlex_leading_term, gb.decoded()) if a == 1]
     if (0,) * n in units:
         return set()
     if not all(any(B[v] == sum(B) > 0 for B in units) for v in range(n)):
@@ -318,7 +336,7 @@ def staircase_oracle(gb):
     seen, todo = set(), [(0,) * n]
     while todo:
         E = todo.pop()
-        if E not in seen and not any(_fp_divides(B, E) for B in units):
+        if E not in seen and not any(_divides(B, E) for B in units):
             seen.add(E)
             todo.extend(E[:v] + (E[v] + 1,) + E[v + 1:] for v in range(n))
     return seen
@@ -371,7 +389,7 @@ def fp_quotient_dimension(generators, presentation, p, limit=5000):
         e = frontier.pop()
         for i in range(n):
             up = e[:i] + (e[i] + 1,) + e[i + 1:]
-            if up not in standard and not any(_fp_divides(g_lead, up) for g_lead, _ in basis):
+            if up not in standard and not any(_divides(g_lead, up) for g_lead, _ in basis):
                 standard.add(up)
                 frontier.append(up)
                 assert len(standard) <= limit, "the F_p quotient looks infinite"

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shlex
@@ -517,6 +518,37 @@ def test_readme_commands_match_the_parser():
         a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert set(subcommands) == {argv[1] for argv in commands}
+
+
+# sha256 of each README command's JSON report without `timing_ms`, and the
+# exit code, in README order: any change to an answer, a reduced form or a
+# report field moves one of them
+README_REPORTS = [
+    (0, "dad3be429eb4378ce4679bce41f2b449771ec71ef50d573b590d6efe537b4402"),
+    (0, "5a0e3eb88a97551951d21fac33e0f3cb6461619c3a42c6386ea9d3c8c7848dda"),
+    (0, "5510cfe6e2423de2f7949899482d1b756257bde69f41999a5f87f104ecc9e7ee"),
+    (0, "615fa4c43d0b2a950408f2e71c90cfcbe904c609259d5f0c6efc622bf5472d8e"),
+    (0, "907c1823ab8487b073c9f1a264a3e5fdb03ee803779a8dcd7c1e4d371ec3d178"),
+    (0, "520c80022032551179d6b4372eecef8ab59fc966e8ede4bbad6332af03d5b34d"),
+    (3, "585d44aa6394fc088b8d1bc407039c61ef760a8bd375a3eb778608983ad934f4"),
+    (0, "b85ba94a40bb2b8a4eefb9e25fac823990d526f9f20f76ebac625c76e481b8fd"),
+    (0, "4763e3553787f347cec2671ef5a3b34f10c51c7235e064264f19302b3bb2fa72"),
+    (0, "6c8f1135310ab2a8137fac980abd541bff3db5cf664cf754eaa4f6d90adfd98e"),
+    (0, "959406952167b05d91b150c5df755eebbf54facfbd110ed1e42166e2174cd5d4"),
+    (0, "117d0c84455c4af24901ae673d3100087a8c6936a22276aba1f8d4d141647541"),
+]
+
+
+def test_pinned_readme_reports(tmp_path, capsys, monkeypatch):
+    # the README commands run in order in one directory, so connectify's
+    # fixed.json is there for the k0 command after it
+    monkeypatch.chdir(tmp_path)
+    got = []
+    for argv in _readme_commands():
+        code, _, _ = run(argv[1:] + ["--json", "report.json"], capsys)
+        report = json.dumps(strip_timing(read_report("report.json")), sort_keys=True)
+        got.append((code, hashlib.sha256(report.encode()).hexdigest()))
+    assert got == README_REPORTS
 
 
 def test_readme_example_table_matches_the_registry():

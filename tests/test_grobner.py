@@ -9,14 +9,12 @@ from kstacks.exprs import parse_element
 from kstacks.groupring import GroupRingElement, one_minus
 from kstacks.grobner import (
     AbGroupInvariants,
-    IntPolynomial,
     PolyPresentation,
     StrongGroebnerBasis,
-    _grevlex_key,
     _W,
     _complete,
-    _divides,
     _is_strong_basis,
+    _lcm_packer,
     _pack,
     _pair_polys,
     _primary_invariants,
@@ -32,7 +30,11 @@ from kstacks.stacks import builtin_example, make_stack_data
 
 from conftest import (
     _MacaulayLattice,
+    _divides,
+    _grevlex_key,
+    _lcm_exponent,
     all_pairs_certificate,
+    grevlex_leading_term,
     lattice_invariants,
     macaulay_member,
     present,
@@ -110,13 +112,14 @@ def test_gcd_completion_over_int():
     Z, p = laurent_presentation()
     t = GroupRingElement.monomial(Z.element([1]))
     gb = strong_groebner([2 * (1 - t), 3 * (1 - t)], p)
-    assert IntPolynomial(present(t - 1)) in gb.elements
+    assert present(t - 1) in gb.decoded()
 
 
 def test_structural_alone_is_its_own_basis():
     Z, p = laurent_presentation()
     gb = strong_groebner([], p)
-    assert gb.elements == p.structural
+    assert gb.decoded() == [{(1, 1): 1, (0, 0): -1}]
+    assert list(gb.elements) == p._structural
 
 
 def test_blowup_normal_forms():
@@ -263,8 +266,8 @@ def test_unverified_basis_is_unknown():
     # the criterion check alone must catch it
     Z, p = laurent_presentation()
     gens = [parse_element("t^[2] - 1", Z), parse_element("t^[-2] - 1", Z)]
-    polys = [IntPolynomial(present(g)) for g in gens]
-    unfinished = StrongGroebnerBasis(p, polys + list(p.structural), [p._encode(g) for g in gens])
+    seeds = [p._encode(g) for g in gens]
+    unfinished = StrongGroebnerBasis(p, seeds + p._structural, seeds)
     assert _standard_monomials(unfinished) == sorted(map(_pack, [(0, 0), (1, 0), (0, 1)]))
     inv = zmodule_invariants(unfinished)
     assert inv.status == AbGroupInvariants.UNKNOWN
@@ -406,8 +409,8 @@ def test_product_criterion_needs_coprime_coefficients():
     # leading coefficients: their S-polynomial s - y reduces to s + y + 1,
     # so they are no strong basis of the ideal they generate
     free = PolyPresentation(FgAbelianGroup.canonical(0), ["y", "s"], ())
-    gens = [{(1, 0): 2, (0, 0): 1}, {(0, 1): 2, (0, 0): 1}]
-    basis = StrongGroebnerBasis(free, map(IntPolynomial, gens), [{_pack(E): c for E, c in g.items()} for g in gens])
+    gens = [{_pack(E): c for E, c in g.items()} for g in ({(1, 0): 2, (0, 0): 1}, {(0, 1): 2, (0, 0): 1})]
+    basis = StrongGroebnerBasis(free, gens, gens)
     assert not _is_strong_basis(basis) and not all_pairs_certificate(basis)
     assert _pair_polys(*basis._reducers, _pack((1, 1)))[0] is False
     done = _complete(basis.seeds, free)
@@ -557,7 +560,7 @@ PINNED_INPUTS = {
 
 @pytest.mark.parametrize("name", PINNED_BASES)
 def test_pinned_bases(name):
-    assert [f.terms for f in PINNED_INPUTS[name]().elements] == PINNED_BASES[name]
+    assert PINNED_INPUTS[name]().decoded() == PINNED_BASES[name]
 
 
 # Inputs of the benchmark's families: the wps tuples of `classes` and of
@@ -612,7 +615,7 @@ def _completed_digest_input(name):
 def basis_digest(pres, forms):
     """sha256 of a reduced basis (its terms in element order) and of the
     normal forms of the queries, read back as polynomial exponents."""
-    record = ([sorted(f.terms.items()) for f in pres.basis.elements], [sorted(present(f).items()) for f in forms])
+    record = ([sorted(f.items()) for f in pres.basis.decoded()], [sorted(present(f).items()) for f in forms])
     return hashlib.sha256(repr(record).encode()).hexdigest()
 
 
@@ -777,7 +780,7 @@ def _centred_and_plain(gens, p):
     centred = strong_groebner([_centred(q) for q in gens], p)
     plain = strong_groebner(gens, p)
     assert _is_strong_basis(centred) and _is_strong_basis(plain)
-    return [f.terms for f in centred.elements], [f.terms for f in plain.elements]
+    return centred.elements, plain.elements
 
 
 @pytest.mark.parametrize(
@@ -800,7 +803,7 @@ def test_centring_keeps_the_digest_bases():
     for name, make in DIGEST_INPUTS.items():
         pres = k0_presentation(make())
         centred, plain = _centred_and_plain(pres.generators, pres.presentation)
-        assert centred == plain == [f.terms for f in pres.basis.elements], name
+        assert centred == plain == pres.basis.elements, name
 
 
 def test_centring_edge_cases():
@@ -836,21 +839,23 @@ def test_malformed_exponents_are_rejected():
 
 
 def test_leading_term_cache():
-    # the checked constructor drops zero coefficients and finds the leading
-    # term on first use as the grevlex maximum; the cached term stays right
+    # a basis takes each element's leading term as its largest packed key,
+    # in any term order, and keeps it in the reducer data; it is the
+    # grevlex maximum of the decoded terms, and decoding keeps the terms
     rng = random.Random(5)
+    p = PolyPresentation(FgAbelianGroup.canonical(0), ["a", "b", "c"], ())
     made = 0
     for _ in range(400):
-        terms = {tuple(rng.randint(0, 3) for _ in range(3)): rng.choice([-4, -2, -1, 0, 1, 3])
+        terms = {tuple(rng.randint(0, 3) for _ in range(3)): rng.choice([-4, -2, -1, 1, 3])
                  for _ in range(rng.randint(1, 5))}
-        h = IntPolynomial(terms)
-        assert h.terms == {E: c for E, c in terms.items() if c}
-        if h.is_zero():
-            continue
-        made += 1
-        E = max(h.terms, key=_grevlex_key)
-        assert h.leading_term() == (E, h.terms[E])
-        assert h.leading_term() == (E, h.terms[E])
+        packed = {_pack(E): c for E, c in rng.sample(list(terms.items()), len(terms))}
+        basis = StrongGroebnerBasis(p, [packed], [])
+        E, c = grevlex_leading_term(terms)
+        (KB, a, tail), = basis._reducers
+        assert (KB, a) == (_pack(E), c)
+        assert dict(tail) == {_pack(F): d for F, d in terms.items() if F != E}
+        assert basis.decoded() == [terms]
+        made += len(terms) > 1
     assert made > 300
 
 
@@ -872,15 +877,13 @@ def test_reduction_order_gives_leading_terms(group):
             form = _reduce_terms(p._encode(_random_element(rng, G, 2, WIDE_COEFFS)), gb._reducers, p._mask)
             assert list(form) == sorted(form, reverse=True)
             checked += bool(form)
-        for f in gb.elements:
-            E = max(f.terms, key=_grevlex_key)
-            assert f._lt == (E, f.terms[E])
-            assert list(f.terms)[0] == E
-            KB, a, tail = f._reducer_data()
-            assert (KB, a) == (_pack(E), f._lt[1])
-            assert dict(tail) == {_pack(F): c for F, c in f.terms.items() if F != E}
+        for f, decoded, (KB, a, tail) in zip(gb.elements, gb.decoded(), gb._reducers):
+            E, c = grevlex_leading_term(decoded)
+            assert next(iter(f)) == max(f) == KB == _pack(E)
+            assert list(decoded)[0] == E
+            assert a == c > 0
+            assert dict(tail) == {_pack(F): d for F, d in decoded.items() if F != E}
             checked += 1
-        assert all(f._lt[1] > 0 for f in gb.elements)
     assert checked >= 25
 
 
@@ -1045,6 +1048,11 @@ def test_degree_bound_is_reported():
     assert q._encode(parse_element(f"t^[{3 - big};2]", G)) == {_pack((0, big - 3, 2)): 1}
     with pytest.raises(ValueError, match=rf"\(0, {big - 2}, 2\)"):
         strong_groebner([parse_element(f"1 - t^[{3 - big};2] + t^[{2 - big};2]", G)], q)
+    # so does a structural relation sj^mj - 1: mj = 2^(W-3) cannot be presented
+    assert PolyPresentation.for_group(FgAbelianGroup.canonical(0, (big - 1,)))._structural == \
+        [{_pack((big - 1,)): 1, 0: -1}]
+    with pytest.raises(ValueError, match=rf"\(0, 0, {big}\)"):
+        PolyPresentation.for_group(FgAbelianGroup.canonical(1, (big,)))
     # raw exponents go to the completion core as packed seeds
     with pytest.raises(ValueError, match=rf"\({big}, 0\)"):
         _complete([{_pack((big, 0)): 1, 0: -1}], p)
@@ -1067,9 +1075,55 @@ def test_smith_form_on_touched_columns():
     assert (inv.invariants(), inv.status) == ((1000, ()), AbGroupInvariants.EXACT)
 
 
-def test_int_polynomial_takes_only_ints():
-    for terms in ({(1, 0): 2.9}, {(1.5, 0): 1, (0, 0): -1}, {(1, 0): 0.0}):
-        with pytest.raises(TypeError):
-            IntPolynomial(terms)
-    with pytest.raises(ValueError):
-        IntPolynomial({(-1, 0): 1})
+def test_structural_relations_take_only_ints():
+    # the presentation checks its structural relations before packing them:
+    # ints only, nonnegative exponents of one entry per name; zero terms drop
+    G = FgAbelianGroup.canonical(0)
+    for terms in ({(1, 0): 2.9}, {(1.5, 0): 1, (0, 0): -1}, {(1, 0): 0.0}, {(1, 0): "1"}):
+        with pytest.raises(TypeError, match="ints"):
+            PolyPresentation(G, ["y", "s"], [terms])
+    for terms in ({(-1, 0): 1}, {(1, 1, 0): 1, (0, 0, 0): -1}, {(1,): 1}):
+        with pytest.raises(ValueError, match="2 nonnegative ints"):
+            PolyPresentation(G, ["y", "s"], [terms])
+    p = PolyPresentation(G, ["y", "s"], [{(1, 1): 1, (0, 1): 0, (0, 0): -1}])
+    assert p._structural == [{_pack((1, 1)): 1, 0: -1}]
+
+
+def test_presentation_needs_a_name_per_variable():
+    # the encoding uses 2r + k variables: with fewer names _encode would
+    # drop coordinates and give wrong answers labelled exact
+    with pytest.raises(ValueError, match="2 variable names .* uses 3"):
+        PolyPresentation(FgAbelianGroup.canonical(1, (3,)), ["y", "y'"], ())
+    with pytest.raises(ValueError, match="1 variable names .* uses 2"):
+        PolyPresentation(FgAbelianGroup.canonical(1), ["y"], [])
+    # a plain polynomial ring over the trivial group stays allowed
+    assert PolyPresentation(FgAbelianGroup.canonical(0), ["a", "b"], ()).num_vars == 2
+    assert PolyPresentation(FgAbelianGroup.canonical(0), [], ()).num_vars == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 10])
+def test_packed_lcm_matches_the_tuple_oracle(n):
+    # 16,000 seeded pairs per n: entries up to 2^20, ties and zeros, and
+    # pairs at the degree bound 2^(W-3) - 1, where the lcm has its largest
+    # degree; the mask test is divisibility on the same pairs
+    rng = random.Random(f"lcm/{n}")
+    lcm, H = _lcm_packer(n), PolyPresentation(FgAbelianGroup.canonical(0), ["v"] * n, ())._mask
+    top = (1 << (_W - 3)) - 1
+
+    def exponent(kind):
+        if kind == "bound":
+            cuts = sorted(rng.randint(0, top) for _ in range(n - 1))
+            return tuple(b - a for a, b in zip([0] + cuts, cuts + [top]))
+        return tuple(rng.choice((0, rng.randint(0, 3), rng.randint(0, 1 << 20))) for _ in range(n))
+
+    at_bound = 0
+    for _ in range(16000):
+        kinds = rng.choice((("wide", "wide"), ("wide", "bound"), ("bound", "wide"), ("bound", "bound")))
+        A, B = map(exponent, kinds)
+        if rng.random() < 0.2:
+            B = tuple(rng.choice((a, b)) for a, b in zip(A, B))  # shared fields
+        KA, KB = _pack(A), _pack(B)
+        assert lcm(KA, KB) == _pack(_lcm_exponent(A, B))
+        assert (((KA - KB + H) & H) == H) == _divides(A, B)
+        at_bound += sum(A) == top or sum(B) == top
+    assert at_bound > 8000
