@@ -39,7 +39,6 @@ from .stacks import (
 from .ktheory import (
     HypothesisError,
     K0Class,
-    class_of_coordinate_quotient,
     class_of_intersection,
     class_of_koszul_quotient,
     class_of_twist,
@@ -69,7 +68,6 @@ __all__ = [
     "StrongGroebnerBasis",
     "builtin_example",
     "check_connected",
-    "class_of_coordinate_quotient",
     "class_of_intersection",
     "class_of_koszul_quotient",
     "class_of_twist",

@@ -21,7 +21,7 @@ import sys
 import time
 
 from .abelian import describe_invariants
-from .exprs import ascii_int, parse_element
+from .exprs import _parse_int_list, ascii_int, parse_element
 from .ktheory import (
     HypothesisError,
     class_of_koszul_quotient,
@@ -79,10 +79,7 @@ def _vec_json(group, element):
 
 
 def _parse_vector(text, length, what):
-    try:
-        vec = [ascii_int(p.strip()) for p in text.split(",")]
-    except ValueError as exc:
-        raise StackDataError(f"{exc} in {what}") from None
+    vec = _parse_int_list(text, what)
     if len(vec) != length:
         raise StackDataError(f"{what} needs {length} entries, got {len(vec)}")
     return vec

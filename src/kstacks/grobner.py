@@ -3,12 +3,14 @@
 The group ring of Z^r x Z/m1 x ... x Z/mk is presented as an ordinary
 polynomial ring on variables y1, y1', ..., yr, yr', s1, ..., sk modulo the
 structural relations yi*yi' - 1 and sj^mj - 1, which makes a monomial order
-available.  A group-ring term t^(a;c) stands for the monomial with yi^ai
-for ai >= 0, yi'^(-ai) for ai < 0 and sj^cj, so the elements of one class
-share one normal form.  Arithmetic happens in the group ring; this module
-only completes and reduces: ``strong_groebner`` and ``normal_form`` take
-group-ring elements, and ``normal_form`` returns the reduced element.  Over
-the integers a Groebner basis must be closed under both S-polynomials and
+available.  The group fixes these relations; a presentation may name more
+variables, and those are plain polynomial variables.  A group-ring term
+t^(a;c) stands for the monomial with yi^ai for ai >= 0, yi'^(-ai) for
+ai < 0 and sj^cj, so the elements of one class share one normal form.
+Arithmetic happens in the group ring; this module only completes and
+reduces: ``strong_groebner`` and ``normal_form`` take group-ring elements,
+and ``normal_form`` returns the reduced element.  Over the integers a
+Groebner basis must be closed under both S-polynomials and
 GCD-polynomials; reduction then leaves coefficient remainders in [0, lc),
 and ``normal_form(e, gb).is_zero()`` decides ideal membership.
 
@@ -113,63 +115,49 @@ class PolyPresentation:
     """Polynomial model of a group ring.
 
     The variable order is y1, y1', ..., yr, yr', s1, ..., sk, and a
-    presentation needs at least these 2r + k names.  The structural
-    relations, given as {exponent tuple: int} dicts, are part of every ideal
-    built over the presentation; ``_structural`` holds them packed.
-    ``_mask`` is the H of the module docstring, ``_lcm`` the packed lcm,
-    ``_steps`` holds K(x_v) per variable, ``_units`` (K(yi), K(yi')) per
-    free coordinate and (K(sj), K(sj)) per residue, K > ``_limit`` =
-    (2^(W-3) - 1)*2^(W*n) exactly when the degree of K reaches 2^(W-3), and
-    ``_lanes`` serves ``_decode``.
+    presentation needs at least these 2r + k names; names past them are
+    plain variables, so over the trivial group it is a polynomial ring.
+    The group fixes the structural relations yi*yi' - 1 and sj^mj - 1,
+    part of every ideal built over the presentation; ``_structural`` holds
+    them packed, as K(yi) + K(yi') and mj*K(sj).  A torsion order mj of
+    2^(W-3) or more raises ValueError.  ``_mask`` is the H of the module
+    docstring, ``_lcm`` the packed lcm, ``_steps`` holds K(x_v) per
+    variable, ``_units`` (K(yi), K(yi')) per free coordinate and
+    (K(sj), K(sj)) per residue, K > ``_limit`` = (2^(W-3) - 1)*2^(W*n)
+    exactly when the degree of K reaches 2^(W-3), and ``_lanes`` serves
+    ``_decode``.
     """
 
     __slots__ = ("group", "names", "num_vars", "_structural", "_mask", "_lcm", "_steps", "_units", "_limit", "_lanes")
 
-    def __init__(self, group, names, structural):
+    def __init__(self, group, names):
         self.group = group
         self.names = tuple(names)
         self.num_vars = n = len(self.names)
-        r = group.free_rank
-        if n < 2 * r + len(group.torsion):
-            raise ValueError(f"{n} variable names for a group whose encoding uses {2 * r + len(group.torsion)}")
-        self._structural = [self._pack_relation(f) for f in structural]
+        r, torsion = group.free_rank, group.torsion
+        used = 2 * r + len(torsion)
+        if n < used:
+            raise ValueError(f"{n} variable names for a group whose encoding uses {used}")
+        for v, m in enumerate(torsion, 2 * r):
+            _check_degree((0,) * v + (m,) + (0,) * (n - 1 - v))
         self._mask = ((1 << _W * n) - 1) // ((1 << _W) - 1) << (_W - 1)
         self._lcm = _lcm_packer(n)
         K = [(1 << _W * n) - (1 << _W * v) for v in range(n)]
         self._steps = K
-        self._units = list(zip(K[:2 * r:2], K[1:2 * r:2])) + [(k, k) for k in K[2 * r:]]
+        self._units = list(zip(K[:2 * r:2], K[1:2 * r:2])) + [(k, k) for k in K[2 * r:used]]
+        self._structural = [{P + N: 1, 0: -1} for P, N in self._units[:r]] + \
+            [{m * S: 1, 0: -1} for m, (S, _) in zip(torsion, self._units[r:])]
         self._limit = ((1 << (_W - 3)) - 1) << (_W * n)
         lanes = range(0, 2 * _W * r, 2 * _W)  # lane i holds the fields of yi and yi'
-        self._lanes = (sum(((1 << _W) - 1) << b for b in lanes), sum(1 << (b + 2 * _W - 1) for b in lanes),
-                       2 * _W * r, struct.Struct(f"<{r}q{n - 2 * r}I"))
-
-    def _pack_relation(self, f):
-        """The packed term dict of {exponent tuple: int}, zero terms dropped:
-        TypeError unless exponents and coefficients are ints, ValueError for
-        an exponent of the wrong length, a negative entry or too high a
-        degree."""
-        packed = {}
-        for E, c in f.items():
-            if not (isinstance(c, int) and all(isinstance(e, int) for e in E)):
-                raise TypeError(f"exponents and coefficients must be ints, got {E!r}: {c!r}")
-            if len(E) != self.num_vars or min(E, default=0) < 0:
-                raise ValueError(f"exponent {E!r} is not {self.num_vars} nonnegative ints")
-            if c:
-                packed[_pack(_check_degree(E))] = c
-        return packed
+        self._lanes = ((1 << _W * used) - 1, sum(((1 << _W) - 1) << b for b in lanes),
+                       sum(1 << (b + 2 * _W - 1) for b in lanes), 2 * _W * r,
+                       struct.Struct(f"<{r}q{len(torsion)}I"))
 
     @classmethod
     def for_group(cls, group):
-        """The presentation with the relations yi*yi' - 1 and sj^mj - 1,
-        packed as K(yi) + K(yi') and mj*K(sj)."""
-        r, torsion = group.free_rank, group.torsion
-        names = [f"y{i // 2 + 1}" + "'" * (i % 2) for i in range(2 * r)] + [f"s{j + 1}" for j in range(len(torsion))]
-        p = cls(group, names, ())
-        for v, m in enumerate(torsion, 2 * r):
-            _check_degree((0,) * v + (m,) + (0,) * (len(names) - 1 - v))
-        p._structural = [{P + N: 1, 0: -1} for P, N in p._units[:r]] + \
-            [{m * S: 1, 0: -1} for m, (S, _) in zip(torsion, p._units[r:])]
-        return p
+        """The presentation on the names y1, y1', ..., yr, yr', s1, ..., sk."""
+        names = [f"y{i // 2 + 1}" + "'" * (i % 2) for i in range(2 * group.free_rank)]
+        return cls(group, names + [f"s{j + 1}" for j in range(len(group.torsion))])
 
     def _encode(self, e):
         """Packed term dict of a group-ring element over the group, keyed by
@@ -192,11 +180,11 @@ class PolyPresentation:
     def _decode(self, packed):
         """Group-ring term dict of packed reduction output, exact on normal
         forms (never both yi and yi', nor sj^mj).  Field v of L = -K holds
-        e_v; lane i of (L & even) + bias - (L >> W & even), 2W bits with the
-        bias 2^(2W-1) against borrows, is e_(2i) - e_(2i+1) once xored with
-        the bias, and one unpack reads these and the residues after them."""
-        low = (1 << _W * self.num_vars) - 1
-        even, bias, top, fmt = self._lanes
+        e_v, and L keeps the 2r + k fields of the encoding; lane i of
+        (L & even) + bias - (L >> W & even), 2W bits with the bias 2^(2W-1)
+        against borrows, is e_(2i) - e_(2i+1) once xored with the bias, and
+        one unpack reads these and the k residues after them."""
+        low, even, bias, top, fmt = self._lanes
         terms = {}
         for K, c in packed.items():
             L = -K & low

@@ -169,11 +169,6 @@ def class_of_koszul_quotient(pres, degrees):
     return K0Class(pres, one_minus_product(pres.group, degrees))
 
 
-def class_of_coordinate_quotient(pres, names):
-    """Class of the quotient by the coordinate ideal of the named variables."""
-    return class_of_koszul_quotient(pres, [pres.data.variable(name).degree for name in names])
-
-
 def class_of_intersection(pres, components):
     """Class of the quotient by an intersection of coordinate ideals,
     by inclusion-exclusion over the nonempty subcollections."""

@@ -1,5 +1,6 @@
 """The public surface: every exported name has a user outside the library."""
 
+import ast
 import json
 import os
 import re
@@ -21,8 +22,27 @@ def test_every_export_is_used():
     text = "\n".join(f.read_text(encoding="utf-8") for f in files)
     unused = [name for name in kstacks.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert unused == []
-    # 39 distinct names; a new export has to earn its place here
-    assert len(set(kstacks.__all__)) == len(kstacks.__all__) == 39
+    # 38 distinct names; a new export has to earn its place here
+    assert len(set(kstacks.__all__)) == len(kstacks.__all__) == 38
+
+
+def test_readme_python_blocks_give_their_commented_results():
+    # the README's python blocks run in order in one namespace; a line with a
+    # comment is an expression, and the comment is the literal of its value
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    namespace, pending, checked = {}, [], 0
+    for block in re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M):
+        for line in block.splitlines():
+            code, _, shown = line.partition("#")
+            if not shown:
+                pending.append(line)
+                continue
+            exec("\n".join(pending), namespace)
+            pending = []
+            assert eval(code, namespace) == ast.literal_eval(shown.strip()), line
+            checked += 1
+    exec("\n".join(pending), namespace)
+    assert checked == 2
 
 
 def test_command_line_imports_only_the_standard_library():

@@ -9,7 +9,6 @@ from kstacks.groupring import GroupRingElement, one_minus
 from kstacks.grobner import AbGroupInvariants
 from kstacks.ktheory import (
     HypothesisError,
-    class_of_coordinate_quotient,
     class_of_intersection,
     class_of_koszul_quotient,
     class_of_twist,
@@ -165,28 +164,29 @@ def test_coordinate_quotient_classes():
     G = data.group
     u = GroupRingElement.monomial(G.element([1, 0]))
     v = GroupRingElement.monomial(G.element([0, 1]))
-    c1 = class_of_coordinate_quotient(pres, ["x1"])
+    # the class of one coordinate ideal is the intersection of one component
+    c1 = class_of_intersection(pres, [["x1"]])
     assert c1.representative == 1 - v
     assert c1.is_zero()
-    c2 = class_of_coordinate_quotient(pres, ["t0"])
+    c2 = class_of_intersection(pres, [["t0"]])
     assert c2.representative == 1 - u
     assert not c2.is_zero()
-    assert class_of_coordinate_quotient(pres, []).representative == GroupRingElement.one(G)
+    assert class_of_intersection(pres, [[]]).representative == GroupRingElement.one(G)
     # every normalized component dies in the quotient
     for comp in data.irrelevant:
-        assert class_of_coordinate_quotient(pres, comp).is_zero()
+        assert class_of_intersection(pres, [comp]).is_zero()
     with pytest.raises(StackDataError, match="unknown variable name 'x9'"):
-        class_of_coordinate_quotient(pres, ["x1", "x9"])
+        class_of_intersection(pres, [["x1", "x9"]])
 
 
 def test_intersection_classes():
     data = builtin_example("blowup-a2-hirzebruch")
     pres = k0_presentation(data)
     single = class_of_intersection(pres, [data.irrelevant[0]])
-    same = class_of_coordinate_quotient(pres, data.irrelevant[0])
+    same = class_of_koszul_quotient(pres, [data.variable(name).degree for name in data.irrelevant[0]])
     assert single.representative == same.representative
     repeated = class_of_intersection(pres, [("t0", "t1"), ("t0", "t1")])
-    assert repeated.representative == class_of_coordinate_quotient(pres, ("t0", "t1")).representative
+    assert repeated.representative == class_of_intersection(pres, [("t0", "t1")]).representative
     # the class of the full irrelevant locus vanishes
     full = class_of_intersection(pres, list(data.irrelevant))
     assert full.is_zero()
