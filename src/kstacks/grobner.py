@@ -63,7 +63,7 @@ import itertools
 import struct
 import sys
 from array import array
-from math import gcd, inf
+from math import gcd
 
 from .abelian import group_from_relations, xgcd
 from .groupring import GroupRingElement
@@ -151,7 +151,7 @@ class PolyPresentation:
         lanes = range(0, 2 * _W * r, 2 * _W)  # lane i holds the fields of yi and yi'
         self._lanes = ((1 << _W * used) - 1, sum(((1 << _W) - 1) << b for b in lanes),
                        sum(1 << (b + 2 * _W - 1) for b in lanes), 2 * _W * r,
-                       struct.Struct(f"<{r}q{len(torsion)}I"))
+                       struct.Struct(f"<{r}q{len(torsion)}I"), ((1 << _W * n) - 1) ^ ((1 << _W * used) - 1))
 
     @classmethod
     def for_group(cls, group):
@@ -183,10 +183,15 @@ class PolyPresentation:
         e_v, and L keeps the 2r + k fields of the encoding; lane i of
         (L & even) + bias - (L >> W & even), 2W bits with the bias 2^(2W-1)
         against borrows, is e_(2i) - e_(2i+1) once xored with the bias, and
-        one unpack reads these and the k residues after them."""
-        low, even, bias, top, fmt = self._lanes
+        one unpack reads these and the k residues after them.  A term in a
+        name past the 2r + k, a set bit of -K & extra (0 when there are no
+        such names), has no key and raises ValueError naming the last one."""
+        low, even, bias, top, fmt, extra = self._lanes
         terms = {}
         for K, c in packed.items():
+            if -K & extra:
+                name = self.names[((-K & extra).bit_length() - 1) // _W]
+                raise ValueError(f"a reduced term has the variable {name}, which no group-ring key holds")
             L = -K & low
             lanes = ((L & even) + bias - (L >> _W & even)) ^ bias
             terms[fmt.unpack((lanes | L >> top << top).to_bytes(fmt.size, "little"))] = c
@@ -341,11 +346,13 @@ def _complete(seeds, presentation):
     - a retired g no longer reduces and forms no new pairs, but its queued
       pairs stay queued and are processed as usual;
     - the S-polynomial of (i, j) is skipped only when its G-polynomial is
-      trivial (one leading coefficient divides the other) and some k other
-      than i and j, whose pairs with i and with j were both formed, has
-      LM_k | L, lc_k | lcm(lc_i, lc_j), and neither lcm(LM_i, LM_k) nor
-      lcm(LM_j, LM_k) equal to L.  Both lcms then properly divide L, so
-      those pairs come earlier in the queue and have been popped;
+      trivial (one leading coefficient divides the other) and some k whose
+      pairs with i and j have both been popped has LM_k | L and lc_k | l =
+      lcm(lc_i, lc_j).  This holds in any pop order: with l_ik =
+      lcm(lc_i, lc_k) and L_ik = lcm(LM_i, LM_k), S(i,j) = (l/l_ik)
+      X^(L-L_ik) S(i,k) - (l/l_jk) X^(L-L_jk) S(j,k), and by induction on
+      pop order each popped pair, skipped or not, has a representation
+      below its lcm, so both terms have one below L, also when L_ik = L;
     - the S-polynomial of (i, j) is not built when gcd(lc_i, lc_j) = 1 and
       LM_i, LM_j are coprime, a product pair (see ``_pair_polys``).  The
       G-polynomial is still reduced when neither lc divides the other.
@@ -354,11 +361,12 @@ def _complete(seeds, presentation):
     too: h reduces every term that g reduces, to a remainder in [0, lc_h),
     inside [0, lc_g); and g = (lc_g/lc_h) X^(LM_g - LM_h) h + S(g, h), the
     S-polynomial of the queued pair (g, h).  A later h' needs no pair with
-    g: as in the chain criterion, LM_h | lcm(LM_g, LM_h') and lc_h | lc_g,
-    and the pairs (g, h) and (h, h') are formed.  G-polynomials are never
-    skipped, the live elements are interreduced, and ``_is_strong_basis``
-    rechecks every pair but the product pairs.  A new element whose leading
-    monomial reaches the degree bound raises ValueError.
+    g: as in the chain criterion with h for k, LM_h | lcm(LM_g, LM_h') and
+    lc_h | lc_g, and the pairs (g, h) and (h, h') are popped by the end.
+    G-polynomials are never skipped, the live elements are interreduced,
+    and ``_is_strong_basis`` rechecks every pair but the product pairs.  A
+    new element whose leading monomial reaches the degree bound raises
+    ValueError.
     """
     H, lcm = presentation._mask, presentation._lcm
     distinct = {}  # distinct nonzero inputs up to sign, in input order
@@ -369,8 +377,7 @@ def _complete(seeds, presentation):
             distinct.setdefault(frozenset(terms.items()), terms)
 
     data = []  # reducer data of every element ever added; pairs refer to their indices
-    until = []  # index of the element that retired data[k], or inf while it is live
-    partners = []  # partners[j]: the elements live when data[j] came, ascending
+    done = []  # done[k]: the elements whose pair with data[k] has been popped
     live = []  # indices of the live elements, ascending
     reducers = []  # reducer data of the live elements, in the same order
     pairs = []
@@ -383,33 +390,19 @@ def _complete(seeds, presentation):
         if KB > presentation._limit:
             _check_degree(_unpack(KB, presentation.num_vars))
         for k in live:
-            KC, c, _ = data[k]
-            heapq.heappush(pairs, (lcm(KC, KB), k, j))
-            if c % b == 0 and (KB - KC + H) & H == H:
-                until[k] = j
-                work["retired"] += 1
+            heapq.heappush(pairs, (lcm(data[k][0], KB), k, j))
+        kept = [k for k in live if data[k][1] % b or (KB - data[k][0] + H) & H != H]
         work["pairs_queued"] += len(live)
+        work["retired"] += len(live) - len(kept)
         data.append((KB, b, tail))
-        until.append(inf)
-        partners.append(tuple(live))
-        live[:] = [k for k in live if until[k] > j] + [j]
+        done.append(set())
+        live[:] = kept + [j]
         reducers[:] = [data[k] for k in live]
         work["peak_live"] = max(work["peak_live"], len(live))
 
     def chain_skips(i, j, L):
-        # i < j.  k may serve only if its pairs with i and with j were both
-        # queued: k <= until[i] and k <= until[j], and an older k was still
-        # live when j came.  Those pairs were popped before (i, j): see the
-        # docstring.  The older k that qualify are partners[j].
-        (KA, a, _), (KB, b, _) = data[i], data[j]
-        l = max(a, b)  # lcm(a, b), as one divides the other
-        newer = range(j + 1, min(until[i], until[j], len(data) - 1) + 1)
-        for k in itertools.chain(partners[j], newer):
-            KC, c, _ = data[k]
-            if (k != i and k != j and l % c == 0 and (KC - L + H) & H == H
-                    and lcm(KA, KC) != L and lcm(KB, KC) != L):
-                return True
-        return False
+        l = max(data[i][1], data[j][1])  # lcm(lc_i, lc_j), as one divides the other
+        return any(l % data[k][1] == 0 and (data[k][0] - L + H) & H == H for k in done[i] & done[j])
 
     def reduce_and_add(terms):
         work["reductions"] += 1
@@ -426,7 +419,10 @@ def _complete(seeds, presentation):
         L, i, j = heapq.heappop(pairs)
         work["pairs_popped"] += 1
         a, b = data[i][1], data[j][1]
-        if (a % b == 0 or b % a == 0) and chain_skips(i, j, L):
+        skip = (a % b == 0 or b % a == 0) and chain_skips(i, j, L)
+        done[i].add(j)
+        done[j].add(i)
+        if skip:
             work["chain_skipped"] += 1
             continue
         product, polys = _pair_polys(data[i], data[j], L)
@@ -450,8 +446,9 @@ def normal_form(e, gb):
     """The reduced element of the class of the group-ring element e modulo
     the ideal of the basis: its terms are reduced as packed monomials and
     read back as keys, so the elements of one class give one result.  An
-    element over another group, or a term whose degree is too high for the
-    packed encoding, raises ValueError."""
+    element over another group, a term whose degree is too high for the
+    packed encoding, or a reduced term in a name past the 2r + k of the
+    encoding raises ValueError."""
     p = gb.presentation
     return GroupRingElement._of(p.group, p._decode(_reduce_terms(p._encode(e), gb._reducers, p._mask)))
 

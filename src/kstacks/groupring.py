@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from operator import add, mod
 
-from .abelian import GroupElement
+from .abelian import GroupElement, _require_ints
 
 #: the most weight one product inside a power may have.  A term dict weighs
 #: its number of terms times 1 + b // 1024, for b the bit length of its
@@ -30,13 +30,29 @@ POWER_BUDGET = 500_000
 
 class GroupRingElement:
     """Finite map ``terms`` from exponent keys (flat tuples free +
-    residues, see the module docstring) to nonzero integer coefficients."""
+    residues, see the module docstring) to nonzero integer coefficients.
+
+    The constructor checks its terms: a key entry or coefficient that is not
+    an int raises TypeError, and a key whose length is not r + k ValueError.
+    It reduces the residues into [0, m_i) and adds up the coefficients of
+    keys that then meet.  ``_of`` takes terms kstacks computed as given.
+    """
 
     __slots__ = ("group", "terms")
 
     def __init__(self, group, terms):
+        r, torsion = group.free_rank, group.torsion
+        out = {}
+        for key, c in terms.items():
+            key = _require_ints(key, "key entries")
+            if not isinstance(c, int):
+                raise TypeError(f"coefficients must be ints, got {c!r}")
+            if len(key) != r + len(torsion):
+                raise ValueError(f"key {key} has {len(key)} entries; the group needs {r + len(torsion)}")
+            key = key[:r] + tuple(map(mod, key[r:], torsion))
+            out[key] = out.get(key, 0) + c
         self.group = group
-        self.terms = {key: c for key, c in terms.items() if c}
+        self.terms = {key: c for key, c in out.items() if c}
 
     @classmethod
     def zero(cls, group):

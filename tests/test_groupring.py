@@ -236,5 +236,28 @@ def test_non_integers_are_rejected():
         Z.element([1.5])
     with pytest.raises(TypeError):
         t(Z) * 2.5
+    # a float key entry died inside the packed encoding
+    with pytest.raises(TypeError, match="key entries must be ints"):
+        GroupRingElement(Z, {(1.0,): 1})
+    with pytest.raises(TypeError, match="coefficients must be ints"):
+        GroupRingElement(Z, {(1,): 1.5})
+    with pytest.raises(TypeError, match="coefficients must be ints"):
+        GroupRingElement.constant(Z, 2.5)
     assert Z.element([3]) * 2 == Z.element([6])
     assert t(Z) ** True == t(Z)
+
+
+def test_constructor_rejects_a_key_of_the_wrong_length():
+    # over Z, (1, 7) rendered t^[1;7] and reduced like t^[1]
+    with pytest.raises(ValueError, match="2 entries; the group needs 1"):
+        GroupRingElement(laurent(), {(1, 7): 1})
+    with pytest.raises(ValueError, match="0 entries; the group needs 2"):
+        GroupRingElement(FgAbelianGroup.canonical(1, (3,)), {(): 1})
+
+
+def test_constructor_reduces_residues():
+    G = FgAbelianGroup.canonical(1, (3,))
+    assert GroupRingElement(G, {(0, 5): 1}) == GroupRingElement(G, {(0, 2): 1})
+    assert GroupRingElement(G, {(1, 5): 1, (1, -1): 2}).terms == {(1, 2): 3}
+    assert GroupRingElement(G, {(1, 5): 1, (1, 2): -1}).is_zero()
+    assert GroupRingElement(G, {(-4, 3): 1}).render() == "t^[-4;0]"
