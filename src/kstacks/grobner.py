@@ -22,7 +22,7 @@ significant, so int order compares the degree, then -e_(n-1), -e_(n-2),
 ...: it is grevlex order.  K is linear, so a shift is one addition, and a
 group-ring key packs with no exponent vector between:
 ``PolyPresentation._encode`` sums ai*K(yi) or |ai|*K(yi') and cj*K(sj),
-and ``_decode`` reads the fields of -K back into a key.  The low fields of
+and ``_decode`` reads keys back through ``_unpack``.  The low fields of
 K(B) - K(E) are the balanced digits e_i - b_i, so B | E exactly when
 ((K(B) - K(E) + H) & H) == H, where H has 2^(W-1) in each low field:
 adding it sets a field's top bit just when its digit is >= 0.  This needs
@@ -60,10 +60,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import struct
 import sys
 from array import array
 from math import gcd
+from operator import sub
 
 from .abelian import group_from_relations, xgcd
 from .groupring import GroupRingElement
@@ -124,11 +124,10 @@ class PolyPresentation:
     docstring, ``_lcm`` the packed lcm, ``_steps`` holds K(x_v) per
     variable, ``_units`` (K(yi), K(yi')) per free coordinate and
     (K(sj), K(sj)) per residue, K > ``_limit`` = (2^(W-3) - 1)*2^(W*n)
-    exactly when the degree of K reaches 2^(W-3), and ``_lanes`` serves
-    ``_decode``.
+    exactly when the degree of K reaches 2^(W-3).
     """
 
-    __slots__ = ("group", "names", "num_vars", "_structural", "_mask", "_lcm", "_steps", "_units", "_limit", "_lanes")
+    __slots__ = ("group", "names", "num_vars", "_structural", "_mask", "_lcm", "_steps", "_units", "_limit")
 
     def __init__(self, group, names):
         self.group = group
@@ -148,10 +147,6 @@ class PolyPresentation:
         self._structural = [{P + N: 1, 0: -1} for P, N in self._units[:r]] + \
             [{m * S: 1, 0: -1} for m, (S, _) in zip(torsion, self._units[r:])]
         self._limit = ((1 << (_W - 3)) - 1) << (_W * n)
-        lanes = range(0, 2 * _W * r, 2 * _W)  # lane i holds the fields of yi and yi'
-        self._lanes = ((1 << _W * used) - 1, sum(((1 << _W) - 1) << b for b in lanes),
-                       sum(1 << (b + 2 * _W - 1) for b in lanes), 2 * _W * r,
-                       struct.Struct(f"<{r}q{len(torsion)}I"), ((1 << _W * n) - 1) ^ ((1 << _W * used) - 1))
 
     @classmethod
     def for_group(cls, group):
@@ -179,22 +174,20 @@ class PolyPresentation:
 
     def _decode(self, packed):
         """Group-ring term dict of packed reduction output, exact on normal
-        forms (never both yi and yi', nor sj^mj).  Field v of L = -K holds
-        e_v, and L keeps the 2r + k fields of the encoding; lane i of
-        (L & even) + bias - (L >> W & even), 2W bits with the bias 2^(2W-1)
-        against borrows, is e_(2i) - e_(2i+1) once xored with the bias, and
-        one unpack reads these and the k residues after them.  A term in a
-        name past the 2r + k, a set bit of -K & extra (0 when there are no
-        such names), has no key and raises ValueError naming the last one."""
-        low, even, bias, top, fmt, extra = self._lanes
+        forms (never both yi and yi', nor sj^mj).  Each term is read through
+        its exponent vector E = ``_unpack(K, n)``: the key is e_(2i) - e_(2i+1)
+        per free coordinate, then the k residues.  A term in a name past the
+        2r + k of the encoding has no key and raises ValueError naming the
+        last such name."""
+        r2 = 2 * self.group.free_rank
+        used = r2 + len(self.group.torsion)
         terms = {}
         for K, c in packed.items():
-            if -K & extra:
-                name = self.names[((-K & extra).bit_length() - 1) // _W]
+            E = _unpack(K, self.num_vars)
+            if any(E[used:]):
+                name = self.names[max(v for v, e in enumerate(E) if e)]
                 raise ValueError(f"a reduced term has the variable {name}, which no group-ring key holds")
-            L = -K & low
-            lanes = ((L & even) + bias - (L >> _W & even)) ^ bias
-            terms[fmt.unpack((lanes | L >> top << top).to_bytes(fmt.size, "little"))] = c
+            terms[tuple(map(sub, E[:r2:2], E[1:r2:2])) + E[r2:used]] = c
         return terms
 
     def __repr__(self):

@@ -146,9 +146,6 @@ class GroupRingElement:
             return NotImplemented
         return self.group.same_group(other.group) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def render(self):
         """Canonical text form: terms in key order, joined by ' + '/' - '.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import sub
 
-from .abelian import GroupHomomorphism, IntMatrix
+from .abelian import GroupHomomorphism
 from .groupring import GroupRingElement, _combine, component_product, one_minus_product
 from .grobner import PolyPresentation, normal_form, strong_groebner, zmodule_invariants
 from .stacks import check_connected
@@ -230,8 +230,6 @@ def induced_map(theta, source, target):
     if the matrix does not kill a source relation, or if the image of some
     source ideal generator has nonzero normal form in the target.
     """
-    if not isinstance(theta, IntMatrix):
-        theta = IntMatrix(theta, cols=target.group.num_generators)
     hom = GroupHomomorphism(source.group, target.group, theta)
     out = InducedK0Map(source, target, hom)
     for q, image in zip(source.generators, out.images):

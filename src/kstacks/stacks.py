@@ -246,10 +246,15 @@ def check_connected(data, bound=None):
     enumerates integer exponent vectors with entries up to the bound and
     checks the full condition in the grading group; "unknown" is an honest
     verdict when nothing is found.  An inverted variable counts like any
-    other, as it stands for a single-variable component.
+    other, as it stands for a single-variable component.  A bound that is
+    not an int raises TypeError, and a negative one ValueError.
     """
     if bound is None:
         bound = default_connected_bound(data)
+    elif isinstance(bound, bool) or not isinstance(bound, int):
+        raise TypeError(f"the bound must be an int, got {bound!r}")
+    elif bound < 0:
+        raise ValueError(f"the bound must be nonnegative, got {bound}")
     variables = data.variables
     if not _rational_annihilator_exists([list(v.degree.free) for v in variables]):
         return ConnectednessReport(ConnectednessReport.CONNECTED, bound=bound)

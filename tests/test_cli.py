@@ -207,6 +207,12 @@ def test_input_errors(capsys):
     assert code == 1
     code, _, _ = run(["bogus-command"], capsys)
     assert code == 1
+    for argv, flags in ((["k0", "--example", "wps", "1", "1", "--input", "x.json"], "--example or --input"),
+                        (["map", "--example", "rugby", "2", "3", "--matrix", "3;2", "--target", "wps", "3", "2",
+                          "--target-input", "x.json"], "--target or --target-input")):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and not out, argv
+        assert f"give either {flags}, not both" in err, err
 
 
 def test_non_ascii_integers_are_input_errors(capsys):

@@ -134,6 +134,11 @@ def test_power_and_errors():
         pass
     else:
         raise AssertionError("group mismatch accepted")
+    # an element equals ints and group elements, which hash otherwise, so it
+    # is unhashable
+    assert GroupRingElement.constant(Z, 3) == 3 and t(Z) == Z.element([1])
+    with pytest.raises(TypeError):
+        hash(GroupRingElement.constant(Z, 3))
 
 
 def test_power_budget():

@@ -190,6 +190,8 @@ def test_intersection_classes():
     # the class of the full irrelevant locus vanishes
     full = class_of_intersection(pres, list(data.irrelevant))
     assert full.is_zero()
+    with pytest.raises(ValueError, match="need at least one component"):
+        class_of_intersection(pres, [])
 
 
 def test_intersection_disjoint_singletons():

@@ -122,6 +122,22 @@ def test_check_connected_unknown_is_honest():
     assert found.witness == (2, 3)
 
 
+def test_check_connected_refuses_a_bound_that_is_no_count():
+    # each was accepted: -3 reported connected with that bound, -1 answered
+    # unknown on blowup-a2-cox, 2.5 died inside range, and k0_presentation
+    # reported the string "7"
+    p1, cox = builtin_example("p1"), builtin_example("blowup-a2-cox")
+    for data, bound in ((p1, -3), (cox, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_connected(data, bound=bound)
+    for bound in (2.5, "7", True):
+        with pytest.raises(TypeError, match="must be an int"):
+            check_connected(cox, bound=bound)
+    with pytest.raises(TypeError, match="must be an int"):
+        k0_presentation(p1, bound="7")
+    assert check_connected(p1, bound=0).bound == 0
+
+
 def test_connectify_cox():
     data = builtin_example("blowup-a2-cox")
     out = connectify(data)
