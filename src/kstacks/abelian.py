@@ -85,10 +85,6 @@ class IntMatrix:
             raise ValueError(f"the size must be nonnegative, got {n}")
         return cls._of(_identity_rows(n), n)
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -356,9 +352,6 @@ class FgAbelianGroup:
     def invariants(self):
         return (self.free_rank, self.torsion)
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def zero(self):
         return GroupElement._of(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
@@ -374,11 +367,6 @@ class FgAbelianGroup:
 
     def element_canonical(self, free, residues=()):
         return GroupElement(self, free, residues)
-
-    def generator(self, i):
-        coords = [0] * self.num_generators
-        coords[i] = 1
-        return self.element(coords)
 
     def user_representative(self, e):
         """A user-coordinate vector mapping onto e (well defined mod relations)."""

@@ -13,9 +13,13 @@ from __future__ import annotations
 from operator import sub
 
 from .abelian import GroupHomomorphism
-from .groupring import GroupRingElement, _combine, component_product, one_minus_product
+from .groupring import GroupRingElement, _combine, _product, component_product, one_minus_product
 from .grobner import PolyPresentation, normal_form, strong_groebner, zmodule_invariants
 from .stacks import check_connected
+
+
+#: the most calls the pivot recursion of ``class_of_intersection`` may make
+PIVOT_BUDGET = 1 << 16
 
 
 class HypothesisError(RuntimeError):
@@ -170,17 +174,35 @@ def class_of_koszul_quotient(pres, degrees):
 
 
 def class_of_intersection(pres, components):
-    """Class of the quotient by an intersection of coordinate ideals,
-    by inclusion-exclusion over the nonempty subcollections."""
+    """Class of R/I for the intersection I of the coordinate ideals of the
+    components, by the pivot recursion on a variable v of the first one:
+    K(comps) = t^deg(v)*K(the components without v) + (1 - t^deg(v))*K(every
+    component with v removed), 0 with no component and 1 with an empty one.
+    A variable in no component adds the factor t^d + (1 - t^d) = 1, so the
+    cost grows with the variables V that the components use, at most
+    2^(|V|+1) calls, not with the 2^m - 1 subcollections of m components;
+    more than PIVOT_BUDGET calls raise ValueError."""
     components = [tuple(c) for c in components]
     if not components:
         raise ValueError("need at least one component")
-    total = {}
-    for mask in range(1, 1 << len(components)):
-        chosen = [c for i, c in enumerate(components) if mask >> i & 1]
-        degrees = (pres.data.variable(name).degree for name in sorted(set().union(*chosen)))
-        total = _combine(total, one_minus_product(pres.group, degrees).terms, (-1) ** (len(chosen) + 1))
-    return K0Class(pres, GroupRingElement._of(pres.group, total))
+    r, torsion = pres.group.free_rank, pres.group.torsion
+    shift = {name: {pres.data.variable(name).degree.key(): 1} for c in components for name in c}
+    # a stack keeps deep recursions off Python's limit: a component list is a call,
+    # and a shift t^d joins the two results on top, K(removed) + t^d*(K(without) - K(removed))
+    calls, stack, results = 0, [components], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            removed = results.pop()
+            results.append(_combine(removed, _product(item, _combine(results.pop(), removed, -1), r, torsion), 1))
+        elif (calls := calls + 1) > PIVOT_BUDGET:
+            raise ValueError(f"the intersection takes more than PIVOT_BUDGET = {PIVOT_BUDGET} pivot calls")
+        elif item and all(item):
+            v = item[0][0]
+            stack += (shift[v], [tuple(x for x in c if x != v) for c in item], [c for c in item if v not in c])
+        else:
+            results.append({(0,) * (r + len(torsion)): 1} if item else {})
+    return K0Class(pres, GroupRingElement._of(pres.group, results.pop()))
 
 
 def invariants(pres):

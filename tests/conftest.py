@@ -8,7 +8,7 @@ from operator import add, le, neg, sub
 
 from kstacks.abelian import IntMatrix, SmithDecomposition, group_from_relations, xgcd
 from kstacks.grobner import _pack, _reduce_terms
-from kstacks.groupring import GroupRingElement
+from kstacks.groupring import GroupRingElement, one_minus_product
 
 
 def _grevlex_key(exp):
@@ -394,6 +394,19 @@ def fp_quotient_dimension(generators, presentation, p, limit=5000):
                 frontier.append(up)
                 assert len(standard) <= limit, "the F_p quotient looks infinite"
     return len(standard)
+
+
+def inclusion_exclusion_class(pres, components):
+    """Class representative of R/I for the intersection I of the coordinate
+    ideals of ``components`` (name lists), by inclusion-exclusion over the
+    nonempty subcollections: each adds (-1)^(size + 1) times the product of
+    (1 - t^deg) over the union of its components."""
+    total = GroupRingElement.zero(pres.group)
+    for size in range(1, len(components) + 1):
+        for chosen in itertools.combinations(components, size):
+            degrees = [pres.data.variable(name).degree for name in sorted(set().union(*chosen))]
+            total = total + (-1) ** (size + 1) * one_minus_product(pres.group, degrees)
+    return total
 
 
 def brute_force_numerator(degrees, components, functional, window):

@@ -22,7 +22,7 @@ def test_snf_examples():
 
 
 def test_snf_zero_and_empty():
-    assert smith_normal_form(IntMatrix.zeros(2, 3)).invariant_factors == (0, 0)
+    assert smith_normal_form(IntMatrix([[0, 0, 0], [0, 0, 0]])).invariant_factors == (0, 0)
     snf = smith_normal_form(IntMatrix([], cols=3))
     assert snf.invariant_factors == ()
     assert snf.V == IntMatrix.identity(3)
@@ -136,9 +136,9 @@ def test_quotient_edge_cases():
     G = group_from_relations(2, [[2, -4]])
     Q, _ = quotient_by_subgroup(G, [])
     assert Q.invariants() == G.invariants()
-    gens = [G.generator(0), G.generator(1)]
+    gens = [G.element([1, 0]), G.element([0, 1])]
     Q2, proj = quotient_by_subgroup(G, gens)
-    assert Q2.is_trivial()
+    assert Q2.invariants() == (0, ())
     assert proj(G.element([3, 5])).is_zero()
 
 

@@ -280,7 +280,7 @@ def test_criterion_09c_inclusion_exclusion_suite():
                 assert got == want, (degs, comps)
                 checked += 1
     assert checked >= 400
-    _pass(9, f"(c) {checked} inclusion-exclusion classes match the counting oracle")
+    _pass(9, f"(c) {checked} intersection classes match the counting oracle")
 
 
 CRITERION_10_COMMANDS = [

@@ -1123,6 +1123,13 @@ def test_normal_form_refuses_a_term_in_an_extra_name():
         with pytest.raises(ValueError, match="variable z"):
             normal_form(parse_element(text, Z), gb)
     assert normal_form(parse_element("t^[-1] + 2", Z), gb).render() == "t^[-1] + 2"
+    # over Z x Z/3 a basis over s - z reduces y*s to y*z: the error names z,
+    # the last name the term holds, not the y that a key can hold
+    G = FgAbelianGroup.canonical(1, (3,))
+    p = PolyPresentation(G, ["y", "y'", "s", "z"])
+    gb = _complete([{_pack((0, 0, 1, 0)): 1, _pack((0, 0, 0, 1)): -1}], p)
+    with pytest.raises(ValueError, match="variable z,"):
+        normal_form(parse_element("t^[1;1]", G), gb)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6, 10])

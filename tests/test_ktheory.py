@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import time
 from math import gcd
 
 import pytest
@@ -20,7 +22,13 @@ from kstacks.ktheory import (
 )
 from kstacks.stacks import StackDataError, builtin_example, connectify, make_stack_data
 
-from conftest import brute_force_numerator, determinant, equal_up_to_unit, fp_quotient_dimension
+from conftest import (
+    brute_force_numerator,
+    determinant,
+    equal_up_to_unit,
+    fp_quotient_dimension,
+    inclusion_exclusion_class,
+)
 
 RUGBY_PAIRS = [(1, 1), (2, 3), (2, 2), (3, 4)]
 
@@ -204,54 +212,56 @@ def test_intersection_disjoint_singletons():
     assert got.representative == expected
 
 
-def test_intersection_against_monomial_counting():
-    # all pointed configurations with up to 3 variables, degrees in [-2, 2],
-    # and one or two components, against the brute-force numerator
-    checked = 0
-    for nvars in (1, 2, 3):
-        for degs in _degree_tuples(nvars):
-            sign = 1 if all(d > 0 for d in degs) else -1
-            if not (all(d > 0 for d in degs) or all(d < 0 for d in degs)):
-                continue
-            functional = sign
-            Z = FgAbelianGroup.canonical(1)
-            names = [f"v{i}" for i in range(nvars)]
-            data = make_stack_data(
-                Z, [(nm, [d], False) for nm, d in zip(names, degs)], [names]
-            )
-            pres = k0_presentation(data)
-            subsets = _nonempty_subsets(names)
-            configs = [[s] for s in subsets]
-            configs += [[a, b] for i, a in enumerate(subsets) for b in subsets[i + 1:]]
-            for comps in configs:
-                cls = class_of_intersection(pres, comps)
-                got = {
-                    key[0]: c
-                    for key, c in cls.representative.terms.items()
-                    if functional * key[0] <= 8
-                }
-                index_comps = [
-                    [names.index(nm) for nm in comp] for comp in comps
-                ]
-                want = brute_force_numerator(list(degs), index_comps, functional, 8)
-                assert got == want, (degs, comps)
-                checked += 1
-    assert checked > 200
+def test_intersection_matches_inclusion_exclusion():
+    # 1,200 seeded inputs: free rank 1 or 2, no torsion or Z/2 or Z/3,
+    # degrees in [-2, 2], 1-5 variables and 1-4 components, empty ones
+    # included; only the representative is compared, so the presentations
+    # have no generators and skip the witness search (bound 0)
+    rng = random.Random("intersection/inclusion-exclusion")
+    empty = 0
+    for _ in range(1200):
+        G = FgAbelianGroup.canonical(rng.choice((1, 2)), rng.choice(((), (2,), (3,))))
+        names = [f"x{i}" for i in range(rng.randint(1, 5))]
+        degrees = [(nm, [rng.randint(-2, 2) for _ in range(G.num_generators)]) for nm in names]
+        pres = k0_presentation(make_stack_data(G, degrees, []), override=True, bound=0)
+        comps = [rng.sample(names, rng.randint(0, len(names))) for _ in range(rng.randint(1, 4))]
+        empty += not all(comps)
+        got = class_of_intersection(pres, comps).representative
+        assert got.terms == inclusion_exclusion_class(pres, comps).terms, (G, degrees, comps)
+    assert empty > 200
 
 
-def _degree_tuples(nvars):
-    import itertools
+def test_intersection_pivot_budget():
+    # the 15 pairwise coordinate ideals of wps(1^6) take 41 calls, where
+    # inclusion-exclusion took 2^15 - 1 subcollections
+    data = builtin_example("wps", (1,) * 6)
+    pres = k0_presentation(data)
+    pairs = list(itertools.combinations(range(6), 2))
+    start = time.perf_counter()
+    cls = class_of_intersection(pres, [[f"x{i}" for i in pair] for pair in pairs])
+    cls.normal_form()
+    assert time.perf_counter() - start < 0.05
+    got = {key[0]: c for key, c in cls.representative.terms.items()}
+    assert got == brute_force_numerator([1] * 6, pairs, 1, 8)
+    # 16 disjoint pairs take about 4 * 2^16 calls, past the budget
+    data = builtin_example("wps", (1,) * 32)
+    pres = k0_presentation(data)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="PIVOT_BUDGET = 65536"):
+        class_of_intersection(pres, [[f"x{2 * i}", f"x{2 * i + 1}"] for i in range(16)])
+    assert time.perf_counter() - start < 1
 
-    return itertools.product(range(-2, 3), repeat=nvars)
 
-
-def _nonempty_subsets(names):
-    import itertools
-
-    out = []
-    for r in range(1, len(names) + 1):
-        out.extend(itertools.combinations(names, r))
-    return out
+def test_intersection_runs_past_the_recursion_limit():
+    # the recursion goes one component deeper per singleton, so its calls
+    # must not nest as Python frames: the intersection of the (xi) is the
+    # principal ideal of the product of the xi
+    n = sys.getrecursionlimit() + 100
+    Z = FgAbelianGroup.canonical(1)
+    names = [f"x{i}" for i in range(n)]
+    pres = k0_presentation(make_stack_data(Z, [(nm, [1]) for nm in names], []), override=True, bound=0)
+    got = class_of_intersection(pres, [[nm] for nm in names]).representative
+    assert got == 1 - GroupRingElement.monomial(Z.element([n]))
 
 
 def test_equal_in_k0_is_congruence():
