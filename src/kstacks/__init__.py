@@ -37,7 +37,6 @@ from .stacks import (
     stackdata_to_json,
 )
 from .ktheory import (
-    HypothesisError,
     K0Class,
     class_of_intersection,
     class_of_koszul_quotient,
@@ -58,7 +57,6 @@ __all__ = [
     "FgAbelianGroup",
     "GroupHomomorphism",
     "GroupRingElement",
-    "HypothesisError",
     "IntMatrix",
     "K0Class",
     "ParseError",

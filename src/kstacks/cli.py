@@ -3,14 +3,20 @@
 Each command is a function of the parsed arguments that returns
 ``(exit code, input label, payload, text lines)``.  ``main`` does the rest
 once for all of them: it times the command, builds the report (``command``,
-``input``, ``watermarks``, the payload, ``timing_ms``; a payload may set
-its own ``watermarks``), prints the lines and writes the report where
---json PATH says ("-" meaning stdout).  Reports are deterministic
-byte-for-byte except for the timing_ms field.
+``input``, the payload, ``timing_ms``), prints the lines and writes the
+report where --json PATH says ("-" meaning stdout).  Reports are
+deterministic byte-for-byte except for the timing_ms field.
+
+The K-group commands (k0, eq, class, map) compute on any valid input: the
+presentation formula gives the K-group whether or not the degree-zero
+hypothesis holds, since connectify's output presents the same stack and
+its quotient ring is isomorphic to the input's (see
+``ktheory.k0_presentation``).  They parse every argument before the
+K-group is built, so a malformed one fails fast.  check-connected still
+answers the hypothesis as a question of its own.
 
 Exit codes: 0 success (or: equal, connected), 1 input or parse error,
-2 refused hypothesis, 3 negative verdict (not equal, not connected, map
-failure).
+3 negative verdict (not equal, not connected, map failure).
 """
 
 from __future__ import annotations
@@ -22,13 +28,7 @@ import time
 
 from .abelian import describe_invariants
 from .exprs import _parse_int_list, ascii_int, parse_element
-from .ktheory import (
-    HypothesisError,
-    class_of_koszul_quotient,
-    induced_map,
-    invariants,
-    k0_presentation,
-)
+from .ktheory import class_of_koszul_quotient, induced_map, invariants, k0_presentation
 from .picard import pic, pic_open
 from .stacks import (
     EXAMPLES,
@@ -44,7 +44,6 @@ from .stacks import (
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_HYPOTHESIS = 2
 EXIT_NEGATIVE = 3
 
 
@@ -60,10 +59,6 @@ def _load(named, path, flags=("--example", "--input"), what="an input"):
     if path is not None:
         return load_stackdata(path), {}
     raise StackDataError(f"{what} is required: {flags[0]} NAME [PARAMS...] or {flags[1]} PATH")
-
-
-def _presentation(data, args):
-    return k0_presentation(data, override=args.override_hypothesis, bound=args.bound)
 
 
 def _group_json(group):
@@ -99,13 +94,11 @@ def _parse_vectors(text, length, what):
 
 def cmd_k0(args):
     data, _ = _load(args.example, args.input)
-    pres = _presentation(data, args)
+    pres = k0_presentation(data)
     payload = {
         "group": _group_json(data.group),
         "generators": [q.render() for q in pres.generators],
         "hypothesis_verified": pres.hypothesis_verified,
-        "connectedness": pres.connectedness.to_json(),
-        "watermarks": list(pres.watermarks),
     }
     lines = [f"K0 presentation of {data.label or 'input'}:"]
     lines.append(f"  group ring over {data.group.describe()}")
@@ -122,7 +115,6 @@ def cmd_k0(args):
         else:
             desc = describe_invariants(inv.free_rank, inv.torsion)
             lines.append(f"  invariants: {desc} (status: {inv.status})")
-    lines.extend(f"  WARNING: {w}" for w in pres.watermarks)
     return EXIT_OK, data.label, payload, lines
 
 
@@ -149,9 +141,9 @@ def cmd_pic(args):
 
 def cmd_eq(args):
     data, symbols = _load(args.example, args.input)
-    pres = _presentation(data, args)
     lhs = parse_element(args.lhs, data.group, symbols)
     rhs = parse_element(args.rhs, data.group, symbols)
+    pres = k0_presentation(data)
     lhs_reduced, rhs_reduced = pres.reduce(lhs), pres.reduce(rhs)
     equal = lhs_reduced == rhs_reduced
     payload = {
@@ -160,7 +152,6 @@ def cmd_eq(args):
         "lhs_reduced": lhs_reduced.render(),
         "rhs_reduced": rhs_reduced.render(),
         "equal": equal,
-        "watermarks": list(pres.watermarks),
     }
     verdict = "equal" if equal else "not equal"
     lines = [f"{args.lhs}  vs  {args.rhs}: {verdict} in K0({data.label or 'input'})"]
@@ -198,17 +189,15 @@ def cmd_connectify(args):
 
 def cmd_class(args):
     data, _ = _load(args.example, args.input)
-    pres = _presentation(data, args)
     vectors = _parse_vectors(args.koszul, data.group.num_generators, "--koszul")
     degrees = [data.group.element(v) for v in vectors]
-    cls = class_of_koszul_quotient(pres, degrees)
+    cls = class_of_koszul_quotient(k0_presentation(data), degrees)
     reduced = cls.normal_form()
     payload = {
         "koszul_degrees": [list(v) for v in vectors],
         "class": cls.representative.render(),
         "reduced": reduced.render(),
         "is_zero": reduced.is_zero(),
-        "watermarks": list(pres.watermarks),
     }
     lines = [
         f"Koszul quotient class in K0({data.label or 'input'}):",
@@ -221,18 +210,13 @@ def cmd_class(args):
 def cmd_map(args):
     data, _ = _load(args.example, args.input)
     target_data, _ = _load(args.target, args.target_input, ("--target", "--target-input"), "a target")
-    source = _presentation(data, args)
-    target = _presentation(target_data, args)
     rows = _parse_vectors(args.matrix, target_data.group.num_generators, "--matrix rows")
     if len(rows) != data.group.num_generators:
         raise StackDataError(
             f"--matrix needs {data.group.num_generators} rows (one per source generator)"
         )
-    payload = {
-        "target": target_data.label,
-        "matrix": [list(r) for r in rows],
-        "watermarks": list(source.watermarks) + list(target.watermarks),
-    }
+    source, target = k0_presentation(data), k0_presentation(target_data)
+    payload = {"target": target_data.label, "matrix": [list(r) for r in rows]}
     try:
         pushed = induced_map(rows, source, target)
     except ValueError as exc:
@@ -266,7 +250,7 @@ def cmd_example(args):
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        # usage problems are input errors (exit 1), not refusals (exit 2)
+        # usage problems are input errors (exit 1), not argparse's exit 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
@@ -300,38 +284,34 @@ def build_parser():
         help="built-in example name with its parameters",
     )
     inputs.add_argument("--input", metavar="PATH", help="stack data JSON file")
-    bounded = argparse.ArgumentParser(add_help=False, parents=[inputs])
-    bounded.add_argument("--bound", type=non_negative_int,
-                         help="integer witness search bound of the degree-zero check")
-    k0_inputs = argparse.ArgumentParser(add_help=False, parents=[bounded])
-    k0_inputs.add_argument("--override-hypothesis", action="store_true",
-                           help="compute even when the degree-zero hypothesis is not verified")
 
     def command(name, func, parent, summary):
         sub = subs.add_parser(name, parents=[parent], help=summary)
         sub.set_defaults(func=func)
         return sub
 
-    k0 = command("k0", cmd_k0, k0_inputs, "ideal presentation of the K-group")
+    k0 = command("k0", cmd_k0, inputs, "ideal presentation of the K-group")
     k0.add_argument("--invariants", action="store_true", help="also compute abelian-group invariants")
 
     picp = command("pic", cmd_pic, inputs, "Picard group")
     picp.add_argument("--remove-degree", metavar="VEC", help="degree of a removed hypersurface (comma-separated)")
 
-    eq = command("eq", cmd_eq, k0_inputs, "decide equality of two K-classes")
+    eq = command("eq", cmd_eq, inputs, "decide equality of two K-classes")
     eq.add_argument("--lhs", required=True, metavar="EXPR")
     eq.add_argument("--rhs", required=True, metavar="EXPR")
 
-    command("check-connected", cmd_check_connected, bounded, "decide the degree-zero hypothesis")
+    cc = command("check-connected", cmd_check_connected, inputs, "decide the degree-zero hypothesis")
+    cc.add_argument("--bound", type=non_negative_int,
+                    help="integer witness search bound of the degree-zero check")
 
     cf = command("connectify", cmd_connectify, inputs, "force the degree-zero hypothesis")
     cf.add_argument("-o", "--output", metavar="PATH", help="write the transformed data here")
 
-    cl = command("class", cmd_class, k0_inputs, "K-class of a Koszul-type quotient")
+    cl = command("class", cmd_class, inputs, "K-class of a Koszul-type quotient")
     cl.add_argument("--koszul", required=True, metavar="DEGREES",
                     help="degree vectors, ';'-separated, entries ','-separated")
 
-    mp = command("map", cmd_map, k0_inputs, "check a grading homomorphism induces a K-group map")
+    mp = command("map", cmd_map, inputs, "check a grading homomorphism induces a K-group map")
     mp.add_argument("--matrix", required=True, metavar="M",
                     help="rows ';'-separated, entries ','-separated")
     mp.add_argument("--target", nargs="+", metavar=("NAME", "PARAM"))
@@ -352,7 +332,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         code, label, payload, lines = args.func(args)
-        report = {"command": args.command, "input": label, "watermarks": [], **payload,
+        report = {"command": args.command, "input": label, **payload,
                   "timing_ms": round((time.perf_counter() - started) * 1000.0, 3)}
         for line in lines:
             print(line)
@@ -364,9 +344,6 @@ def main(argv=None):
                 with open(args.json, "w", encoding="utf-8") as fh:
                     fh.write(text)
         return code
-    except HypothesisError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except (OSError, ValueError) as exc:  # StackDataError, ParseError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

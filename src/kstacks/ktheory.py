@@ -15,41 +15,23 @@ from operator import sub
 from .abelian import GroupHomomorphism
 from .groupring import GroupRingElement, _combine, _product, component_product, one_minus_product
 from .grobner import PolyPresentation, normal_form, strong_groebner, zmodule_invariants
-from .stacks import check_connected
+from .stacks import _rational_annihilator_exists
 
 
 #: the most calls the pivot recursion of ``class_of_intersection`` may make
 PIVOT_BUDGET = 1 << 16
 
 
-class HypothesisError(RuntimeError):
-    """The K-group formula does not apply to the given data (and no override)."""
-
-
 class K0Presentation:
-    __slots__ = ("data", "group", "generators", "presentation", "basis", "connectedness")
+    __slots__ = ("data", "group", "generators", "presentation", "basis", "hypothesis_verified")
 
-    def __init__(self, data, generators, presentation, basis, connectedness):
+    def __init__(self, data, generators, presentation, basis, hypothesis_verified):
         self.data = data
         self.group = data.group
         self.generators = tuple(generators)
         self.presentation = presentation
         self.basis = basis
-        self.connectedness = connectedness
-
-    @property
-    def hypothesis_verified(self):
-        return self.connectedness.is_connected()
-
-    @property
-    def watermarks(self):
-        """Warnings that every result built on this presentation carries."""
-        if self.hypothesis_verified:
-            return ()
-        return (
-            f"hypothesis not verified (connectedness verdict: {self.connectedness.verdict}); "
-            "the presentation formula may not compute the K-group of this stack",
-        )
+        self.hypothesis_verified = hypothesis_verified
 
     def __repr__(self):
         return f"K0Presentation({self.data.label or 'unlabeled'}, {len(self.generators)} generators)"
@@ -75,13 +57,22 @@ def _centred(q):
     return GroupRingElement._of(q.group, {tuple(map(sub, key[:r], c)) + key[r:]: a for key, a in q.terms.items()})
 
 
-def k0_presentation(data, override=False, bound=None):
+def k0_presentation(data):
     """Build the K-group presentation of validated stack data.
 
     An inverted variable x counts as the polynomial variable x with the
     component {x} (see ``stacks.validate``), so its product is 1 - t^deg(x).
-    Refuses, without ``override``, when the degree-zero hypothesis is not
-    verified; an override labels everything downstream as unverified.
+
+    The formula needs no degree-zero check.  ``connectify(data)`` presents
+    the same quotient stack with a free coordinate added and passes the
+    check.  Its ideal holds 1 - t^(0,...,0,1), the product of the new
+    variable's singleton component, and modulo that element t^(d,1) = t^d,
+    so each of its other generators becomes the matching generator here:
+    forgetting the new coordinate is an isomorphism of its quotient ring
+    onto this one, and the two K-groups agree.  ``hypothesis_verified``
+    records only whether the free parts of the degrees pass the exact
+    rational test of ``check_connected``'s first phase; the witness search
+    never runs here.
 
     ``generators`` keeps the component products q as the formula gives
     them, but completion starts from their centred multiples t^(-c)*q
@@ -91,16 +82,11 @@ def k0_presentation(data, override=False, bound=None):
     in every ideal, and the reduced strong basis of an ideal is unique, so
     the basis, normal forms and invariants do not change.
     """
-    report = check_connected(data, bound=bound)
-    if not report.is_connected() and not override:
-        raise HypothesisError(
-            f"degree-zero hypothesis not verified (verdict: {report.verdict}); "
-            "rerun with an explicit override to compute anyway"
-        )
+    verified = not _rational_annihilator_exists([list(v.degree.free) for v in data.variables])
     generators = [component_product(data, m) for m in range(1, len(data.irrelevant) + 1)]
     presentation = PolyPresentation.for_group(data.group)
     basis = strong_groebner([_centred(q) for q in generators], presentation)
-    return K0Presentation(data, generators, presentation, basis, report)
+    return K0Presentation(data, generators, presentation, basis, verified)
 
 
 class K0Class:

@@ -56,17 +56,21 @@ def test_k0_blowup(tmp_path, capsys):
 
 
 def test_k0_cox_refused(capsys):
-    code, _, err = run(["k0", "--example", "blowup-a2-cox"], capsys)
-    assert code == 2
-    assert "hypothesis" in err
+    # the Cox grading fails the degree-zero test, and k0 answers anyway
+    code, out, err = run(["k0", "--example", "blowup-a2-cox", "--invariants", "--json", "-"], capsys)
+    assert code == 0 and not err
+    report = json.loads(out[out.index("\n{\n") + 1:])
+    assert report["hypothesis_verified"] is False
+    assert report["invariants"] == {"rank": 2, "torsion": [], "status": "exact"}
 
 
 def test_k0_cox_override(capsys):
-    code, out, _ = run(
+    # there is nothing to override: the flag is an unrecognised argument
+    code, out, err = run(
         ["k0", "--example", "blowup-a2-cox", "--override-hypothesis"], capsys
     )
-    assert code == 0
-    assert "WARNING" in out
+    assert code == 1 and not out
+    assert "unrecognized arguments: --override-hypothesis" in err
 
 
 def test_k0_wps_invariants(capsys):
@@ -87,8 +91,8 @@ def test_pic_commands(tmp_path, capsys):
     assert code == 0 and "Z/7" in out
     report = read_report(path)
     assert report["group"] == {"rank": 0, "torsion": [7], "description": "Z/7"}
-    assert report["units_degrees"] == [[7]] and report["watermarks"] == []
-    assert "certified" not in report and "hypotheses" not in report
+    assert report["units_degrees"] == [[7]]
+    assert "certified" not in report and "hypotheses" not in report and "watermarks" not in report
 
 
 def test_eq_command(capsys):
@@ -440,8 +444,6 @@ def test_k0_invariants_cross_check_is_opt_in(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eq", "--example", "wps", "1", "1", "--lhs", "1", "--rhs", "1", "--bound", "-1"],
-        ["k0", "--example", "wps", "1", "1", "--bound", "-1"],
         ["check-connected", "--example", "wps", "1", "1", "--bound", "-3"],
     ],
 )
@@ -462,15 +464,58 @@ def test_negative_bound_flag_is_input_error(argv, capsys):
     ids=["k0", "eq", "class", "map"],
 )
 def test_k0_commands_share_bound_and_override(argv, capsys):
-    code, out, err = run(argv, capsys)
-    assert code == 2 and not out and "refused" in err
-    # bound zero is a valid, if small, search
-    code, out, _ = run(argv + ["--bound", "0", "--override-hypothesis", "--json", "-"], capsys)
+    # the K-group commands answer on data that fails the degree-zero test,
+    # and take neither a witness search bound nor an override
+    code, out, err = run(argv + ["--json", "-"], capsys)
+    assert code == 0 and not err
+    report = json.loads(out[out.index("\n{\n") + 1:])
+    assert "watermarks" not in report and "connectedness" not in report
+    for flag in (["--bound", "0"], ["--override-hypothesis"]):
+        code, out, err = run(argv + flag, capsys)
+        assert code == 1 and not out
+        assert f"unrecognized arguments: {flag[0]}" in err
+
+
+def test_k0_answers_thin4_without_a_witness_search(tmp_path, capsys):
+    # degrees [1]*4 + [-40] in one component: x0^40*y has degree zero, but
+    # the witness search walks about 21^5 exponent vectors and finds none
+    # below its default bound 20; k0 never starts it
+    names = ["x0", "x1", "x2", "x3", "y"]
+    data_path = tmp_path / "thin4.json"
+    data_path.write_text(json.dumps({
+        "grading_group": {"free_rank": 1, "torsion": []},
+        "variables": [{"name": nm, "degree": [-40 if nm == "y" else 1], "inverted": False} for nm in names],
+        "irrelevant": [names],
+    }))
+    started = time.perf_counter()
+    code, out, _ = run(["k0", "--input", str(data_path), "--invariants", "--json", "-"], capsys)
+    assert time.perf_counter() - started < 1.0
     assert code == 0
-    assert json.loads(out[out.index("\n{\n") + 1:])["watermarks"]
-    code, out, err = run(argv + ["--override-hypothesis", "--bound", "-1"], capsys)
-    assert code == 1 and not out
-    assert "argument --bound: must be non-negative" in err
+    report = json.loads(out[out.index("\n{\n") + 1:])
+    assert report["hypothesis_verified"] is False
+    assert report["invariants"] == {"rank": 44, "torsion": [], "status": "exact"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eq", "--example", "rugby", "2", "3", "--lhs", "1-w", "--rhs", "0"],
+         "error: unknown symbol 'w'; generic inputs must use the t^[...] monomial form\n"),
+        (["class", "--example", "rugby", "2", "3", "--koszul", "1,x"], "error: bad integer 'x' in --koszul\n"),
+        (["map", "--example", "rugby", "2", "3", "--matrix", "3;x", "--target", "wps", "3", "2"],
+         "error: bad integer 'x' in --matrix rows\n"),
+        (["map", "--example", "rugby", "2", "3", "--matrix", "3", "--target", "wps", "3", "2"],
+         "error: --matrix needs 2 rows (one per source generator)\n"),
+    ],
+    ids=["eq-lhs", "class-koszul", "map-entry", "map-rows"],
+)
+def test_arguments_are_parsed_before_the_k0_build(argv, message, capsys, monkeypatch):
+    def unexpected(data):
+        raise AssertionError("k0_presentation called before the arguments were parsed")
+
+    monkeypatch.setattr("kstacks.cli.k0_presentation", unexpected)
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (1, "", message)
 
 
 def test_check_connected_takes_bound_but_no_override(capsys):
@@ -530,18 +575,18 @@ def test_readme_commands_match_the_parser():
 # exit code, in README order: any change to an answer, a reduced form or a
 # report field moves one of them
 README_REPORTS = [
-    (0, "dad3be429eb4378ce4679bce41f2b449771ec71ef50d573b590d6efe537b4402"),
-    (0, "5a0e3eb88a97551951d21fac33e0f3cb6461619c3a42c6386ea9d3c8c7848dda"),
-    (0, "5510cfe6e2423de2f7949899482d1b756257bde69f41999a5f87f104ecc9e7ee"),
-    (0, "615fa4c43d0b2a950408f2e71c90cfcbe904c609259d5f0c6efc622bf5472d8e"),
-    (0, "907c1823ab8487b073c9f1a264a3e5fdb03ee803779a8dcd7c1e4d371ec3d178"),
-    (0, "520c80022032551179d6b4372eecef8ab59fc966e8ede4bbad6332af03d5b34d"),
-    (3, "585d44aa6394fc088b8d1bc407039c61ef760a8bd375a3eb778608983ad934f4"),
-    (0, "b85ba94a40bb2b8a4eefb9e25fac823990d526f9f20f76ebac625c76e481b8fd"),
-    (0, "4763e3553787f347cec2671ef5a3b34f10c51c7235e064264f19302b3bb2fa72"),
-    (0, "6c8f1135310ab2a8137fac980abd541bff3db5cf664cf754eaa4f6d90adfd98e"),
-    (0, "959406952167b05d91b150c5df755eebbf54facfbd110ed1e42166e2174cd5d4"),
-    (0, "117d0c84455c4af24901ae673d3100087a8c6936a22276aba1f8d4d141647541"),
+    (0, "00d7ce906e14dd24913519487691d148e29e9d555a34c98bde0fe69836e885f2"),
+    (0, "0fdd248985390902adc4c14c08bdbff912b50827b9610428d573ed30e4983ce7"),
+    (0, "0c0b50433127915aafd0dbeb298414645be4d3fb3b2aa4a853e9d1ec58ec4ce9"),
+    (0, "a1616c8748e0c6b428d9bf5752113f87a19fcdd5ef6a1cfce452dd6f7727203a"),
+    (0, "2230ea36ad11d750297e1f71ccf3e34019d13ed13d1156bed3795176e70062d6"),
+    (0, "4ea6f899d1046c62e7b2eb3a2163240476e24e08774b8ad2a50073aa5c99c731"),
+    (3, "74dc9504fbf650f2d65fe167b4c4d3226ef3003984a367c77b723bcd76d61a76"),
+    (0, "5793e4071624a12957f964016f136bcef2cc08d88f000f67f4bc679d9d4a569f"),
+    (0, "3fe50a1a84dca175606f8199aea2abdbf2c6a4cc3b0b7c2982e908c3d4f2ebe7"),
+    (0, "6b310da0f6dae12365801b86abcc19dd3f997c454af09c694a0179339d45d68f"),
+    (0, "3aefb36e2860c0b8ff899dda52624458c6d7f0d27337789e6aa902638cc81918"),
+    (0, "f81ba9ab9d1aebb9eda2cfabb7b55387830c53f700ba9e50bd70aaeb817ade48"),
 ]
 
 
@@ -621,7 +666,7 @@ def _subprocess_report(args, path, seed):
         ["class", "--example", "rugby", "2", "3", "--koszul", "1,0"],
         ["map", "--example", "rugby", "2", "3", "--matrix", "3;2", "--target", "wps", "3", "2"],
         ["map", "--example", "rugby", "2", "3", "--matrix", "1;1", "--target", "p1"],
-        ["k0", "--example", "blowup-a2-cox", "--override-hypothesis", "--invariants"],
+        ["k0", "--example", "blowup-a2-cox", "--invariants"],
         ["example", "--list"],
     ],
 )

@@ -22,8 +22,8 @@ def test_every_export_is_used():
     text = "\n".join(f.read_text(encoding="utf-8") for f in files)
     unused = [name for name in kstacks.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert unused == []
-    # 38 distinct names; a new export has to earn its place here
-    assert len(set(kstacks.__all__)) == len(kstacks.__all__) == 38
+    # 37 distinct names; a new export has to earn its place here
+    assert len(set(kstacks.__all__)) == len(kstacks.__all__) == 37
 
 
 def test_readme_python_blocks_give_their_commented_results():

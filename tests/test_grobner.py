@@ -810,12 +810,12 @@ def test_centring_edge_cases():
     Z = FgAbelianGroup.canonical(1)
     # a degree-zero variable makes its component product zero, which stays zero
     flat = make_stack_data(Z, [("x0", [0], False), ("x1", [1], False), ("x2", [1], False)], [["x0"], ["x1", "x2"]])
-    pres = k0_presentation(flat, override=True)
+    pres = k0_presentation(flat)
     assert pres.generators[0].is_zero() and _centred(pres.generators[0]).is_zero()
     assert zmodule_invariants(pres.basis).invariants() == (2, ())
     # over a torsion-only group there is no free coordinate to centre
     C3 = FgAbelianGroup.canonical(0, (3,))
-    pres = k0_presentation(_stack(C3, [[1], [2]], [(0, 2)]), override=True)
+    pres = k0_presentation(_stack(C3, [[1], [2]], [(0, 2)]))
     assert _centred(pres.generators[0]) == pres.generators[0]
     assert zmodule_invariants(pres.basis).invariants() == (1, (3,))
     # the shift is floor((min + max) / 2) per free coordinate, here (-1, 2);

@@ -10,7 +10,6 @@ from kstacks.abelian import FgAbelianGroup, IntMatrix
 from kstacks.groupring import GroupRingElement, one_minus
 from kstacks.grobner import AbGroupInvariants
 from kstacks.ktheory import (
-    HypothesisError,
     class_of_intersection,
     class_of_koszul_quotient,
     class_of_twist,
@@ -20,7 +19,7 @@ from kstacks.ktheory import (
     k0_presentation,
     K0Class,
 )
-from kstacks.stacks import StackDataError, builtin_example, connectify, make_stack_data
+from kstacks.stacks import StackDataError, builtin_example, check_connected, connectify, make_stack_data
 
 from conftest import (
     brute_force_numerator,
@@ -53,13 +52,16 @@ def test_blowup_hirzebruch_presentation():
     assert inv.status == AbGroupInvariants.EXACT
 
 
-def test_cox_presentation_refused_without_override():
+def test_cox_presentation_matches_connectify():
+    # the Cox grading of the blown-up plane fails the degree-zero test
+    # (x0*x1 has degree zero), yet its K0 is Z^2, read directly and through
+    # the connectified data that passes the test
     data = builtin_example("blowup-a2-cox")
-    with pytest.raises(HypothesisError):
-        k0_presentation(data)
-    pres = k0_presentation(data, override=True)
+    pres = k0_presentation(data)
     assert not pres.hypothesis_verified
-    assert pres.watermarks
+    for p in (pres, k0_presentation(connectify(data))):
+        inv = invariants(p)
+        assert inv.invariants() == (2, ()) and inv.status == AbGroupInvariants.EXACT
 
 
 def test_inverted_variables_give_exact_k0():
@@ -216,14 +218,14 @@ def test_intersection_matches_inclusion_exclusion():
     # 1,200 seeded inputs: free rank 1 or 2, no torsion or Z/2 or Z/3,
     # degrees in [-2, 2], 1-5 variables and 1-4 components, empty ones
     # included; only the representative is compared, so the presentations
-    # have no generators and skip the witness search (bound 0)
+    # have no generators
     rng = random.Random("intersection/inclusion-exclusion")
     empty = 0
     for _ in range(1200):
         G = FgAbelianGroup.canonical(rng.choice((1, 2)), rng.choice(((), (2,), (3,))))
         names = [f"x{i}" for i in range(rng.randint(1, 5))]
         degrees = [(nm, [rng.randint(-2, 2) for _ in range(G.num_generators)]) for nm in names]
-        pres = k0_presentation(make_stack_data(G, degrees, []), override=True, bound=0)
+        pres = k0_presentation(make_stack_data(G, degrees, []))
         comps = [rng.sample(names, rng.randint(0, len(names))) for _ in range(rng.randint(1, 4))]
         empty += not all(comps)
         got = class_of_intersection(pres, comps).representative
@@ -259,7 +261,7 @@ def test_intersection_runs_past_the_recursion_limit():
     n = sys.getrecursionlimit() + 100
     Z = FgAbelianGroup.canonical(1)
     names = [f"x{i}" for i in range(n)]
-    pres = k0_presentation(make_stack_data(Z, [(nm, [1]) for nm in names], []), override=True, bound=0)
+    pres = k0_presentation(make_stack_data(Z, [(nm, [1]) for nm in names], []))
     got = class_of_intersection(pres, [[nm] for nm in names]).representative
     assert got == 1 - GroupRingElement.monomial(Z.element([n]))
 
@@ -540,3 +542,46 @@ def test_induced_map_on_classes():
     other = k0_presentation(builtin_example("rugby", (2, 3)))
     with pytest.raises(ValueError):
         phi(K0Class(other, GroupRingElement.one(other.group)))
+
+
+def _random_class(rng, pres):
+    G = pres.group
+    out = GroupRingElement.zero(G)
+    for _ in range(rng.randint(0, 3)):
+        coords = [rng.randint(-2, 2) for _ in range(G.num_generators)]
+        out = out + GroupRingElement.monomial(G.element(coords), rng.randint(-3, 3))
+    return K0Class(pres, out)
+
+
+def test_k0_agrees_with_connectify():
+    # 300 seeded gradings: free rank 1-2, no torsion or Z/2 or Z/3, 1-4
+    # variables (some inverted) and 1-2 components.  connectify adds a free
+    # coordinate z, of degree 1 on every variable, and the component {z};
+    # its ideal holds 1 - t^z, so forgetting z is an isomorphism of the two
+    # quotient rings: the invariants agree, e_i -> (e_i, 0) and its inverse
+    # (e_i, 0) -> e_i, z -> 0 are induced maps, and each undoes the other.
+    # hypothesis_verified is the phase-one verdict of check_connected.
+    rng = random.Random("k0/connectify")
+    verified = exact_unverified = 0
+    for _ in range(300):
+        G = FgAbelianGroup.canonical(rng.choice((1, 2)), rng.choice(((), (2,), (3,))))
+        r, g = G.free_rank, G.num_generators
+        names = [f"x{i}" for i in range(rng.randint(1, 4))]
+        variables = [(nm, [rng.randint(-2, 2) for _ in range(r)] + [rng.randrange(m) for m in G.torsion],
+                      rng.random() < 0.25) for nm in names]
+        comps = [rng.sample(names, rng.randint(1, len(names))) for _ in range(rng.randint(1, 2))]
+        data = make_stack_data(G, variables, comps)
+        pres, fixed = k0_presentation(data), k0_presentation(connectify(data))
+        assert pres.hypothesis_verified == check_connected(data, bound=0).is_connected()
+        verified += pres.hypothesis_verified
+        got, want = invariants(pres), invariants(fixed)
+        assert got.status == want.status, (G, variables, comps)
+        if got.status == AbGroupInvariants.EXACT:
+            assert got.invariants() == want.invariants(), (G, variables, comps)
+            exact_unverified += not pres.hypothesis_verified
+        up = induced_map([[int(i == j) for j in range(g + 1)] for i in range(g)], pres, fixed)
+        down = induced_map([[int(i == j) for j in range(g)] for i in range(g + 1)], fixed, pres)
+        for _ in range(3):
+            c, c2 = _random_class(rng, pres), _random_class(rng, fixed)
+            assert down(up(c)) == c and up(down(c2)) == c2
+    assert 50 < verified < 250 and exact_unverified > 50

@@ -124,8 +124,7 @@ def test_check_connected_unknown_is_honest():
 
 def test_check_connected_refuses_a_bound_that_is_no_count():
     # each was accepted: -3 reported connected with that bound, -1 answered
-    # unknown on blowup-a2-cox, 2.5 died inside range, and k0_presentation
-    # reported the string "7"
+    # unknown on blowup-a2-cox, and 2.5 died inside range
     p1, cox = builtin_example("p1"), builtin_example("blowup-a2-cox")
     for data, bound in ((p1, -3), (cox, -1)):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -133,8 +132,6 @@ def test_check_connected_refuses_a_bound_that_is_no_count():
     for bound in (2.5, "7", True):
         with pytest.raises(TypeError, match="must be an int"):
             check_connected(cox, bound=bound)
-    with pytest.raises(TypeError, match="must be an int"):
-        k0_presentation(p1, bound="7")
     assert check_connected(p1, bound=0).bound == 0
 
 
@@ -172,7 +169,7 @@ def test_connectify_keeps_inverted():
 
 def _answers(data, alpha):
     report = check_connected(data)
-    inv = invariants(k0_presentation(data, override=True))
+    inv = invariants(k0_presentation(data))
     return (pic(data).invariants(), pic_open(data, data.group.element(alpha)).invariants(),
             report.verdict, report.witness, inv.invariants(), inv.status)
 
