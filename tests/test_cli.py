@@ -444,6 +444,8 @@ def test_k0_invariants_cross_check_is_opt_in(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["check-connected", "--example", "wps", "1", "1", "--bound", "-1"],
+        ["check-connected", "--example", "blowup-a2-cox", "--bound", "-1"],
         ["check-connected", "--example", "wps", "1", "1", "--bound", "-3"],
     ],
 )
