@@ -100,6 +100,27 @@ def _lcm_packer(n):
     return lcm
 
 
+def _normaliser(n, r, torsion, leads):
+    """The function K -> K' on n variables that takes min(e_2i, e_2i+1) off
+    both yi and yi' for i < r and reduces the exponent of sj mod mj: K' is
+    the normal monomial of K modulo the structural relations, whose packed
+    leading monomials ``leads`` are K(yi) + K(yi') and mj*K(sj), and K - K'
+    is a sum of multiples of them.  A residue field counts as a pair of
+    itself, with min(e, e) // mj = e // mj."""
+    low, field = (1 << _W * n) - 1, (1 << _W) - 1
+    fields = [(2 * i, 2 * i + 1, 1) for i in range(r)] + [(2 * r + j, 2 * r + j, m) for j, m in enumerate(torsion)]
+    steps = [(_W * a, _W * b, m, U) for (a, b, m), U in zip(fields, leads)]
+
+    def normal(K):
+        X = -K & low
+        for a, b, m, U in steps:
+            c = min(X >> a & field, X >> b & field) // m
+            if c:
+                K -= c * U
+        return K
+    return normal
+
+
 def _check_degree(E):
     """E, or ValueError if its total degree is too high to pack; the message
     shows E only while its degree has at most 64 bits, so it stays short."""
@@ -119,15 +140,16 @@ class PolyPresentation:
     plain variables, so over the trivial group it is a polynomial ring.
     The group fixes the structural relations yi*yi' - 1 and sj^mj - 1,
     part of every ideal built over the presentation; ``_structural`` holds
-    them packed, as K(yi) + K(yi') and mj*K(sj).  A torsion order mj of
-    2^(W-3) or more raises ValueError.  ``_mask`` is the H of the module
-    docstring, ``_lcm`` the packed lcm, ``_steps`` holds K(x_v) per
-    variable, ``_units`` (K(yi), K(yi')) per free coordinate and
-    (K(sj), K(sj)) per residue, K > ``_limit`` = (2^(W-3) - 1)*2^(W*n)
-    exactly when the degree of K reaches 2^(W-3).
+    them packed, as K(yi) + K(yi') and mj*K(sj), and ``_normal`` maps a
+    packed monomial to its normal monomial modulo them (``_normaliser``).
+    A torsion order mj of 2^(W-3) or more raises ValueError.  ``_mask`` is
+    the H of the module docstring, ``_lcm`` the packed lcm, ``_steps``
+    holds K(x_v) per variable, ``_units`` (K(yi), K(yi')) per free
+    coordinate and (K(sj), K(sj)) per residue, K > ``_limit`` =
+    (2^(W-3) - 1)*2^(W*n) exactly when the degree of K reaches 2^(W-3).
     """
 
-    __slots__ = ("group", "names", "num_vars", "_structural", "_mask", "_lcm", "_steps", "_units", "_limit")
+    __slots__ = ("group", "names", "num_vars", "_structural", "_mask", "_lcm", "_steps", "_units", "_limit", "_normal")
 
     def __init__(self, group, names):
         self.group = group
@@ -144,8 +166,9 @@ class PolyPresentation:
         K = [(1 << _W * n) - (1 << _W * v) for v in range(n)]
         self._steps = K
         self._units = list(zip(K[:2 * r:2], K[1:2 * r:2])) + [(k, k) for k in K[2 * r:used]]
-        self._structural = [{P + N: 1, 0: -1} for P, N in self._units[:r]] + \
-            [{m * S: 1, 0: -1} for m, (S, _) in zip(torsion, self._units[r:])]
+        leads = [P + N for P, N in self._units[:r]] + [m * S for m, (S, _) in zip(torsion, self._units[r:])]
+        self._structural = [{U: 1, 0: -1} for U in leads]
+        self._normal = _normaliser(n, r, torsion, leads)
         self._limit = ((1 << (_W - 3)) - 1) << (_W * n)
 
     @classmethod
@@ -194,11 +217,13 @@ class PolyPresentation:
         return f"PolyPresentation({', '.join(self.names)})"
 
 
-def _reduce_terms(terms, reducers, H):
+def _reduce_terms(terms, reducers, H, normal=None):
     """Full reduction of a packed term dict by polynomials with positive
     leading coefficients, given as (K(LM), lc, [(K(F), c) for the other
     terms]) (``StrongGroebnerBasis._reducers``); H is the mask
-    of the module docstring.
+    of the module docstring.  A ``normal`` function, when given, replaces
+    each key by its normal monomial before the key is reduced or kept
+    (``PolyPresentation._normal``).
 
     Every output term has its coefficient in [0, lc(g)) for every reducer g
     whose leading monomial divides it.  Keys are taken largest first from a
@@ -215,6 +240,10 @@ def _reduce_terms(terms, reducers, H):
         K = -heapq.heappop(heap)
         c = work.pop(K, 0)
         if not c:
+            continue
+        if normal and (N := normal(K)) != K:
+            work[N] = work.get(N, 0) + c  # a zero here is skipped when popped
+            heapq.heappush(heap, -N)
             continue
         for KB, a, tail in reducers:
             if (KB - K + H) & H == H:
@@ -441,9 +470,17 @@ def normal_form(e, gb):
     read back as keys, so the elements of one class give one result.  An
     element over another group, a term whose degree is too high for the
     packed encoding, or a reduced term in a name past the 2r + k of the
-    encoding raises ValueError."""
+    encoding raises ValueError.
+
+    Each key is replaced by its normal monomial before it is reduced
+    (``PolyPresentation._normal``), so no reduced term carries both yi and
+    yi', and the work grows with the exponent, not its square.  This keeps
+    the coset, as yi*yi' - 1 and sj^mj - 1 lie in every ideal over the
+    presentation, and a fully reduced remainder is unique, so the result is
+    the one plain reduction gives."""
     p = gb.presentation
-    return GroupRingElement._of(p.group, p._decode(_reduce_terms(p._encode(e), gb._reducers, p._mask)))
+    terms = _reduce_terms(p._encode(e), gb._reducers, p._mask, p._normal)
+    return GroupRingElement._of(p.group, p._decode(terms))
 
 
 class AbGroupInvariants:

@@ -15,7 +15,7 @@ from operator import sub
 from .abelian import GroupHomomorphism
 from .groupring import GroupRingElement, _combine, _product, component_product, one_minus_product
 from .grobner import PolyPresentation, normal_form, strong_groebner, zmodule_invariants
-from .stacks import _rational_annihilator_exists
+from .stacks import check_connected
 
 
 #: the most calls the pivot recursion of ``class_of_intersection`` may make
@@ -23,15 +23,13 @@ PIVOT_BUDGET = 1 << 16
 
 
 class K0Presentation:
-    __slots__ = ("data", "group", "generators", "presentation", "basis", "hypothesis_verified")
+    __slots__ = ("data", "group", "generators", "basis")
 
-    def __init__(self, data, generators, presentation, basis, hypothesis_verified):
+    def __init__(self, data, generators, basis):
         self.data = data
         self.group = data.group
         self.generators = tuple(generators)
-        self.presentation = presentation
         self.basis = basis
-        self.hypothesis_verified = hypothesis_verified
 
     def __repr__(self):
         return f"K0Presentation({self.data.label or 'unlabeled'}, {len(self.generators)} generators)"
@@ -42,8 +40,11 @@ class K0Presentation:
         one class, and equal to the input modulo the ideal."""
         return normal_form(element, self.basis)
 
-    def is_zero_class(self, element):
-        return normal_form(element, self.basis).is_zero()
+    @property
+    def hypothesis_verified(self):
+        """Whether the degrees pass the exact rational test of
+        ``check_connected``'s first phase; asked on each read."""
+        return check_connected(self.data, bound=0).is_connected()
 
     def class_of(self, element):
         return K0Class(self, element)
@@ -69,10 +70,7 @@ def k0_presentation(data):
     variable's singleton component, and modulo that element t^(d,1) = t^d,
     so each of its other generators becomes the matching generator here:
     forgetting the new coordinate is an isomorphism of its quotient ring
-    onto this one, and the two K-groups agree.  ``hypothesis_verified``
-    records only whether the free parts of the degrees pass the exact
-    rational test of ``check_connected``'s first phase; the witness search
-    never runs here.
+    onto this one, and the two K-groups agree.
 
     ``generators`` keeps the component products q as the formula gives
     them, but completion starts from their centred multiples t^(-c)*q
@@ -82,11 +80,9 @@ def k0_presentation(data):
     in every ideal, and the reduced strong basis of an ideal is unique, so
     the basis, normal forms and invariants do not change.
     """
-    verified = not _rational_annihilator_exists([list(v.degree.free) for v in data.variables])
     generators = [component_product(data, m) for m in range(1, len(data.irrelevant) + 1)]
-    presentation = PolyPresentation.for_group(data.group)
-    basis = strong_groebner([_centred(q) for q in generators], presentation)
-    return K0Presentation(data, generators, presentation, basis, verified)
+    basis = strong_groebner([_centred(q) for q in generators], PolyPresentation.for_group(data.group))
+    return K0Presentation(data, generators, basis)
 
 
 class K0Class:
@@ -103,7 +99,7 @@ class K0Class:
         return self.presentation.reduce(self.representative)
 
     def is_zero(self):
-        return self.presentation.is_zero_class(self.representative)
+        return self.presentation.reduce(self.representative).is_zero()
 
     def _check_same(self, other):
         if self.presentation is not other.presentation:
@@ -144,7 +140,7 @@ def equal_in_k0(a, b):
     """Whether two classes agree in the quotient, that is, whether their
     reduced forms are equal: the difference has normal form zero."""
     a._check_same(b)
-    return a.presentation.is_zero_class(a.representative - b.representative)
+    return a.presentation.reduce(a.representative - b.representative).is_zero()
 
 
 def class_of_twist(pres, alpha):
@@ -163,32 +159,58 @@ def class_of_intersection(pres, components):
     """Class of R/I for the intersection I of the coordinate ideals of the
     components, by the pivot recursion on a variable v of the first one:
     K(comps) = t^deg(v)*K(the components without v) + (1 - t^deg(v))*K(every
-    component with v removed), 0 with no component and 1 with an empty one.
-    A variable in no component adds the factor t^d + (1 - t^d) = 1, so the
-    cost grows with the variables V that the components use, at most
-    2^(|V|+1) calls, not with the 2^m - 1 subcollections of m components;
-    more than PIVOT_BUDGET calls raise ValueError."""
+    component with v removed), 1 with an empty component.  A variable in no
+    component adds the factor t^d + (1 - t^d) = 1, so the cost grows with
+    the variables V that the components use, at most 2^(|V|+1) calls, not
+    with the 2^m - 1 subcollections of m components.
+
+    Components that share no variable fall into blocks, taken last to
+    first.  The components of the later blocks pass through every branch of
+    a block's recursion unchanged, so where none of the block's own
+    components is left, the recursion takes K of the later blocks, computed
+    once, and 0 after the last block; each block costs its own calls, not
+    their product.  More than PIVOT_BUDGET calls over all blocks raise
+    ValueError."""
     components = [tuple(c) for c in components]
     if not components:
         raise ValueError("need at least one component")
     r, torsion = pres.group.free_rank, pres.group.torsion
+    one = {(0,) * (r + len(torsion)): 1}
     shift = {name: {pres.data.variable(name).degree.key(): 1} for c in components for name in c}
-    # a stack keeps deep recursions off Python's limit: a component list is a call,
-    # and a shift t^d joins the two results on top, K(removed) + t^d*(K(without) - K(removed))
-    calls, stack, results = 0, [components], []
-    while stack:
-        item = stack.pop()
-        if isinstance(item, dict):
-            removed = results.pop()
-            results.append(_combine(removed, _product(item, _combine(results.pop(), removed, -1), r, torsion), 1))
-        elif (calls := calls + 1) > PIVOT_BUDGET:
-            raise ValueError(f"the intersection takes more than PIVOT_BUDGET = {PIVOT_BUDGET} pivot calls")
-        elif item and all(item):
-            v = item[0][0]
-            stack += (shift[v], [tuple(x for x in c if x != v) for c in item], [c for c in item if v not in c])
-        else:
-            results.append({(0,) * (r + len(torsion)): 1} if item else {})
-    return K0Class(pres, GroupRingElement._of(pres.group, results.pop()))
+    root = {name: name for name in shift}  # union-find over the variables
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for c in components:
+        if c:
+            head = find(c[0])
+            for name in c[1:]:
+                root[find(name)] = head
+    blocks = {}
+    for c in components:
+        blocks.setdefault(c and find(c[0]), []).append(c)
+    calls, later = 0, {}
+    for block in reversed(blocks.values()):
+        # a stack keeps deep recursions off Python's limit: a component list is a call,
+        # and a shift t^d joins the two results on top, K(removed) + t^d*(K(without) - K(removed))
+        stack, results = [block], []
+        while stack:
+            item = stack.pop()
+            if isinstance(item, dict):
+                removed = results.pop()
+                results.append(_combine(removed, _product(item, _combine(results.pop(), removed, -1), r, torsion), 1))
+            elif (calls := calls + 1) > PIVOT_BUDGET:
+                raise ValueError(f"the intersection takes more than PIVOT_BUDGET = {PIVOT_BUDGET} pivot calls")
+            elif item and all(item):
+                v = item[0][0]
+                stack += (shift[v], [tuple(x for x in c if x != v) for c in item], [c for c in item if v not in c])
+            else:
+                results.append(one if item else later)
+        later = results.pop()
+    return K0Class(pres, GroupRingElement._of(pres.group, later))
 
 
 def invariants(pres):
@@ -241,7 +263,7 @@ def induced_map(theta, source, target):
     hom = GroupHomomorphism(source.group, target.group, theta)
     out = InducedK0Map(source, target, hom)
     for q, image in zip(source.generators, out.images):
-        if not target.is_zero_class(image):
+        if not target.reduce(image).is_zero():
             raise ValueError(
                 f"ideal generator {q.render()} maps to {image.render()}, "
                 "which is nonzero in the target"

@@ -802,7 +802,7 @@ def test_centring_keeps_the_basis(group):
 def test_centring_keeps_the_digest_bases():
     for name, make in DIGEST_INPUTS.items():
         pres = k0_presentation(make())
-        centred, plain = _centred_and_plain(pres.generators, pres.presentation)
+        centred, plain = _centred_and_plain(pres.generators, pres.basis.presentation)
         assert centred == plain == pres.basis.elements, name
 
 
@@ -1022,10 +1022,36 @@ def test_reduce_matches_the_presented_route():
     # present), reducing the packed polynomial and decoding the result
     for name, make in DIGEST_INPUTS.items():
         pres = k0_presentation(make())
-        p = pres.presentation
+        p = pres.basis.presentation
         for e in _digest_queries(pres.group):
             via = _reduce_terms({_pack(E): c for E, c in present(e).items()}, pres.basis._reducers, p._mask)
             assert pres.reduce(e).terms == p._decode(via), name
+
+
+def test_normal_form_matches_plain_reduction():
+    # normal_form replaces each key by its normal monomial before reducing
+    # it; plain reduction, with no replacing, gives the same remainder
+    rng = random.Random("normal-form/plain")
+    inputs = {**DIGEST_INPUTS, **{f"rugby{pq}": lambda pq=pq: builtin_example("rugby", pq)
+                                  for pq in ((2, 3), (3, 5), (4, 6), (12, 18))}}
+    for name, make in inputs.items():
+        pres = k0_presentation(make())
+        p, gb = pres.basis.presentation, pres.basis
+        for _ in range(4):
+            e = _random_element(rng, pres.group, 9, WIDE_COEFFS)
+            plain = p._decode(_reduce_terms(p._encode(e), gb._reducers, p._mask))
+            assert normal_form(e, gb).terms == plain, (name, e)
+
+
+@pytest.mark.parametrize("N", [2000, 20000])
+def test_normal_form_is_linear_in_the_exponent(N):
+    # on P1 the basis has leading monomial y, and y^N reduces through the
+    # y^a alone once each y^a*y' becomes y^(a-1)
+    pres = k0_presentation(builtin_example("p1"))
+    start = time.perf_counter()
+    got = pres.reduce(parse_element(f"t^[{N}]", pres.group))
+    assert time.perf_counter() - start < 1
+    assert got == parse_element(f"{N + 1} - {N}*t^[-1]", pres.group)
 
 
 def test_degree_bound_is_reported():

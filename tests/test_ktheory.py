@@ -64,6 +64,20 @@ def test_cox_presentation_matches_connectify():
         assert inv.invariants() == (2, ()) and inv.status == AbGroupInvariants.EXACT
 
 
+def test_k0_build_never_runs_the_degree_zero_test(monkeypatch):
+    # the build and the invariants need no degree-zero test; only reading
+    # hypothesis_verified asks check_connected for it
+    def unexpected(rows):
+        raise AssertionError("phase-one test called")
+
+    monkeypatch.setattr("kstacks.stacks._rational_annihilator_exists", unexpected)
+    for name, args in (("blowup-a2-cox", ()), ("wps", (2, 3)), ("rugby", (2, 3))):
+        pres = k0_presentation(builtin_example(name, args))
+        assert invariants(pres).status == AbGroupInvariants.EXACT
+        with pytest.raises(AssertionError, match="phase-one test called"):
+            pres.hypothesis_verified
+
+
 def test_inverted_variables_give_exact_k0():
     # b-mu q inverts x of degree q, read as the component {x}: K0 is
     # Z[t^+-1]/(1 - t^q), the representation ring of mu_q, of rank q
@@ -245,13 +259,37 @@ def test_intersection_pivot_budget():
     assert time.perf_counter() - start < 0.05
     got = {key[0]: c for key, c in cls.representative.terms.items()}
     assert got == brute_force_numerator([1] * 6, pairs, 1, 8)
-    # 16 disjoint pairs take about 4 * 2^16 calls, past the budget
-    data = builtin_example("wps", (1,) * 32)
+    # a chain of 20 overlapping pairs {xi, x(i+1)} is one block of 21
+    # variables, and its recursion runs past the budget
+    data = builtin_example("wps", (1,) * 21)
     pres = k0_presentation(data)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="PIVOT_BUDGET = 65536"):
-        class_of_intersection(pres, [[f"x{2 * i}", f"x{2 * i + 1}"] for i in range(16)])
+        class_of_intersection(pres, [[f"x{i}", f"x{i + 1}"] for i in range(20)])
     assert time.perf_counter() - start < 1
+
+
+def test_intersection_splits_into_disjoint_blocks():
+    # components in disjoint variables intersect in their product ideal, so
+    # K = 1 - prod(1 - K(block)), and each block's K is computed once: two
+    # disjoint 600-variable components answer, where the recursion through
+    # both at once ran past its budget
+    Z = FgAbelianGroup.canonical(1)
+    names = [f"x{i}" for i in range(1200)]
+    pres = k0_presentation(make_stack_data(Z, [(nm, [1]) for nm in names], []))
+    start = time.perf_counter()
+    got = class_of_intersection(pres, [names[:600], names[600:]]).representative
+    assert time.perf_counter() - start < 5
+    block = (1 - GroupRingElement.monomial(Z.element([1]))) ** 600
+    assert got == 1 - (1 - block) * (1 - block)
+    # 16 disjoint pairs are 16 blocks, where the recursion took about 4 * 2^16 calls
+    got = class_of_intersection(pres, [[f"x{2 * i}", f"x{2 * i + 1}"] for i in range(16)]).representative
+    assert got == 1 - (1 - (1 - GroupRingElement.monomial(Z.element([1]))) ** 2) ** 16
+    # a two-component block beside a pair and a singleton, against counted monomials
+    data = builtin_example("wps", (1,) * 6)
+    comps = [(0, 1), (1, 2), (3, 4), (5,)]
+    got = class_of_intersection(k0_presentation(data), [[f"x{i}" for i in c] for c in comps])
+    assert {key[0]: c for key, c in got.representative.terms.items()} == brute_force_numerator([1] * 6, comps, 1, 8)
 
 
 def test_intersection_runs_past_the_recursion_limit():
@@ -460,7 +498,7 @@ def test_exact_invariants_match_fp_dimensions(build, torsion):
     primes = {2, 3, 5} | {q for q in divisors if all(q % k for k in range(2, q))}
     for p in sorted(primes):
         expected = rank + sum(1 for d in factors if d % p == 0)
-        assert fp_quotient_dimension(pres.generators, pres.presentation, p) == expected, p
+        assert fp_quotient_dimension(pres.generators, pres.basis.presentation, p) == expected, p
 
 
 def test_induced_maps_rugby():
@@ -469,7 +507,7 @@ def test_induced_maps_rugby():
         target = k0_presentation(builtin_example("wps", (q, p)))
         phi = induced_map([[q], [p]], rugby, target)
         image = phi.push_element(rugby.generators[0])
-        assert target.is_zero_class(image)
+        assert target.reduce(image).is_zero()
         G = target.group
         t = lambda n: GroupRingElement.monomial(G.element([n]))
         assert image == (1 - t(p)) * (1 - t(q))
@@ -478,7 +516,7 @@ def test_induced_maps_rugby():
         psi = induced_map([[p, 0]], p1, rugby)
         w = GroupRingElement.monomial(p1.group.element([1]))
         sq = psi.push_element((1 - w) * (1 - w))
-        assert rugby.is_zero_class(sq)
+        assert rugby.reduce(sq).is_zero()
 
 
 def test_induced_map_rejects_bad_matrix():
