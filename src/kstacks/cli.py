@@ -11,9 +11,11 @@ The K-group commands (k0, eq, class, map) compute on any valid input: the
 presentation formula gives the K-group whether or not the degree-zero
 hypothesis holds, since connectify's output presents the same stack and
 its quotient ring is isomorphic to the input's (see
-``ktheory.k0_presentation``).  They parse every argument before the
-K-group is built, so a malformed one fails fast.  check-connected still
-answers the hypothesis as a question of its own.
+``ktheory.k0_presentation``).  Each computes only what its report holds:
+k0 reads the ideal generators straight from the data and builds the
+K-group only for --invariants, and the others parse every argument before
+the K-group is built, so a malformed one fails fast.  check-connected is
+the one command that answers the hypothesis.
 
 Exit codes: 0 success (or: equal, connected), 1 input or parse error,
 3 negative verdict (not equal, not connected, map failure).
@@ -28,6 +30,7 @@ import time
 
 from .abelian import describe_invariants
 from .exprs import _parse_int_list, ascii_int, parse_element
+from .groupring import component_product
 from .ktheory import class_of_koszul_quotient, induced_map, invariants, k0_presentation
 from .picard import pic, pic_open
 from .stacks import (
@@ -50,14 +53,13 @@ EXIT_NEGATIVE = 3
 def _load(named, path, flags=("--example", "--input"), what="an input"):
     """Stack data from one of two option values, a built-in example
     [NAME, PARAMS...] or a JSON file path (``flags`` names the two options
-    in errors), plus the expression symbols bound for built-in examples."""
+    in errors)."""
     if named is not None and path is not None:
         raise StackDataError(f"give either {flags[0]} or {flags[1]}, not both")
     if named is not None:
-        data = builtin_example(named[0], named[1:])
-        return data, example_symbols(named[0], data)
+        return builtin_example(named[0], named[1:])
     if path is not None:
-        return load_stackdata(path), {}
+        return load_stackdata(path)
     raise StackDataError(f"{what} is required: {flags[0]} NAME [PARAMS...] or {flags[1]} PATH")
 
 
@@ -93,22 +95,18 @@ def _parse_vectors(text, length, what):
 
 
 def cmd_k0(args):
-    data, _ = _load(args.example, args.input)
-    pres = k0_presentation(data)
-    payload = {
-        "group": _group_json(data.group),
-        "generators": [q.render() for q in pres.generators],
-        "hypothesis_verified": pres.hypothesis_verified,
-    }
+    data = _load(args.example, args.input)
+    generators = [component_product(data, m).render() for m in range(1, len(data.irrelevant) + 1)]
+    payload = {"group": _group_json(data.group), "generators": generators}
     lines = [f"K0 presentation of {data.label or 'input'}:"]
     lines.append(f"  group ring over {data.group.describe()}")
-    if pres.generators:
+    if generators:
         lines.append("  ideal generators:")
-        lines.extend(f"    {q.render()}" for q in pres.generators)
+        lines.extend(f"    {q}" for q in generators)
     else:
         lines.append("  ideal generators: none (zero ideal)")
     if args.invariants:
-        inv = invariants(pres)
+        inv = invariants(k0_presentation(data))
         payload["invariants"] = inv.to_json()
         if inv.free_rank is None:
             lines.append(f"  invariants: {inv.status}")
@@ -119,7 +117,7 @@ def cmd_k0(args):
 
 
 def cmd_pic(args):
-    data, _ = _load(args.example, args.input)
+    data = _load(args.example, args.input)
     removed = None
     if args.remove_degree is not None:
         vec = _parse_vector(args.remove_degree, data.group.num_generators, "--remove-degree")
@@ -140,7 +138,8 @@ def cmd_pic(args):
 
 
 def cmd_eq(args):
-    data, symbols = _load(args.example, args.input)
+    data = _load(args.example, args.input)
+    symbols = example_symbols(args.example[0], data) if args.example is not None else {}
     lhs = parse_element(args.lhs, data.group, symbols)
     rhs = parse_element(args.rhs, data.group, symbols)
     pres = k0_presentation(data)
@@ -159,7 +158,7 @@ def cmd_eq(args):
 
 
 def cmd_check_connected(args):
-    data, _ = _load(args.example, args.input)
+    data = _load(args.example, args.input)
     result = check_connected(data, bound=args.bound)
     lines = [f"degree-zero check for {data.label or 'input'}: {result.verdict}"]
     if result.witness is not None:
@@ -172,7 +171,7 @@ def cmd_check_connected(args):
 
 
 def cmd_connectify(args):
-    data, _ = _load(args.example, args.input)
+    data = _load(args.example, args.input)
     out = connectify(data)
     obj = stackdata_to_json(out)
     payload = {"output": obj, "output_path": args.output}
@@ -188,7 +187,7 @@ def cmd_connectify(args):
 
 
 def cmd_class(args):
-    data, _ = _load(args.example, args.input)
+    data = _load(args.example, args.input)
     vectors = _parse_vectors(args.koszul, data.group.num_generators, "--koszul")
     degrees = [data.group.element(v) for v in vectors]
     cls = class_of_koszul_quotient(k0_presentation(data), degrees)
@@ -208,8 +207,8 @@ def cmd_class(args):
 
 
 def cmd_map(args):
-    data, _ = _load(args.example, args.input)
-    target_data, _ = _load(args.target, args.target_input, ("--target", "--target-input"), "a target")
+    data = _load(args.example, args.input)
+    target_data = _load(args.target, args.target_input, ("--target", "--target-input"), "a target")
     rows = _parse_vectors(args.matrix, target_data.group.num_generators, "--matrix rows")
     if len(rows) != data.group.num_generators:
         raise StackDataError(

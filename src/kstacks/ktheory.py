@@ -239,6 +239,7 @@ class InducedK0Map:
 
     def push_element(self, element):
         source = self.source.group
+        source.require_same(element.group)
         r = source.free_rank
         terms = {}
         for key, coeff in element.terms.items():

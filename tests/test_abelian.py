@@ -91,6 +91,12 @@ def test_canonicalize():
     assert Z2.zero().is_zero()
 
 
+def test_equal_matrices_hash_equal():
+    a, b = IntMatrix([[1, 2], [3, 4]]), IntMatrix([[1, 2], [3, 4]])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, IntMatrix([[1, 2], [3, 5]])}) == 2
+
+
 def test_element_arithmetic_and_canonical_roundtrip():
     rng = random.Random(11)
     G = group_from_relations(3, [[2, 0, -4], [0, 3, 3]])

@@ -47,7 +47,8 @@ def test_k0_blowup(tmp_path, capsys):
     assert report["invariants"]["rank"] == 2
     assert report["invariants"]["torsion"] == []
     assert report["invariants"]["status"] == "exact"
-    assert report["hypothesis_verified"] is True
+    # the degree-zero question is check-connected's alone
+    assert "hypothesis_verified" not in report
     # reported generator strings parse back to the computed generators
     data = builtin_example("blowup-a2-hirzebruch")
     pres = k0_presentation(data)
@@ -60,7 +61,7 @@ def test_k0_cox_refused(capsys):
     code, out, err = run(["k0", "--example", "blowup-a2-cox", "--invariants", "--json", "-"], capsys)
     assert code == 0 and not err
     report = json.loads(out[out.index("\n{\n") + 1:])
-    assert report["hypothesis_verified"] is False
+    assert "hypothesis_verified" not in report
     assert report["invariants"] == {"rank": 2, "torsion": [], "status": "exact"}
 
 
@@ -241,6 +242,21 @@ def test_power_budget_and_degree_bound_are_input_errors(capsys):
         code, out, err = run(argv, capsys)
         assert code == 1 and not out, argv
         assert reason in err and "Traceback" not in err, err
+
+
+def test_degree_bound_refuses_a_k0_build_not_a_plain_k0(tmp_path, capsys):
+    # a component product of degree 2^30 + 1: plain k0 reports it, and the
+    # basis that --invariants builds cannot pack it
+    data_path = tmp_path / "big.json"
+    data_path.write_text(json.dumps({
+        "grading_group": {"free_rank": 1, "torsion": []},
+        "variables": [{"name": "x", "degree": [2 ** 30]}, {"name": "y", "degree": [1]}],
+        "irrelevant": [["x", "y"]],
+    }))
+    code, out, _ = run(["k0", "--input", str(data_path)], capsys)
+    assert code == 0 and "1 - t^[1] - t^[1073741824] + t^[1073741825]" in out
+    code, out, err = run(["k0", "--input", str(data_path), "--invariants"], capsys)
+    assert code == 1 and not out and "total degrees must stay below 2^29" in err
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int-text conversion")
@@ -494,8 +510,35 @@ def test_k0_answers_thin4_without_a_witness_search(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     assert code == 0
     report = json.loads(out[out.index("\n{\n") + 1:])
-    assert report["hypothesis_verified"] is False
+    assert "hypothesis_verified" not in report
     assert report["invariants"] == {"rank": 44, "torsion": [], "status": "exact"}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this command must not get here")
+
+
+@pytest.mark.parametrize("example", [["blowup-a2-cox"], ["wps", "2", "3"], ["rugby", "2", "3"], ["b-mu", "7"]])
+def test_k0_reads_the_generators_without_a_basis_or_the_degree_zero_test(example, capsys, monkeypatch):
+    # the report holds the group and the component products, so plain k0
+    # completes no basis and leaves the degree-zero question to check-connected
+    data = builtin_example(example[0], example[1:])
+    expected = k0_presentation(data).generators
+    monkeypatch.setattr("kstacks.ktheory.strong_groebner", _refuse)
+    monkeypatch.setattr("kstacks.stacks._rational_annihilator_exists", _refuse)
+    code, out, err = run(["k0", "--example", *example, "--json", "-"], capsys)
+    assert code == 0 and not err
+    report = json.loads(out[out.index("\n{\n") + 1:])
+    assert [parse_element(q, data.group) for q in report["generators"]] == list(expected)
+    assert "invariants" not in report and "hypothesis_verified" not in report
+
+
+def test_k0_invariants_never_runs_the_degree_zero_test(capsys, monkeypatch):
+    monkeypatch.setattr("kstacks.stacks._rational_annihilator_exists", _refuse)
+    code, out, err = run(["k0", "--example", "blowup-a2-cox", "--invariants", "--json", "-"], capsys)
+    assert code == 0 and not err
+    report = json.loads(out[out.index("\n{\n") + 1:])
+    assert report["invariants"] == {"rank": 2, "torsion": [], "status": "exact"}
 
 
 @pytest.mark.parametrize(
@@ -577,15 +620,15 @@ def test_readme_commands_match_the_parser():
 # exit code, in README order: any change to an answer, a reduced form or a
 # report field moves one of them
 README_REPORTS = [
-    (0, "00d7ce906e14dd24913519487691d148e29e9d555a34c98bde0fe69836e885f2"),
-    (0, "0fdd248985390902adc4c14c08bdbff912b50827b9610428d573ed30e4983ce7"),
+    (0, "9e3ec0e99dc540250ac0a959ff183de04f2061fb1715dfd331354ae63059b750"),
+    (0, "ffb9ded7d9b2272c4b8c84753aa4bb4dbfe06876dac6c6c23c600110b8a81a7f"),
     (0, "0c0b50433127915aafd0dbeb298414645be4d3fb3b2aa4a853e9d1ec58ec4ce9"),
     (0, "a1616c8748e0c6b428d9bf5752113f87a19fcdd5ef6a1cfce452dd6f7727203a"),
     (0, "2230ea36ad11d750297e1f71ccf3e34019d13ed13d1156bed3795176e70062d6"),
     (0, "4ea6f899d1046c62e7b2eb3a2163240476e24e08774b8ad2a50073aa5c99c731"),
     (3, "74dc9504fbf650f2d65fe167b4c4d3226ef3003984a367c77b723bcd76d61a76"),
     (0, "5793e4071624a12957f964016f136bcef2cc08d88f000f67f4bc679d9d4a569f"),
-    (0, "3fe50a1a84dca175606f8199aea2abdbf2c6a4cc3b0b7c2982e908c3d4f2ebe7"),
+    (0, "f9dae17058976918bee900fb8b18504d5705ab8fa38918f5c5ed6c646215f1e7"),
     (0, "6b310da0f6dae12365801b86abcc19dd3f997c454af09c694a0179339d45d68f"),
     (0, "3aefb36e2860c0b8ff899dda52624458c6d7f0d27337789e6aa902638cc81918"),
     (0, "f81ba9ab9d1aebb9eda2cfabb7b55387830c53f700ba9e50bd70aaeb817ade48"),
@@ -602,6 +645,15 @@ def test_pinned_readme_reports(tmp_path, capsys, monkeypatch):
         report = json.dumps(strip_timing(read_report("report.json")), sort_keys=True)
         got.append((code, hashlib.sha256(report.encode()).hexdigest()))
     assert got == README_REPORTS
+
+
+def test_only_eq_binds_the_example_symbols(tmp_path, capsys, monkeypatch):
+    # every README command but eq exits as documented without the symbols
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("kstacks.cli.example_symbols", _refuse)
+    for argv, (code, _) in zip(_readme_commands(), README_REPORTS):
+        if argv[1] != "eq":
+            assert run(argv[1:], capsys)[0] == code, shlex.join(argv)
 
 
 def test_readme_example_table_matches_the_registry():

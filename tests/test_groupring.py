@@ -266,3 +266,25 @@ def test_constructor_reduces_residues():
     assert GroupRingElement(G, {(1, 5): 1, (1, -1): 2}).terms == {(1, 2): 3}
     assert GroupRingElement(G, {(1, 5): 1, (1, 2): -1}).is_zero()
     assert GroupRingElement(G, {(-4, 3): 1}).render() == "t^[-4;0]"
+
+
+@pytest.mark.parametrize(
+    "build_a, build_b",
+    [(lambda: group_from_relations(2, [[2, -3]]), lambda: group_from_relations(2, [[2, -3]])),
+     (lambda: FgAbelianGroup.canonical(1), lambda: group_from_relations(1, []))],
+    ids=["relations-twice", "canonical-and-relations"],
+)
+def test_equal_groups_built_apart_share_their_ring(build_a, build_b):
+    A, B = build_a(), build_b()
+    assert A is not B and A == B and hash(A) == hash(B)
+    a, b = parse_element("1 + t^[1]", A), parse_element("2 - t^[-1]", B)
+    assert a + b == parse_element("3 + t^[1] - t^[-1]", A)
+    assert a - b == parse_element("-1 + t^[1] + t^[-1]", A)
+    assert a * b == b * a == parse_element("1 + 2*t^[1] - t^[-1]", B)
+
+
+def test_group_elements_are_monomials_in_arithmetic():
+    G = laurent()
+    e = parse_element("1 + t^[1]", G)
+    assert e + G.element([2]) == e + parse_element("t^[2]", G)
+    assert e * G.element([2]) == e * parse_element("t^[2]", G)

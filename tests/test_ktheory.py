@@ -550,6 +550,14 @@ def test_pushforward_is_ring_map():
         assert phi.push_element(a * b) == phi.push_element(a) * phi.push_element(b)
 
 
+def test_push_refuses_an_element_of_another_group():
+    # a Z/5 key has the length of a rugby(2,3) key; it must not be read as one
+    phi = induced_map([[3], [2]], k0_presentation(builtin_example("rugby", (2, 3))),
+                      k0_presentation(builtin_example("wps", (3, 2))))
+    with pytest.raises(ValueError, match="different groups"):
+        phi.push_element(GroupRingElement.monomial(FgAbelianGroup.canonical(0, (5,)).element([2])))
+
+
 def test_induced_map_on_classes():
     # the README map rugby(2,3) -> wps(3,2), e -> 3, e' -> 2
     rugby = k0_presentation(builtin_example("rugby", (2, 3)))
