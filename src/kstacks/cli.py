@@ -13,9 +13,10 @@ hypothesis holds, since connectify's output presents the same stack and
 its quotient ring is isomorphic to the input's (see
 ``ktheory.k0_presentation``).  Each computes only what its report holds:
 k0 reads the ideal generators straight from the data and builds the
-K-group only for --invariants, and the others parse every argument before
-the K-group is built, so a malformed one fails fast.  check-connected is
-the one command that answers the hypothesis.
+K-group only for --invariants, map builds only the target's K-group and
+reads the source's generators from its data, and the others parse every
+argument before the K-group is built, so a malformed one fails fast.
+check-connected is the one command that answers the hypothesis.
 
 Exit codes: 0 success (or: equal, connected), 1 input or parse error,
 3 negative verdict (not equal, not connected, map failure).
@@ -30,8 +31,7 @@ import time
 
 from .abelian import describe_invariants
 from .exprs import _parse_int_list, ascii_int, parse_element
-from .groupring import component_product
-from .ktheory import class_of_koszul_quotient, induced_map, invariants, k0_presentation
+from .ktheory import _ideal_generators, class_of_koszul_quotient, induced_map, invariants, k0_presentation
 from .picard import pic, pic_open
 from .stacks import (
     EXAMPLES,
@@ -96,7 +96,7 @@ def _parse_vectors(text, length, what):
 
 def cmd_k0(args):
     data = _load(args.example, args.input)
-    generators = [component_product(data, m).render() for m in range(1, len(data.irrelevant) + 1)]
+    generators = [q.render() for q in _ideal_generators(data)]
     payload = {"group": _group_json(data.group), "generators": generators}
     lines = [f"K0 presentation of {data.label or 'input'}:"]
     lines.append(f"  group ring over {data.group.describe()}")
@@ -214,16 +214,16 @@ def cmd_map(args):
         raise StackDataError(
             f"--matrix needs {data.group.num_generators} rows (one per source generator)"
         )
-    source, target = k0_presentation(data), k0_presentation(target_data)
+    target = k0_presentation(target_data)
     payload = {"target": target_data.label, "matrix": [list(r) for r in rows]}
     try:
-        pushed = induced_map(rows, source, target)
+        pushed = induced_map(rows, data, target)
     except ValueError as exc:
         payload.update({"ok": False, "reason": str(exc)})
         return EXIT_NEGATIVE, data.label, payload, [f"induced map check failed: {exc}"]
     images = [
         {"generator": q.render(), "image": image.render()}
-        for q, image in zip(source.generators, pushed.images)
+        for q, image in zip(pushed.generators, pushed.images)
     ]
     payload.update({"ok": True, "generator_images": images})
     lines = [f"induced map {data.label or 'input'} -> {target_data.label or 'target'}: ok"]

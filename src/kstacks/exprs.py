@@ -184,5 +184,10 @@ class _Parser:
 
 
 def parse_element(text, group, symbols=None):
-    """Parse an expression into a GroupRingElement over ``group``."""
-    return _Parser(_tokenize(text), group, symbols).parse()
+    """Parse an expression into a GroupRingElement over ``group``.  Each
+    level of parentheses takes a few frames of the recursive descent, and
+    nesting past the interpreter's recursion limit raises ParseError."""
+    try:
+        return _Parser(_tokenize(text), group, symbols).parse()
+    except RecursionError:
+        raise ParseError("the expression nests too deeply") from None

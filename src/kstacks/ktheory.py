@@ -3,9 +3,9 @@
 The presentation is the group ring of the grading group modulo one product
 generator per irrelevant component.  Classes of sheaves are group-ring
 elements; equality of classes is decided by reducing the difference to its
-normal form.  Group homomorphisms between grading groups induce maps between
-presentations once each source generator is checked to land in the target
-ideal.
+normal form.  Group homomorphisms between grading groups induce maps from
+a stack's group ring to another's K-group once each source ideal generator,
+read from the source data, is checked to land in the target ideal.
 """
 
 from __future__ import annotations
@@ -58,6 +58,12 @@ def _centred(q):
     return GroupRingElement._of(q.group, {tuple(map(sub, key[:r], c)) + key[r:]: a for key, a in q.terms.items()})
 
 
+def _ideal_generators(data):
+    """The ideal generators of data's K-group, one component product per
+    irrelevant component, in order."""
+    return tuple(component_product(data, m) for m in range(1, len(data.irrelevant) + 1))
+
+
 def k0_presentation(data):
     """Build the K-group presentation of validated stack data.
 
@@ -80,7 +86,7 @@ def k0_presentation(data):
     in every ideal, and the reduced strong basis of an ideal is unique, so
     the basis, normal forms and invariants do not change.
     """
-    generators = [component_product(data, m) for m in range(1, len(data.irrelevant) + 1)]
+    generators = _ideal_generators(data)
     basis = strong_groebner([_centred(q) for q in generators], PolyPresentation.for_group(data.group))
     return K0Presentation(data, generators, basis)
 
@@ -222,48 +228,52 @@ def invariants(pres):
 
 
 class InducedK0Map:
-    """Pushforward of classes along a grading-group homomorphism.
+    """Pushforward along a grading-group homomorphism theta, from the stack
+    data ``source`` to the K-group ``target``.
 
-    Exponents are mapped through the homomorphism.  Construction pushes
-    every source ideal generator once and keeps the results, in order, as
-    ``images``; ``induced_map`` checks that each lands in the target ideal.
+    ``matrix`` is from_canonical @ theta @ to_canonical, theta on canonical
+    coordinates: a term's key times it is its image's key once the residues
+    are reduced.  Construction pushes every source ideal generator, read
+    from the data, once and keeps the results, in order, as ``images``;
+    ``induced_map`` checks that each lands in the target ideal.
     """
 
-    __slots__ = ("source", "target", "hom", "images")
+    __slots__ = ("source", "target", "generators", "images", "matrix")
 
-    def __init__(self, source, target, hom):
+    def __init__(self, source, target, theta):
         self.source = source
         self.target = target
-        self.hom = hom
-        self.images = tuple(self.push_element(q) for q in source.generators)
+        self.matrix = source.group.from_canonical @ theta @ target.group.to_canonical
+        self.generators = _ideal_generators(source)
+        self.images = tuple(self.push_element(q) for q in self.generators)
 
     def push_element(self, element):
-        source = self.source.group
-        source.require_same(element.group)
-        r = source.free_rank
+        self.source.group.require_same(element.group)
         terms = {}
         for key, coeff in element.terms.items():
-            image = self.hom(source.element_canonical(key[:r], key[r:])).key()
+            image = self.matrix.apply_row(key)
             terms[image] = terms.get(image, 0) + coeff
         return GroupRingElement(self.target.group, terms)
 
     def __call__(self, cls):
-        if cls.presentation is not self.source:
+        if cls.presentation.data is not self.source:
             raise ValueError("class does not live in the source presentation")
         return K0Class(self.target, self.push_element(cls.representative))
 
 
 def induced_map(theta, source, target):
-    """Checked pushforward between two presentations.
+    """Checked pushforward from the stack data ``source`` to the K-group
+    presentation ``target``.
 
     ``theta`` is an integer matrix on user generators (row i is the image of
-    the i-th source generator in target user coordinates).  Raises ValueError
-    if the matrix does not kill a source relation, or if the image of some
-    source ideal generator has nonzero normal form in the target.
+    the i-th source generator in target user coordinates).  The source's
+    ideal generators are read from its data, and no source basis is built.
+    Raises ValueError if the matrix does not kill a source relation, or if
+    the image of some source ideal generator has nonzero normal form in the
+    target.
     """
-    hom = GroupHomomorphism(source.group, target.group, theta)
-    out = InducedK0Map(source, target, hom)
-    for q, image in zip(source.generators, out.images):
+    out = InducedK0Map(source, target, GroupHomomorphism(source.group, target.group, theta).matrix)
+    for q, image in zip(out.generators, out.images):
         if not target.reduce(image).is_zero():
             raise ValueError(
                 f"ideal generator {q.render()} maps to {image.render()}, "

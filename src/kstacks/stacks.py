@@ -504,7 +504,11 @@ def stackdata_from_json(obj):
 
 def load_stackdata(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return stackdata_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise StackDataError("the JSON document nests too deeply") from None
+    return stackdata_from_json(obj)
 
 
 def dump_stackdata(data, path):

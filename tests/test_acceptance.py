@@ -145,11 +145,11 @@ def test_criterion_07_induced_maps():
     for p, q in RUGBY_PAIRS:
         rugby = k0_presentation(builtin_example("rugby", (p, q)))
         wps = k0_presentation(builtin_example("wps", (q, p)))
-        phi = induced_map([[q], [p]], rugby, wps)
+        phi = induced_map([[q], [p]], rugby.data, wps)
         assert wps.reduce(phi.push_element(rugby.generators[0])).is_zero()
 
         p1 = k0_presentation(builtin_example("p1"))
-        psi = induced_map([[p, 0]], p1, rugby)
+        psi = induced_map([[p, 0]], p1.data, rugby)
         w = GroupRingElement.monomial(p1.group.element([1]))
         assert rugby.reduce(psi.push_element((1 - w) * (1 - w))).is_zero()
     _pass(7, "both induced maps carry the source ideals to zero for all four pairs")

@@ -589,6 +589,41 @@ def test_map_pushes_each_source_generator_once(capsys, monkeypatch):
     assert calls == list(k0_presentation(builtin_example("rugby", (2, 3))).generators)
 
 
+@pytest.mark.parametrize("argv", [["--example", "rugby", "2", "3", "--matrix", "3;2", "--target", "wps", "3", "2"],
+                                  ["--example", "p1", "--matrix", "2,0", "--target", "rugby", "2", "3"]])
+def test_map_completes_only_the_target(argv, capsys, monkeypatch):
+    # the source's ideal generators come from its data: the one basis map
+    # completes is the target's
+    groups = []
+    complete = kstacks.ktheory.strong_groebner
+
+    def recorded(gens, presentation):
+        groups.append(presentation.group)
+        return complete(gens, presentation)
+
+    monkeypatch.setattr("kstacks.ktheory.strong_groebner", recorded)
+    code, _, err = run(["map", *argv], capsys)
+    target = argv[argv.index("--target") + 1:]
+    assert code == 0 and not err
+    assert groups == [builtin_example(target[0], target[1:]).group]
+
+
+def test_map_reads_a_source_past_the_degree_limit(tmp_path, capsys):
+    # only the images are packed, so the zero map from the stack of
+    # test_degree_bound_refuses_a_k0_build_not_a_plain_k0 answers
+    data_path = tmp_path / "big.json"
+    data_path.write_text(json.dumps({
+        "grading_group": {"free_rank": 1, "torsion": []},
+        "variables": [{"name": "x", "degree": [2 ** 30]}, {"name": "y", "degree": [1]}],
+        "irrelevant": [["x", "y"]],
+    }))
+    code, out, err = run(["map", "--input", str(data_path), "--matrix", "0", "--target", "p1", "--json", "-"], capsys)
+    assert code == 0 and not err
+    report = json.loads(out[out.index("\n{\n") + 1:])
+    assert report["ok"] is True
+    assert report["generator_images"] == [{"generator": "1 - t^[1] - t^[1073741824] + t^[1073741825]", "image": "0"}]
+
+
 def _readme():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
         return fh.read()
@@ -691,17 +726,20 @@ def test_k0_zero_ideal_reports_not_finitely_generated(tmp_path, capsys):
     assert report["invariants"]["rank"] is None
 
 
-def _subprocess_report(args, path, seed):
+def _child(args, **env):
     # the child imports the same kstacks as this process, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(kstacks.__file__)))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
-    proc = subprocess.run(
-        [sys.executable, "-m", "kstacks.cli", *args, "--json", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "kstacks.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=pythonpath, **env),
     )
+
+
+def _subprocess_report(args, path, seed):
+    proc = _child([*args, "--json", str(path)], PYTHONHASHSEED=seed)
     if not path.exists():
         pytest.fail(f"no report written (exit {proc.returncode}):\n{proc.stderr}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -733,3 +771,20 @@ def test_reports_identical_across_hash_seeds(tmp_path, args):
     body1 = strip_timing(json.loads(text1))
     body2 = strip_timing(json.loads(text2))
     assert json.dumps(body1, sort_keys=True) == json.dumps(body2, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", ["expression", "json"])
+def test_deep_nesting_is_an_input_error(tmp_path, kind):
+    # nesting past the interpreter's recursion limit is refused like the
+    # other input limits: an error line and exit 1, no traceback
+    if kind == "expression":
+        args = ["eq", "--example", "p1", "--lhs", "(" * 250 + "1" + ")" * 250, "--rhs", "1"]
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text('{"grading_group": {"free_rank": 1}, "variables": [], "irrelevant": '
+                        + "[" * 100_000 + "]" * 100_000 + "}")
+        args = ["pic", "--input", str(path)]
+    proc = _child(args)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith("error: ") and "nests too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -115,6 +115,15 @@ def test_end_of_input_is_named(text):
     assert str(err.value) == "unexpected end of input"
 
 
+def test_deep_nesting_is_a_parse_error():
+    # each level of parentheses takes a few frames of the recursive descent
+    Z = FgAbelianGroup.canonical(1)
+    assert parse_element("(" * 50 + "t^[1]" + ")" * 50, Z) == parse_element("t^[1]", Z)
+    for depth in (250, 100_000):
+        with pytest.raises(ParseError, match="the expression nests too deeply"):
+            parse_element("(" * depth + "1" + ")" * depth, Z)
+
+
 def test_arbitrary_precision_literals():
     Z = FgAbelianGroup.canonical(1)
     big = 123456789012345678901234567890

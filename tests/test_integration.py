@@ -113,8 +113,8 @@ def test_induced_map_alternate_presentation_of_same_element():
     for p, q in [(2, 3), (2, 2), (3, 4)]:
         rugby = k0_presentation(builtin_example("rugby", (p, q)))
         p1 = k0_presentation(builtin_example("p1"))
-        via_e = induced_map([[p, 0]], p1, rugby)
-        via_ep = induced_map([[0, q]], p1, rugby)
+        via_e = induced_map([[p, 0]], p1.data, rugby)
+        via_ep = induced_map([[0, q]], p1.data, rugby)
         w = p1.group.element([1])
         from kstacks.groupring import GroupRingElement
 

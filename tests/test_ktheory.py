@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from kstacks.abelian import FgAbelianGroup, IntMatrix
+from kstacks.abelian import FgAbelianGroup, GroupHomomorphism, IntMatrix, group_from_relations
 from kstacks.groupring import GroupRingElement, one_minus
 from kstacks.grobner import AbGroupInvariants
 from kstacks.ktheory import (
@@ -505,7 +505,7 @@ def test_induced_maps_rugby():
     for p, q in RUGBY_PAIRS:
         rugby = k0_presentation(builtin_example("rugby", (p, q)))
         target = k0_presentation(builtin_example("wps", (q, p)))
-        phi = induced_map([[q], [p]], rugby, target)
+        phi = induced_map([[q], [p]], rugby.data, target)
         image = phi.push_element(rugby.generators[0])
         assert target.reduce(image).is_zero()
         G = target.group
@@ -513,7 +513,7 @@ def test_induced_maps_rugby():
         assert image == (1 - t(p)) * (1 - t(q))
 
         p1 = k0_presentation(builtin_example("p1"))
-        psi = induced_map([[p, 0]], p1, rugby)
+        psi = induced_map([[p, 0]], p1.data, rugby)
         w = GroupRingElement.monomial(p1.group.element([1]))
         sq = psi.push_element((1 - w) * (1 - w))
         assert rugby.reduce(sq).is_zero()
@@ -523,17 +523,17 @@ def test_induced_map_rejects_bad_matrix():
     rugby = k0_presentation(builtin_example("rugby", (2, 3)))
     p1 = k0_presentation(builtin_example("p1"))
     with pytest.raises(ValueError):
-        induced_map([[1], [1]], rugby, p1)  # does not kill 2e - 3e'
+        induced_map([[1], [1]], rugby.data, p1)  # does not kill 2e - 3e'
     z_to_z = k0_presentation(builtin_example("wps", (1, 1)))
     with pytest.raises(ValueError):
         # 1 -> e alone does not carry the ideal into the rugby ideal
-        induced_map([[1, 0]], z_to_z, rugby)
+        induced_map([[1, 0]], z_to_z.data, rugby)
 
 
 def test_pushforward_is_ring_map():
     rugby = k0_presentation(builtin_example("rugby", (2, 3)))
     wps = k0_presentation(builtin_example("wps", (3, 2)))
-    phi = induced_map([[3], [2]], rugby, wps)
+    phi = induced_map([[3], [2]], rugby.data, wps)
     rng = random.Random(23)
     G = rugby.group
 
@@ -552,7 +552,7 @@ def test_pushforward_is_ring_map():
 
 def test_push_refuses_an_element_of_another_group():
     # a Z/5 key has the length of a rugby(2,3) key; it must not be read as one
-    phi = induced_map([[3], [2]], k0_presentation(builtin_example("rugby", (2, 3))),
+    phi = induced_map([[3], [2]], k0_presentation(builtin_example("rugby", (2, 3))).data,
                       k0_presentation(builtin_example("wps", (3, 2))))
     with pytest.raises(ValueError, match="different groups"):
         phi.push_element(GroupRingElement.monomial(FgAbelianGroup.canonical(0, (5,)).element([2])))
@@ -562,7 +562,7 @@ def test_induced_map_on_classes():
     # the README map rugby(2,3) -> wps(3,2), e -> 3, e' -> 2
     rugby = k0_presentation(builtin_example("rugby", (2, 3)))
     wps = k0_presentation(builtin_example("wps", (3, 2)))
-    phi = induced_map([[3], [2]], rugby, wps)
+    phi = induced_map([[3], [2]], rugby.data, wps)
     rng = random.Random(29)
     G = rugby.group
     g = rugby.generators[0]
@@ -590,13 +590,16 @@ def test_induced_map_on_classes():
         phi(K0Class(other, GroupRingElement.one(other.group)))
 
 
-def _random_class(rng, pres):
-    G = pres.group
+def _random_element(rng, G):
     out = GroupRingElement.zero(G)
     for _ in range(rng.randint(0, 3)):
         coords = [rng.randint(-2, 2) for _ in range(G.num_generators)]
         out = out + GroupRingElement.monomial(G.element(coords), rng.randint(-3, 3))
-    return K0Class(pres, out)
+    return out
+
+
+def _random_class(rng, pres):
+    return K0Class(pres, _random_element(rng, pres.group))
 
 
 def test_k0_agrees_with_connectify():
@@ -625,9 +628,58 @@ def test_k0_agrees_with_connectify():
         if got.status == AbGroupInvariants.EXACT:
             assert got.invariants() == want.invariants(), (G, variables, comps)
             exact_unverified += not pres.hypothesis_verified
-        up = induced_map([[int(i == j) for j in range(g + 1)] for i in range(g)], pres, fixed)
-        down = induced_map([[int(i == j) for j in range(g)] for i in range(g + 1)], fixed, pres)
+        up = induced_map([[int(i == j) for j in range(g + 1)] for i in range(g)], pres.data, fixed)
+        down = induced_map([[int(i == j) for j in range(g)] for i in range(g + 1)], fixed.data, pres)
         for _ in range(3):
             c, c2 = _random_class(rng, pres), _random_class(rng, fixed)
             assert down(up(c)) == c and up(down(c2)) == c2
     assert 50 < verified < 250 and exact_unverified > 50
+
+
+def _pushed_by_hom(hom, element):
+    """The sum of c*t^hom(e) over the terms c*t^e of element, each exponent
+    sent through GroupHomomorphism.__call__ as a checked group element."""
+    G = hom.source
+    r = G.free_rank
+    out = GroupRingElement.zero(hom.target)
+    for key, c in element.terms.items():
+        out = out + GroupRingElement.monomial(hom(G.element_canonical(key[:r], key[r:])), c)
+    return out
+
+
+def test_canonical_matrix_push_agrees_with_the_homomorphism():
+    # push_element sends each key through one matrix on canonical
+    # coordinates; GroupHomomorphism.__call__, which pic keeps, is the oracle
+    rng = random.Random("push/hom")
+    maps = [([[3], [2]], builtin_example("rugby", (2, 3)), builtin_example("wps", (3, 2)))]
+    # Z x Z/m onto the same group written as Z/m x Z, through (1, 0) -> (1, 1)
+    # and (0, 1) -> (1, 0): the target's degrees are the source's images, so
+    # each source product lands on a target product
+    for m in (2, 3, 4, 6):
+        theta = [[1, 1], [1, 0]]
+        G, H = FgAbelianGroup.canonical(1, (m,)), group_from_relations(2, [[m, 0]])
+        names = [f"x{i}" for i in range(rng.randint(2, 4))]
+        degrees = [[rng.randint(-3, 3), rng.randrange(m)] for _ in names]
+        comps = [rng.sample(names, rng.randint(1, len(names))) for _ in range(2)]
+        image = IntMatrix(theta)
+        maps.append((theta, make_stack_data(G, list(zip(names, degrees)), comps),
+                     make_stack_data(H, [(nm, image.apply_row(d)) for nm, d in zip(names, degrees)], comps)))
+    # connectify's up and down maps on gradings drawn as in test_k0_agrees_with_connectify
+    for _ in range(20):
+        G = FgAbelianGroup.canonical(rng.choice((1, 2)), rng.choice(((), (2,), (3,))))
+        r, g = G.free_rank, G.num_generators
+        names = [f"x{i}" for i in range(rng.randint(1, 4))]
+        variables = [(nm, [rng.randint(-2, 2) for _ in range(r)] + [rng.randrange(m) for m in G.torsion],
+                      rng.random() < 0.25) for nm in names]
+        comps = [rng.sample(names, rng.randint(1, len(names))) for _ in range(rng.randint(1, 2))]
+        data = make_stack_data(G, variables, comps)
+        fixed = connectify(data)
+        maps.append(([[int(i == j) for j in range(g + 1)] for i in range(g)], data, fixed))
+        maps.append(([[int(i == j) for j in range(g)] for i in range(g + 1)], fixed, data))
+    for theta, source, target in maps:
+        phi = induced_map(theta, source, k0_presentation(target))
+        hom = GroupHomomorphism(source.group, target.group, theta)
+        assert phi.images == tuple(_pushed_by_hom(hom, q) for q in phi.generators)
+        for _ in range(5):
+            e = _random_element(rng, source.group)
+            assert phi.push_element(e) == _pushed_by_hom(hom, e), (theta, e.render())

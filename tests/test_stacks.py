@@ -16,6 +16,7 @@ from kstacks.stacks import (
     builtin_example,
     check_connected,
     connectify,
+    load_stackdata,
     make_stack_data,
     stackdata_from_json,
     stackdata_to_json,
@@ -433,3 +434,13 @@ def test_json_errors():
         with pytest.raises(StackDataError, match=r"grading_group\.relations needs 2 entries"):
             stackdata_from_json({"grading_group": {"generators": 2, "relations": [[2, -3], row]},
                                  "variables": []})
+
+
+def test_load_refuses_deeply_nested_json(tmp_path):
+    # the JSON decoder recurses once per level, so 100,000 nested lists
+    # would escape as RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"grading_group": {"free_rank": 1}, "variables": [], "irrelevant": '
+                    + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(StackDataError, match="the JSON document nests too deeply"):
+        load_stackdata(path)
