@@ -33,10 +33,12 @@ def xgcd(a, b):
 
 
 def _require_ints(values, what):
-    """``values`` as a tuple, after checking that each is an int: TypeError
-    otherwise, where ``int()`` would truncate a float or parse a string."""
+    """``values`` as a tuple, after checking that each is an int and not a
+    bool: TypeError otherwise, where ``int()`` would truncate a float or
+    parse a string."""
     values = tuple(values)
-    if not all(isinstance(x, int) for x in values):
+    # bool is an int subclass, but True renders as "True", not as 1
+    if not all(isinstance(x, int) for x in values) or bool in map(type, values):
         raise TypeError(f"{what} must be ints, got {values}")
     return values
 
@@ -365,9 +367,6 @@ class FgAbelianGroup:
         canon = self.to_canonical.apply_row(user_coords)
         return GroupElement._of(self, canon[: self.free_rank], canon[self.free_rank:])
 
-    def element_canonical(self, free, residues=()):
-        return GroupElement(self, free, residues)
-
     def user_representative(self, e):
         """A user-coordinate vector mapping onto e (well defined mod relations)."""
         self.require_same(e.group)
@@ -402,10 +401,13 @@ class GroupHomomorphism:
 
     Row i of ``matrix`` is the image of the i-th user generator of the
     source, written in user coordinates of the target.  The constructor
-    checks the map kills every defining relation of the source.
+    checks the map kills every defining relation of the source, then keeps
+    ``canonical`` = source.from_canonical @ matrix @ target.to_canonical,
+    the map on canonical coordinates: an element's key times it is its
+    image's key once the residues are reduced.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "canonical")
 
     def __init__(self, source, target, matrix):
         if not isinstance(matrix, IntMatrix):
@@ -415,31 +417,33 @@ class GroupHomomorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        to_target = matrix @ target.to_canonical
         r, torsion = target.free_rank, target.torsion
         for row in source.relations.entries:
-            canon = target.to_canonical.apply_row(matrix.apply_row(row))
+            canon = to_target.apply_row(row)
             if any(canon[:r]) or any(map(mod, canon[r:], torsion)):
                 raise ValueError(
                     "matrix does not define a homomorphism: a relation has nonzero image"
                 )
+        self.canonical = source.from_canonical @ to_target
 
     def __call__(self, e):
         self.source.require_same(e.group)
-        user = self.source.user_representative(e)
-        return self.target.element(self.matrix.apply_row(user))
+        image = self.canonical.apply_row(e.key())
+        r = self.target.free_rank
+        return GroupElement._of(self.target, image[:r], image[r:])
 
 
 def quotient_by_subgroup(G, gens):
-    """Quotient of G by the subgroup generated by ``gens``.
+    """Quotient of G by the subgroup generated by ``gens``, in
+    invariant-factor form.
 
-    Returns (Q, projection) where Q is in invariant-factor form and the
-    projection is a GroupHomomorphism sending each G-element to its class.
+    Its user generators are G's canonical coordinates, so the class of a
+    G-element e is ``Q.element(e.key())``.
     """
     g = G.free_rank + len(G.torsion)
     rows = _torsion_rows(G.free_rank, G.torsion)
     for e in gens:
         G.require_same(e.group)
         rows.append(e.free + e.residues)
-    Q = group_from_relations(g, IntMatrix._of(rows, g))
-    proj = GroupHomomorphism(G, Q, G.to_canonical)
-    return Q, proj
+    return group_from_relations(g, IntMatrix._of(rows, g))

@@ -228,22 +228,22 @@ def invariants(pres):
 
 
 class InducedK0Map:
-    """Pushforward along a grading-group homomorphism theta, from the stack
-    data ``source`` to the K-group ``target``.
+    """Pushforward along a checked grading-group homomorphism ``hom``, from
+    the stack data ``source`` to the K-group ``target``.
 
-    ``matrix`` is from_canonical @ theta @ to_canonical, theta on canonical
-    coordinates: a term's key times it is its image's key once the residues
-    are reduced.  Construction pushes every source ideal generator, read
-    from the data, once and keeps the results, in order, as ``images``;
-    ``induced_map`` checks that each lands in the target ideal.
+    ``matrix`` is ``hom.canonical``: a term's key times it is its image's
+    key once the residues are reduced.  Construction pushes every source
+    ideal generator, read from the data, once and keeps the results, in
+    order, as ``images``; ``induced_map`` checks that each lands in the
+    target ideal.
     """
 
     __slots__ = ("source", "target", "generators", "images", "matrix")
 
-    def __init__(self, source, target, theta):
+    def __init__(self, source, target, hom):
         self.source = source
         self.target = target
-        self.matrix = source.group.from_canonical @ theta @ target.group.to_canonical
+        self.matrix = hom.canonical
         self.generators = _ideal_generators(source)
         self.images = tuple(self.push_element(q) for q in self.generators)
 
@@ -272,7 +272,7 @@ def induced_map(theta, source, target):
     the image of some source ideal generator has nonzero normal form in the
     target.
     """
-    out = InducedK0Map(source, target, GroupHomomorphism(source.group, target.group, theta).matrix)
+    out = InducedK0Map(source, target, GroupHomomorphism(source.group, target.group, theta))
     for q, image in zip(out.generators, out.images):
         if not target.reduce(image).is_zero():
             raise ValueError(

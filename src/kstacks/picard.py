@@ -10,7 +10,9 @@ inverted (a factorial Laurent polynomial ring) the rest of the removed
 locus has codimension at least two and the local cohomology along it
 vanishes in degrees 0 and 1: the quotient is the Picard group of every
 input.  Removing the zero locus of one homogeneous element of degree
-alpha further quotients by alpha.
+alpha further quotients by alpha.  A result's ``group`` has the grading
+group's canonical coordinates as its user generators, so the class of a
+degree d is ``group.element(d.key())``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from .abelian import quotient_by_subgroup
 
 
 class PicResult:
-    __slots__ = ("group", "projection", "units_subgroup_generators")
+    __slots__ = ("group", "units_subgroup_generators")
 
-    def __init__(self, group, projection, units_gens):
+    def __init__(self, group, units_gens):
         self.group = group
-        self.projection = projection
         self.units_subgroup_generators = tuple(units_gens)
 
     def invariants(self):
@@ -40,14 +41,11 @@ def _unit_degrees(data):
 def pic(data):
     """Picard group of the stack: grading group / unit degrees."""
     units = _unit_degrees(data)
-    group, proj = quotient_by_subgroup(data.group, units)
-    return PicResult(group, proj, units)
+    return PicResult(quotient_by_subgroup(data.group, units), units)
 
 
 def pic_open(data, alpha):
     """Picard group of the complement of the zero locus of one homogeneous
     element of degree alpha: grading group / (unit degrees, alpha)."""
-    data.group.require_same(alpha.group)
     units = _unit_degrees(data)
-    group, proj = quotient_by_subgroup(data.group, units + [alpha])
-    return PicResult(group, proj, units)
+    return PicResult(quotient_by_subgroup(data.group, units + [alpha]), units)

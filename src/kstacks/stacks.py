@@ -114,6 +114,8 @@ def validate(variables, irrelevant):
 
     components = []
     for comp in [*irrelevant, *([v.name] for v in variables if v.inverted)]:
+        if isinstance(comp, str):
+            raise StackDataError(f"irrelevant component {comp!r} is a string, not a list of names")
         comp_set = set(comp)
         for n in comp_set:
             if n not in order:

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from operator import add, le, neg, sub
 
-from kstacks.abelian import IntMatrix, SmithDecomposition, group_from_relations, xgcd
+from kstacks.abelian import GroupElement, IntMatrix, SmithDecomposition, group_from_relations, xgcd
 from kstacks.grobner import _pack, _reduce_terms
 from kstacks.groupring import GroupRingElement, one_minus_product
 
@@ -207,8 +207,8 @@ def equal_up_to_unit(a, b):
         return a.is_zero() and b.is_zero()
     G, r = a.group, a.group.free_rank
     ka, kb = min(a.terms), min(b.terms)
-    elem_a = G.element_canonical(ka[:r], ka[r:])
-    elem_b = G.element_canonical(kb[:r], kb[r:])
+    elem_a = GroupElement(G, ka[:r], ka[r:])
+    elem_b = GroupElement(G, kb[:r], kb[r:])
     shift = GroupRingElement.monomial(elem_a - elem_b)
     return a == shift * b
 

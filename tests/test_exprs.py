@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kstacks.abelian import FgAbelianGroup, group_from_relations
+from kstacks.abelian import FgAbelianGroup, GroupElement, group_from_relations
 from kstacks.exprs import ParseError, _tokenize, parse_element
 from kstacks.groupring import GroupRingElement
 from kstacks.stacks import builtin_example, example_symbols
@@ -36,7 +36,7 @@ def test_symbols_bound_per_example():
 def test_torsion_monomials():
     G = FgAbelianGroup.canonical(1, (2,))
     e = parse_element("t^[1;1]", G)
-    assert e == GroupRingElement.monomial(G.element_canonical((1,), (1,)))
+    assert e == GroupRingElement.monomial(GroupElement(G, (1,), (1,)))
     assert parse_element("t^[0;1]^2", G) == GroupRingElement.one(G)
     with pytest.raises(ParseError):
         parse_element("t^[1]", G)  # missing torsion block
@@ -270,7 +270,7 @@ class _ExprGen:
         body = ",".join(map(str, free)) + (";" + ",".join(map(str, tors)) if G.torsion else "")
         if rng.random() < 0.2:
             body = body.replace(",", " , ")
-        return f"t^[{body}]", GroupRingElement.monomial(G.element_canonical(free, tors))
+        return f"t^[{body}]", GroupRingElement.monomial(GroupElement(G, free, tors))
 
 
 @pytest.mark.parametrize("case", ["Z", "Z2", "ZxZ/3", "Z/2xZ/4", "rugby 2 3", "wps 2 3"])

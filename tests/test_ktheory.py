@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from kstacks.abelian import FgAbelianGroup, GroupHomomorphism, IntMatrix, group_from_relations
+from kstacks.abelian import FgAbelianGroup, GroupElement, GroupHomomorphism, IntMatrix, group_from_relations
 from kstacks.groupring import GroupRingElement, one_minus
 from kstacks.grobner import AbGroupInvariants
 from kstacks.ktheory import (
@@ -636,20 +636,27 @@ def test_k0_agrees_with_connectify():
     assert 50 < verified < 250 and exact_unverified > 50
 
 
+def _image_by_user_route(hom, e):
+    """hom(e) the long way: a user representative of e, times hom.matrix,
+    read back as a target element."""
+    return hom.target.element(hom.matrix.apply_row(hom.source.user_representative(e)))
+
+
 def _pushed_by_hom(hom, element):
     """The sum of c*t^hom(e) over the terms c*t^e of element, each exponent
-    sent through GroupHomomorphism.__call__ as a checked group element."""
+    sent through user coordinates by _image_by_user_route."""
     G = hom.source
     r = G.free_rank
     out = GroupRingElement.zero(hom.target)
     for key, c in element.terms.items():
-        out = out + GroupRingElement.monomial(hom(G.element_canonical(key[:r], key[r:])), c)
+        image = _image_by_user_route(hom, GroupElement(G, key[:r], key[r:]))
+        out = out + GroupRingElement.monomial(image, c)
     return out
 
 
 def test_canonical_matrix_push_agrees_with_the_homomorphism():
-    # push_element sends each key through one matrix on canonical
-    # coordinates; GroupHomomorphism.__call__, which pic keeps, is the oracle
+    # push_element and GroupHomomorphism.__call__ send each key through one
+    # matrix on canonical coordinates; the oracle goes through user coordinates
     rng = random.Random("push/hom")
     maps = [([[3], [2]], builtin_example("rugby", (2, 3)), builtin_example("wps", (3, 2)))]
     # Z x Z/m onto the same group written as Z/m x Z, through (1, 0) -> (1, 1)
@@ -662,8 +669,10 @@ def test_canonical_matrix_push_agrees_with_the_homomorphism():
         degrees = [[rng.randint(-3, 3), rng.randrange(m)] for _ in names]
         comps = [rng.sample(names, rng.randint(1, len(names))) for _ in range(2)]
         image = IntMatrix(theta)
-        maps.append((theta, make_stack_data(G, list(zip(names, degrees)), comps),
-                     make_stack_data(H, [(nm, image.apply_row(d)) for nm, d in zip(names, degrees)], comps)))
+        source = make_stack_data(G, list(zip(names, degrees)), comps)
+        target = make_stack_data(H, [(nm, image.apply_row(d)) for nm, d in zip(names, degrees)], comps)
+        # and back through the inverse, from a source whose from_canonical is not the identity
+        maps += [(theta, source, target), ([[0, 1], [1, -1]], target, source)]
     # connectify's up and down maps on gradings drawn as in test_k0_agrees_with_connectify
     for _ in range(20):
         G = FgAbelianGroup.canonical(rng.choice((1, 2)), rng.choice(((), (2,), (3,))))
@@ -683,3 +692,5 @@ def test_canonical_matrix_push_agrees_with_the_homomorphism():
         for _ in range(5):
             e = _random_element(rng, source.group)
             assert phi.push_element(e) == _pushed_by_hom(hom, e), (theta, e.render())
+            d = source.group.element([rng.randint(-4, 4) for _ in range(source.group.num_generators)])
+            assert hom(d) == _image_by_user_route(hom, d), (theta, d)

@@ -1,6 +1,8 @@
 import random
 from math import gcd
 
+import pytest
+
 from kstacks.abelian import FgAbelianGroup, group_from_relations
 from kstacks.picard import pic, pic_open
 from kstacks.stacks import builtin_example, make_stack_data
@@ -52,15 +54,17 @@ def test_pic_open_edges():
     p1 = builtin_example("p1")
     trivial = pic_open(p1, p1.group.element([1]))
     assert trivial.invariants() == (0, ())
+    # a degree from another grading group is refused, not read in this one
+    with pytest.raises(ValueError, match="different groups"):
+        pic_open(data, builtin_example("rugby", (2, 3)).group.element([1, 0]))
 
 
 def test_pic_projection_map():
     data = builtin_example("b-mu", (6,))
     result = pic(data)
-    proj = result.projection
     x_deg = data.variables[0].degree
-    assert proj(x_deg).is_zero()
-    assert not proj(data.group.element([1])).is_zero()
+    assert result.group.element(x_deg.key()).is_zero()
+    assert not result.group.element(data.group.element([1]).key()).is_zero()
 
 
 def test_pic_invariant_under_renaming_and_permutation():
@@ -126,4 +130,4 @@ def test_pic_matches_determinantal_oracle():
         assert pic(data).invariants() == determinantal_invariants(g, rows)
         result = pic_open(data, G.element(alpha_vec))
         assert result.invariants() == determinantal_invariants(g, rows + [alpha_vec])
-        assert result.projection(G.element(alpha_vec)).is_zero()
+        assert result.group.element(G.element(alpha_vec).key()).is_zero()

@@ -71,6 +71,8 @@ def test_constructor_normalizes_and_checks():
         ([x, Variable("x", Z.element([2]))], []),
         ([x, Variable("", Z.element([2]))], []),
         ([x], [[]]),
+        # a string would be split into one-letter names
+        ([x, y], ["xy"]),
     ]:
         with pytest.raises(StackDataError):
             StackData(Z, variables, irrelevant)
