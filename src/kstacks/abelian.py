@@ -6,10 +6,13 @@ unimodular column transform and its inverse, groups in invariant-factor form
 generators, quotients, and homomorphisms.
 
 The public constructors are the checking boundary: non-integer entries or
-coordinates raise TypeError.  ``IntMatrix._of`` and ``GroupElement._of``
-take their int arguments as given and serve only ints kstacks produced
-itself.  The Smith form's pivot rule and operation order fix V, and through
-it every group's canonical coordinates, so that order is part of the output.
+coordinates raise TypeError.  ``IntMatrix._of``, ``GroupElement._of`` and
+``FgAbelianGroup._of`` take their int arguments as given and serve only ints
+kstacks produced itself.  One list kernel does every Smith pass:
+``smith_normal_form`` wraps its output in a SmithDecomposition, and
+``group_from_relations`` reads a group's coordinate changes straight off its
+lists.  The pivot rule and operation order fix V, and through it every
+group's canonical coordinates, so that order is part of the output.
 """
 
 from __future__ import annotations
@@ -44,7 +47,10 @@ def _require_ints(values, what):
 
 
 def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def _torsion_rows(r, torsion):
@@ -107,7 +113,7 @@ class IntMatrix:
             rows.append(
                 [sum(a[k] * other.entries[k][j] for k in range(self.cols)) for j in range(other.cols)]
             )
-        return IntMatrix(rows, cols=other.cols)
+        return IntMatrix._of(rows, other.cols)
 
     def apply_row(self, vec):
         """Row vector times matrix, a tuple of length self.cols."""
@@ -130,18 +136,12 @@ class SmithDecomposition:
         self.invariant_factors = tuple(invariant_factors)
 
 
-def smith_normal_form(A):
-    """Smith normal form of an IntMatrix.
-
-    Pivot rule: the nonzero entry of minimal absolute value in the active
-    submatrix, ties broken by lowest (row, col).  The pivot is swapped to
-    (t, t), floor-division steps clear its column by row operations and then
-    its row by column operations (recorded in V and V_inv), and a lower row
-    with an entry the pivot does not divide is added to the pivot row.  This
-    makes the output a pure function of the input.
-    """
-    m, n = A.rows, A.cols
-    M = [list(row) for row in A.entries]
+def _smith(M, n):
+    """The Smith pass on M, a list of int rows of length n, changed in
+    place.  Returns (V, V_inv, d): V and V_inv as lists of rows, and d the
+    nonzero diagonal |M[k][k]|, k < len(d), in divisibility order; the
+    rest of the diagonal is zero."""
+    m = len(M)
     V = _identity_rows(n)
     V_inv = _identity_rows(n)
     t = 0
@@ -153,6 +153,8 @@ def smith_normal_form(A):
                 v = abs(row[j])
                 if v and (not best or v < best):
                     best, pi, pj = v, i, j
+            if best == 1:
+                break  # no entry is smaller, and later ones lose the tie
         if not best:
             break
         M[t], M[pi] = M[pi], M[t]
@@ -186,19 +188,33 @@ def smith_normal_form(A):
                     dirty = True
         if dirty:
             continue  # remainders smaller than the pivot appeared; rescan
-        for Mi in M[t + 1:]:
-            if any(x % a for x in Mi[t + 1:]):
-                # pull a non-divisible entry into the pivot row and keep reducing
-                M[t] = [x + y for x, y in zip(Mt, Mi)]
-                break
-        else:
-            t += 1
+        if best > 1:  # a unit pivot divides every entry
+            for Mi in M[t + 1:]:
+                if any(x % a for x in Mi[t + 1:]):
+                    # pull a non-divisible entry into the pivot row and keep reducing
+                    M[t] = [x + y for x, y in zip(Mt, Mi)]
+                    break
+            else:
+                t += 1
+            continue
+        t += 1
+    return V, V_inv, [abs(M[k][k]) for k in range(t)]
 
-    return SmithDecomposition(
-        IntMatrix._of(V, n),
-        IntMatrix._of(V_inv, n),
-        [abs(M[k][k]) for k in range(min(m, n))],
-    )
+
+def smith_normal_form(A):
+    """Smith normal form of an IntMatrix.
+
+    Pivot rule: the nonzero entry of minimal absolute value in the active
+    submatrix, ties broken by lowest (row, col).  The pivot is swapped to
+    (t, t), floor-division steps clear its column by row operations and then
+    its row by column operations (recorded in V and V_inv), and a lower row
+    with an entry the pivot does not divide is added to the pivot row.  This
+    makes the output a pure function of the input.
+    """
+    n = A.cols
+    V, V_inv, d = _smith([list(row) for row in A.entries], n)
+    zeros = [0] * (min(A.rows, n) - len(d))
+    return SmithDecomposition(IntMatrix._of(V, n), IntMatrix._of(V_inv, n), d + zeros)
 
 
 class GroupElement:
@@ -312,6 +328,21 @@ class FgAbelianGroup:
         self.canonical_presentation = canonical_presentation
 
     @classmethod
+    def _of(cls, free_rank, torsion, num_generators, to_canonical,
+            from_canonical, relations, canonical_presentation):
+        """Group whose fields kstacks computed, taken as is: torsion a tuple
+        of ints >= 2 in a divisibility chain."""
+        G = object.__new__(cls)
+        G.free_rank = free_rank
+        G.torsion = torsion
+        G.num_generators = num_generators
+        G.to_canonical = to_canonical
+        G.from_canonical = from_canonical
+        G.relations = relations
+        G.canonical_presentation = canonical_presentation
+        return G
+
+    @classmethod
     def canonical(cls, free_rank, torsion=()):
         (r,) = _require_ints((free_rank,), "the free rank")
         if r < 0:
@@ -374,26 +405,49 @@ class FgAbelianGroup:
 
 
 def group_from_relations(num_generators, relations):
-    """The quotient of Z^num_generators by the row span of ``relations``."""
+    """The quotient of Z^num_generators by the row span of ``relations``,
+    an IntMatrix or a list of rows."""
     (g,) = _require_ints((num_generators,), "the generator count")
     if g < 0:
         raise ValueError(f"the generator count must be nonnegative, got {g}")
     if isinstance(relations, IntMatrix):
         R = relations
+        if R.cols != g:
+            raise ValueError(f"relation rows have {R.cols} entries, expected {g}, one per generator")
     else:
-        R = IntMatrix(relations, cols=g)
-    if R.cols != g:
-        raise ValueError("relation rows must have num_generators entries")
-    snf = smith_normal_form(R)
-    diag = snf.invariant_factors + (0,) * (g - len(snf.invariant_factors))
-    free_idx = [i for i, d in enumerate(diag) if d == 0]
-    tors_idx = [i for i, d in enumerate(diag) if d >= 2]
-    pick = free_idx + tors_idx
-    to_canonical = IntMatrix._of([[row[j] for j in pick] for row in snf.V.entries], len(pick))
-    from_canonical = IntMatrix._of([snf.V_inv.entries[i] for i in pick], g)
-    return FgAbelianGroup(
-        len(free_idx), [diag[i] for i in tors_idx], g, to_canonical, from_canonical, R, False
-    )
+        rows = [tuple(row) for row in relations]
+        for i, row in enumerate(rows):
+            if len(row) != g:
+                raise ValueError(
+                    f"relation row {i} has {len(row)} entries, expected {g}, one per generator"
+                )
+        R = IntMatrix(rows, cols=g)
+    V, V_inv, d = _smith([list(row) for row in R.entries], g)
+    # d is 1, ..., 1, m1, ..., mk: the columns from len(d) on are free, and
+    # the canonical coordinates are those, then the torsion ones
+    s, ones = len(d), d.count(1)
+    to_canonical = IntMatrix._of([row[s:] + row[ones:s] for row in V], g - ones)
+    from_canonical = IntMatrix._of(V_inv[s:] + V_inv[ones:s], g)
+    return FgAbelianGroup._of(g - s, tuple(d[ones:]), g, to_canonical, from_canonical, R, False)
+
+
+def _with_free_coordinate(G):
+    """G + Z, presented by G's relations with a zero column appended, its
+    new canonical coordinate last among the free ones.
+
+    A Smith pass never pivots on, swaps or changes a zero column, so when G
+    came from ``group_from_relations(g, R)`` this is exactly
+    ``group_from_relations(g + 1, [R | 0])`` without a second pass: V gains
+    the identity on the new generator, which sorts after G's free columns.
+    """
+    r, k, g = G.free_rank, len(G.torsion), G.num_generators
+    to_canonical = [row[:r] + (0,) + row[r:] for row in G.to_canonical.entries]
+    to_canonical.append((0,) * r + (1,) + (0,) * k)
+    from_canonical = [row + (0,) for row in G.from_canonical.entries]
+    from_canonical.insert(r, (0,) * g + (1,))
+    relations = IntMatrix._of([row + (0,) for row in G.relations.entries], g + 1)
+    return FgAbelianGroup._of(r + 1, G.torsion, g + 1, IntMatrix._of(to_canonical, r + 1 + k),
+                              IntMatrix._of(from_canonical, g + 1), relations, False)
 
 
 class GroupHomomorphism:

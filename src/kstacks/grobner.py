@@ -65,7 +65,7 @@ from array import array
 from math import gcd
 from operator import sub
 
-from .abelian import group_from_relations, xgcd
+from .abelian import IntMatrix, group_from_relations, xgcd
 from .groupring import GroupRingElement
 
 #: cap on the number of standard monomials the staircase walk visits
@@ -562,7 +562,7 @@ def _primary_invariants(gb, standard):
     if not rows:
         return len(standard), ()
     touched = sorted({K for row in rows for K in row})
-    matrix = [[row.get(K, 0) for K in touched] for row in rows]
+    matrix = IntMatrix._of([[row.get(K, 0) for K in touched] for row in rows], len(touched))
     rank, torsion = group_from_relations(len(touched), matrix).invariants()
     return rank + len(standard) - len(touched), torsion
 

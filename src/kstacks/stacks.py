@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .abelian import FgAbelianGroup, IntMatrix, group_from_relations
+from .abelian import FgAbelianGroup, GroupElement, IntMatrix, _with_free_coordinate, group_from_relations
 from .exprs import ascii_int
 from .groupring import GroupRingElement
 
@@ -285,24 +285,26 @@ def _fresh_name(base, taken):
 def connectify(data):
     """Force the degree-zero hypothesis without changing the stack.
 
-    The grading group gains one free coordinate; every variable degree gets
-    a 1 there, and one new variable of degree (0, ..., 0, 1) is appended
-    together with its own singleton component; inverted variables stay
-    inverted.  The result always passes check_connected.
+    The grading group becomes Delta' = Delta + Z, presented by Delta's
+    relations with a zero column for one new generator; every variable
+    degree gets a 1 there, and one new variable of degree (0, ..., 0, 1) is
+    appended together with its own singleton component; inverted variables
+    stay inverted.  The new canonical coordinate comes last among the free
+    ones, before the torsion ones: a Smith pass never touches a zero
+    column, so this is the group that ``group_from_relations`` gives for
+    the extended relations whenever it also gave Delta.  The result always
+    passes check_connected.
     """
-    G = data.group
-    g = G.num_generators
-    ext_rel = [list(row) + [0] for row in G.relations.entries]
-    G2 = group_from_relations(g + 1, IntMatrix(ext_rel, cols=g + 1))
+    G = _with_free_coordinate(data.group)
+    r = G.free_rank
     zname = _fresh_name("z", set(data.variable_names()))
-    variables = []
-    for v in data.variables:
-        vec = list(G.user_representative(v.degree)) + [1]
-        variables.append((v.name, vec, v.inverted))
-    variables.append((zname, [0] * g + [1], False))
-    irrelevant = [list(c) for c in data.irrelevant] + [[zname]]
+    variables = [
+        Variable(v.name, GroupElement._of(G, v.degree.free + (1,), v.degree.residues), v.inverted)
+        for v in data.variables
+    ]
+    variables.append(Variable(zname, GroupElement._of(G, (0,) * (r - 1) + (1,), (0,) * len(G.torsion))))
     label = f"{data.label} (connectified)" if data.label else "connectified"
-    return make_stack_data(G2, variables, irrelevant, label)
+    return StackData(G, variables, [*data.irrelevant, (zname,)], label)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from operator import add, le, neg, sub
 from kstacks.abelian import GroupElement, IntMatrix, SmithDecomposition, group_from_relations, xgcd
 from kstacks.grobner import _pack, _reduce_terms
 from kstacks.groupring import GroupRingElement, one_minus_product
+from kstacks.stacks import make_stack_data
 
 
 def _grevlex_key(exp):
@@ -199,6 +200,39 @@ def check_smith_decomposition(A, snf):
                 minor = IntMatrix([[A.entries[i][j] for j in cols] for i in rows])
                 divisor = math.gcd(divisor, determinant(minor))
         assert divisor == product, (k, divisor, d)
+
+
+def reference_connectify(data):
+    """connectify by a second Smith form: group_from_relations on the
+    relations with a zero column appended, and every degree sent through
+    the input's user coordinates and read back in the new group."""
+    G = data.group
+    g = G.num_generators
+    G2 = group_from_relations(g + 1, IntMatrix([list(row) + [0] for row in G.relations.entries], cols=g + 1))
+    taken = set(data.variable_names())
+    zname = next(n for n in ["z"] + [f"z{i}" for i in range(1, len(taken) + 2)] if n not in taken)
+    variables = [(v.name, list(G.user_representative(v.degree)) + [1], v.inverted) for v in data.variables]
+    variables.append((zname, [0] * g + [1], False))
+    label = f"{data.label} (connectified)" if data.label else "connectified"
+    return make_stack_data(G2, variables, [list(c) for c in data.irrelevant] + [[zname]], label)
+
+
+def product(a, b):
+    """The product of two stacks: its grading group is Z^(ga + gb) modulo
+    a's relations on the first ga generators and b's on the last gb, each
+    variable of a has degree (d, 0) and each of b degree (0, d), and the
+    components of both are kept.  Names gain the prefix "a." or "b."."""
+    ga, gb = a.group.num_generators, b.group.num_generators
+    rows = [list(r) + [0] * gb for r in a.group.relations.entries]
+    rows += [[0] * ga + list(r) for r in b.group.relations.entries]
+    G = group_from_relations(ga + gb, IntMatrix(rows, cols=ga + gb))
+    variables, components = [], []
+    for prefix, data, before, after in (("a.", a, 0, gb), ("b.", b, ga, 0)):
+        for v in data.variables:
+            vec = [0] * before + list(data.group.user_representative(v.degree)) + [0] * after
+            variables.append((prefix + v.name, vec, v.inverted))
+        components += [[prefix + n for n in c] for c in data.irrelevant]
+    return make_stack_data(G, variables, components, "product")
 
 
 def equal_up_to_unit(a, b):

@@ -8,6 +8,7 @@ from kstacks.abelian import (
     GroupElement,
     GroupHomomorphism,
     IntMatrix,
+    _with_free_coordinate,
     group_from_relations,
     quotient_by_subgroup,
     smith_normal_form,
@@ -239,6 +240,7 @@ def _seeded_matrices(rng, count):
 def test_snf_matches_reference_implementation():
     # V fixes every group's canonical coordinates, so the output must match
     # the reference operation for operation, not only up to equivalence
+    rng = random.Random("quotient gens")
     for A in _seeded_matrices(random.Random(20261019), 2000):
         got, ref = smith_normal_form(A), reference_smith_normal_form(A)
         assert (got.V, got.V_inv, got.invariant_factors) == (ref.V, ref.V_inv, ref.invariant_factors), A
@@ -250,3 +252,69 @@ def test_snf_matches_reference_implementation():
         assert G.to_canonical == IntMatrix([[row[j] for j in pick] for row in ref.V.entries],
                                            cols=len(pick))
         assert G.from_canonical == IntMatrix([ref.V_inv.entries[i] for i in pick], cols=g)
+        # quotient_by_subgroup, behind every Pic, presents G / <0-3 gens> on
+        # G's canonical coordinates by G's torsion rows and then the gens
+        gens = [GroupElement(G, [rng.randint(-9, 9) for _ in range(G.free_rank)],
+                             [rng.randrange(m) for m in G.torsion]) for _ in range(rng.randint(0, 3))]
+        Q = quotient_by_subgroup(G, gens)
+        c = G.free_rank + len(G.torsion)
+        rows = IntMatrix([[m if j == G.free_rank + i else 0 for j in range(c)] for i, m in enumerate(G.torsion)]
+                         + [list(e.key()) for e in gens], cols=c)
+        qref = reference_smith_normal_form(rows)
+        qdiag = list(qref.invariant_factors) + [0] * (c - len(qref.invariant_factors))
+        qpick = [i for i in range(c) if qdiag[i] == 0] + [i for i in range(c) if qdiag[i] >= 2]
+        assert Q.invariants() == (qdiag.count(0), tuple(d for d in qdiag if d >= 2))
+        assert Q.to_canonical == IntMatrix([[row[j] for j in qpick] for row in qref.V.entries],
+                                           cols=len(qpick))
+        assert Q.from_canonical == IntMatrix([qref.V_inv.entries[i] for i in qpick], cols=c)
+
+
+def _relation_matrices(rng):
+    """Relation matrices of the shapes a grading group is given by: empty,
+    torsion-only (square, nonsingular), rugby-type [p, -q], with zero rows,
+    and with entries up to 2^100."""
+    for g in range(4):
+        yield IntMatrix([], cols=g)
+    yield IntMatrix([[]], cols=0)
+    for _ in range(100):
+        g = rng.randint(1, 4)
+        while True:
+            rows = [[rng.randint(-6, 6) for _ in range(g)] for _ in range(g)]
+            if smith_normal_form(IntMatrix(rows)).invariant_factors[-1]:
+                break
+        yield IntMatrix(rows)
+        yield IntMatrix([[m if j == i else 0 for j in range(g)] for i, m in enumerate(rng.sample(range(2, 9), g))])
+        p, q = rng.randint(1, 12), rng.randint(1, 12)
+        yield IntMatrix([[p, -q]])
+        rows = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(g)] for _ in range(rng.randint(1, 4))]
+        rows.insert(rng.randrange(len(rows) + 1), [0] * g)
+        yield IntMatrix(rows)
+        yield IntMatrix([[rng.choice((0, rng.randint(-2**100, 2**100))) for _ in range(g)]
+                         for _ in range(rng.randint(1, 3))])
+
+
+def test_free_coordinate_is_the_smith_form_of_the_extended_relations():
+    # A Smith pass never touches a zero column, so G + Z with the new
+    # coordinate last among the free ones is group_from_relations(g + 1, [R | 0])
+    for R in _relation_matrices(random.Random("free coordinate")):
+        g = R.cols
+        got = _with_free_coordinate(group_from_relations(g, R))
+        want = group_from_relations(g + 1, IntMatrix([list(row) + [0] for row in R.entries], cols=g + 1))
+        assert (got.free_rank, got.torsion, got.num_generators, got.canonical_presentation) == \
+            (want.free_rank, want.torsion, want.num_generators, want.canonical_presentation), R
+        assert (got.to_canonical, got.from_canonical, got.relations) == \
+            (want.to_canonical, want.from_canonical, want.relations), R
+
+
+def test_relation_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"relation row 0 has 3 entries, expected 2"):
+        group_from_relations(2, [[1, 2, 3]])
+    with pytest.raises(ValueError, match=r"relation row 1 has 1 entries, expected 2"):
+        group_from_relations(2, [[1, 2], [4]])
+    with pytest.raises(ValueError, match=r"relation rows have 3 entries, expected 2"):
+        group_from_relations(2, IntMatrix([[1, 2, 3]]))
+    # the lengths are checked before the entries
+    with pytest.raises(ValueError, match=r"relation row 0 has 3 entries"):
+        group_from_relations(2, [[1, 2.5, 3]])
+    with pytest.raises(TypeError):
+        group_from_relations(2, [[1, 2.5]])

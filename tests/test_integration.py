@@ -2,11 +2,13 @@
 
 import json
 import random
+from math import gcd
 
 from kstacks.abelian import FgAbelianGroup, group_from_relations
 from kstacks.cli import main as cli_main
 from kstacks.grobner import AbGroupInvariants
 from kstacks.ktheory import induced_map, invariants, k0_presentation
+from kstacks.picard import pic
 from kstacks.stacks import (
     ConnectednessReport,
     StackData,
@@ -17,6 +19,8 @@ from kstacks.stacks import (
     stackdata_from_json,
     stackdata_to_json,
 )
+
+from conftest import product
 
 
 def random_stack_data(rng):
@@ -120,3 +124,70 @@ def test_induced_map_alternate_presentation_of_same_element():
 
         mono = GroupRingElement.monomial(w)
         assert via_e.push_element(mono) == via_ep.push_element(mono)
+
+
+def _prime_powers(torsion):
+    """The elementary divisors of Z/m1 x Z/m2 x ..., sorted."""
+    out = []
+    for m in torsion:
+        p = 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m, q = m // p, q * p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def _kunneth_factors(rng):
+    """Built-in examples, then seeded gradings of Z/m or Z x Z/m with 2-3
+    variables in one component, some inverted; over Z/m most of these have
+    torsion in K0."""
+    for name, params in [("p1", ()), ("wps", (2, 3)), ("wps", (4, 6)), ("b-mu", (3,)), ("b-mu", (4,)),
+                         ("rugby", (2, 3)), ("rugby", (4, 6)), ("blowup-a2-cox", ()),
+                         ("blowup-a2-hirzebruch", ())]:
+        yield builtin_example(name, params)
+    for _ in range(12):
+        m = rng.choice((2, 3, 4, 6))
+        G = FgAbelianGroup.canonical(rng.choice((0, 0, 1)), (m,))
+        names = [f"x{i}" for i in range(rng.randint(2, 3))]
+        variables = [(nm, [rng.randint(1, 2)] * G.free_rank + [rng.randint(1, m - 1)], rng.random() < 0.2)
+                     for nm in names]
+        yield make_stack_data(G, variables, [names], f"torsion{m}")
+
+
+def test_product_pic_and_k0_are_kunneth():
+    # Pic(X x Y) = Pic X + Pic Y, and K0(X x Y) = Z[Dx + Dy]/(Ix + Iy) is
+    # K0 X (x) K0 Y: ranks multiply, Z/a (x) Z = Z/a and Z/a (x) Z/b = Z/gcd(a, b);
+    # the K0 side is compared where both factors are exact and the product's rank is at most 16
+    rng = random.Random("kunneth")
+    factors = []
+    for f in _kunneth_factors(rng):
+        inv = invariants(k0_presentation(f))
+        factors.append((f, inv.invariants() if inv.status == AbGroupInvariants.EXACT else None))
+    compared = both_torsion = 0
+    for _ in range(60):
+        (a, ka), (b, kb) = rng.choice(factors), rng.choice(factors)
+        X = product(a, b)
+        (ra, ta), (rb, tb) = pic(a).invariants(), pic(b).invariants()
+        r, t = pic(X).invariants()
+        assert (r, _prime_powers(t)) == (ra + rb, _prime_powers(ta + tb)), (a.label, b.label)
+        if ka is None or kb is None or ka[0] * kb[0] > 16:
+            continue
+        (ra, ta), (rb, tb) = ka, kb
+        pres = k0_presentation(X)
+        inv = invariants(pres)
+        assert inv.status == AbGroupInvariants.EXACT, (a.label, b.label)
+        r, t = inv.invariants()
+        tensor = list(ta) * rb + list(tb) * ra + [gcd(m, n) for m in ta for n in tb]
+        assert (r, _prime_powers(t)) == (ra * rb, _prime_powers(tensor)), (a.label, b.label)
+        # the pullbacks along the projections, d -> (d, 0) and d -> (0, d), are induced maps
+        ga = a.group.num_generators
+        eye = [[int(i == j) for j in range(X.group.num_generators)] for i in range(X.group.num_generators)]
+        induced_map(eye[:ga], a, pres)
+        induced_map(eye[ga:], b, pres)
+        compared += 1
+        both_torsion += bool(ta and tb)
+    assert compared >= 40 and both_torsion >= 3

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from kstacks.abelian import FgAbelianGroup
+from kstacks.abelian import FgAbelianGroup, group_from_relations
 from kstacks.grobner import AbGroupInvariants
 from kstacks.ktheory import invariants, k0_presentation
 from kstacks.picard import pic, pic_open
 from kstacks.stacks import (
+    EXAMPLES,
     MAX_GRADING_GENERATORS,
     ConnectednessReport,
     StackData,
@@ -21,6 +22,8 @@ from kstacks.stacks import (
     stackdata_from_json,
     stackdata_to_json,
 )
+
+from conftest import reference_connectify
 
 
 def test_validate_drops_superset_components():
@@ -213,6 +216,45 @@ def test_laurent_ring_degree_zero_witness():
     report = check_connected(data)
     assert report.verdict == ConnectednessReport.NOT_CONNECTED
     assert report.witness == (1, 1)
+
+
+def _connectify_inputs(rng):
+    """Every EXAMPLES row, then 300 seeded gradings: free rank and torsion,
+    or relations of rugby type or 1-2 random rows; 1-4 variables, some
+    inverted, and 0-2 components."""
+    params = {"q0 q1 ...": [(4, 6), (2, 3, 5), (1, 1)], "q": [(1,), (3,)], "p q": [(2, 3), (4, 6)], "": [()]}
+    for name, (text, *_) in EXAMPLES.items():
+        for ps in params[text]:
+            yield builtin_example(name, ps)
+    for _ in range(300):
+        kind = rng.randrange(3)
+        if kind == 0:
+            G = FgAbelianGroup.canonical(rng.randint(0, 2), rng.choice(((), (2,), (3,), (2, 4))))
+        elif kind == 1:
+            G = group_from_relations(2, [[rng.randint(1, 6), -rng.randint(1, 6)]])
+        else:
+            g = rng.randint(1, 3)
+            G = group_from_relations(g, [[rng.randint(-4, 4) for _ in range(g)] for _ in range(rng.randint(1, 2))])
+        names = [f"x{i}" for i in range(rng.randint(1, 4))]
+        variables = [(nm, [rng.randint(-3, 3) for _ in range(G.num_generators)], rng.random() < 0.25)
+                     for nm in names]
+        comps = [rng.sample(names, rng.randint(1, len(names))) for _ in range(rng.randint(0, 2))]
+        yield make_stack_data(G, variables, comps, rng.choice((None, "seeded")))
+
+
+def test_connectify_matches_the_second_smith_form():
+    # the reference runs group_from_relations on the extended relations and
+    # sends each degree through user coordinates; connectify writes the
+    # same file, and over a group read from relations the same group
+    inverted = 0
+    for data in _connectify_inputs(random.Random("connectify/reference")):
+        got, want = connectify(data), reference_connectify(data)
+        assert stackdata_to_json(got) == stackdata_to_json(want), stackdata_to_json(data)
+        if not data.group.canonical_presentation:
+            assert got.group == want.group
+            assert [v.degree for v in got.variables] == [v.degree for v in want.variables]
+        inverted += data.has_inverted()
+    assert inverted > 100
 
 
 def test_connectify_fresh_name():
