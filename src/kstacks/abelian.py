@@ -8,11 +8,12 @@ generators, quotients, and homomorphisms.
 The public constructors are the checking boundary: non-integer entries or
 coordinates raise TypeError.  ``IntMatrix._of``, ``GroupElement._of`` and
 ``FgAbelianGroup._of`` take their int arguments as given and serve only ints
-kstacks produced itself.  One list kernel does every Smith pass:
-``smith_normal_form`` wraps its output in a SmithDecomposition, and
+kstacks produced itself.  One list kernel, ``_smith``, does every Smith
+pass: ``smith_normal_form`` wraps its output in a SmithDecomposition,
 ``group_from_relations`` reads a group's coordinate changes straight off its
-lists.  The pivot rule and operation order fix V, and through it every
-group's canonical coordinates, so that order is part of the output.
+lists, and ``grobner`` reads K0 invariants off its diagonal alone.  The
+pivot rule and operation order fix V, and through it every group's
+canonical coordinates, so that order is part of the output.
 """
 
 from __future__ import annotations
@@ -299,6 +300,8 @@ class FgAbelianGroup:
     vectors of length num_generators) to canonical coordinates;
     ``from_canonical`` picks a user-coordinate representative.  ``relations``
     spans the lattice of user-coordinate vectors that are zero in the group.
+    ``canonical`` and ``group_from_relations`` check their arguments;
+    ``_of`` is the one field constructor.
     """
 
     __slots__ = (
@@ -310,22 +313,6 @@ class FgAbelianGroup:
         "relations",
         "canonical_presentation",
     )
-
-    def __init__(self, free_rank, torsion, num_generators, to_canonical,
-                 from_canonical, relations, canonical_presentation):
-        torsion = _require_ints(torsion, "torsion factors")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a:
-                raise ValueError("torsion factors must form a divisibility chain")
-        if any(m < 2 for m in torsion):
-            raise ValueError("torsion factors must be >= 2")
-        self.free_rank = free_rank
-        self.torsion = torsion
-        self.num_generators = num_generators
-        self.to_canonical = to_canonical
-        self.from_canonical = from_canonical
-        self.relations = relations
-        self.canonical_presentation = canonical_presentation
 
     @classmethod
     def _of(cls, free_rank, torsion, num_generators, to_canonical,
@@ -344,13 +331,19 @@ class FgAbelianGroup:
 
     @classmethod
     def canonical(cls, free_rank, torsion=()):
+        """Z^free_rank x Z/m1 x ... presented on its canonical generators."""
         (r,) = _require_ints((free_rank,), "the free rank")
         if r < 0:
             raise ValueError(f"the free rank must be nonnegative, got {r}")
         torsion = _require_ints(torsion, "torsion factors")
+        # ">= 2" first: the chain test divides by each factor
+        if any(m < 2 for m in torsion):
+            raise ValueError("torsion factors must be >= 2")
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
+            raise ValueError("torsion factors must form a divisibility chain")
         g = r + len(torsion)
         identity = IntMatrix.identity(g)
-        return cls(r, torsion, g, identity, identity, IntMatrix._of(_torsion_rows(r, torsion), g), True)
+        return cls._of(r, torsion, g, identity, identity, IntMatrix._of(_torsion_rows(r, torsion), g), True)
 
     def same_group(self, other):
         if self is other:

@@ -19,7 +19,8 @@ argument before the K-group is built, so a malformed one fails fast.
 check-connected is the one command that answers the hypothesis.
 
 Exit codes: 0 success (or: equal, connected), 1 input or parse error,
-3 negative verdict (not equal, not connected, map failure).
+3 negative verdict (not equal, map failure, or a connectedness verdict of
+not_connected or unknown).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import time
 from .abelian import describe_invariants
 from .exprs import _parse_int_list, ascii_int, parse_element
 from .ktheory import _ideal_generators, class_of_koszul_quotient, induced_map, invariants, k0_presentation
-from .picard import pic, pic_open
+from .picard import _unit_degrees, pic, pic_open
 from .stacks import (
     EXAMPLES,
     StackDataError,
@@ -122,18 +123,18 @@ def cmd_pic(args):
     if args.remove_degree is not None:
         vec = _parse_vector(args.remove_degree, data.group.num_generators, "--remove-degree")
         removed = data.group.element(vec)
-        result = pic_open(data, removed)
+        quotient = pic_open(data, removed)
     else:
-        result = pic(data)
+        quotient = pic(data)
     payload = {
-        "group": _group_json(result.group),
-        "units_degrees": [_vec_json(data.group, u) for u in result.units_subgroup_generators],
+        "group": _group_json(quotient),
+        "units_degrees": [_vec_json(data.group, u) for u in _unit_degrees(data)],
         "removed_degree": _vec_json(data.group, removed) if removed is not None else None,
     }
     what = data.label or "input"
     if removed is not None:
         what += f" minus a hypersurface of degree {list(_vec_json(data.group, removed))}"
-    lines = [f"Pic of {what}: {result.group.describe()}"]
+    lines = [f"Pic of {what}: {quotient.describe()}"]
     return EXIT_OK, data.label, payload, lines
 
 

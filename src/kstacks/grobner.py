@@ -65,7 +65,7 @@ from array import array
 from math import gcd
 from operator import sub
 
-from .abelian import IntMatrix, group_from_relations, xgcd
+from .abelian import _smith, xgcd
 from .groupring import GroupRingElement
 
 #: cap on the number of standard monomials the staircase walk visits
@@ -548,8 +548,9 @@ def _primary_invariants(gb, standard):
     """(rank, torsion) of the free module on the packed standard monomials
     modulo one row mu*E - NF(mu*E) for each standard E that some leading
     monomial divides, mu the least lc of those divisors; these have lc > 1.
-    The Smith form runs on the columns some row touches; the other standard
-    monomials are free."""
+    The Smith pass runs on the columns some row touches: its nonzero
+    diagonal d gives the torsion, the entries above 1, and the rank is the
+    number of standard monomials less len(d)."""
     reducers, H = gb._reducers, gb.presentation._mask
     nonunit = [(KB, a) for KB, a, _ in reducers if a != 1]
     rows = []
@@ -559,12 +560,9 @@ def _primary_invariants(gb, standard):
             mu = min(divisors)
             nf = _reduce_terms({K: mu}, reducers, H)
             rows.append({K: mu, **{F: -c for F, c in nf.items()}})
-    if not rows:
-        return len(standard), ()
     touched = sorted({K for row in rows for K in row})
-    matrix = IntMatrix._of([[row.get(K, 0) for K in touched] for row in rows], len(touched))
-    rank, torsion = group_from_relations(len(touched), matrix).invariants()
-    return rank + len(standard) - len(touched), torsion
+    d = _smith([[row.get(K, 0) for K in touched] for row in rows], len(touched))[2]
+    return len(standard) - len(d), tuple(m for m in d if m > 1)
 
 
 def _is_strong_basis(gb):

@@ -10,28 +10,14 @@ inverted (a factorial Laurent polynomial ring) the rest of the removed
 locus has codimension at least two and the local cohomology along it
 vanishes in degrees 0 and 1: the quotient is the Picard group of every
 input.  Removing the zero locus of one homogeneous element of degree
-alpha further quotients by alpha.  A result's ``group`` has the grading
-group's canonical coordinates as its user generators, so the class of a
-degree d is ``group.element(d.key())``.
+alpha further quotients by alpha.  ``pic`` and ``pic_open`` return that
+quotient group; its user generators are the grading group's canonical
+coordinates, so the class of a degree d is ``pic(data).element(d.key())``.
 """
 
 from __future__ import annotations
 
 from .abelian import quotient_by_subgroup
-
-
-class PicResult:
-    __slots__ = ("group", "units_subgroup_generators")
-
-    def __init__(self, group, units_gens):
-        self.group = group
-        self.units_subgroup_generators = tuple(units_gens)
-
-    def invariants(self):
-        return self.group.invariants()
-
-    def __repr__(self):
-        return f"PicResult({self.group.describe()})"
 
 
 def _unit_degrees(data):
@@ -40,12 +26,10 @@ def _unit_degrees(data):
 
 def pic(data):
     """Picard group of the stack: grading group / unit degrees."""
-    units = _unit_degrees(data)
-    return PicResult(quotient_by_subgroup(data.group, units), units)
+    return quotient_by_subgroup(data.group, _unit_degrees(data))
 
 
 def pic_open(data, alpha):
     """Picard group of the complement of the zero locus of one homogeneous
     element of degree alpha: grading group / (unit degrees, alpha)."""
-    units = _unit_degrees(data)
-    return PicResult(quotient_by_subgroup(data.group, units + [alpha]), units)
+    return quotient_by_subgroup(data.group, _unit_degrees(data) + [alpha])

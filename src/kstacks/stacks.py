@@ -85,6 +85,8 @@ def make_stack_data(group, variables, irrelevant, label=None):
     """
     vs = []
     for entry in variables:
+        if len(entry) < 2:
+            raise StackDataError(f"variable entry {tuple(entry)!r} needs a name and a degree")
         name, vec = entry[0], entry[1]
         inverted = entry[2] if len(entry) > 2 else False
         if len(vec) != group.num_generators:
@@ -459,6 +461,8 @@ MAX_GRADING_GENERATORS = 256
 
 
 def _generator_count(g):
+    if g < 0:
+        raise StackDataError(f"grading_group.generators must be nonnegative, got {g}")
     if g > MAX_GRADING_GENERATORS:
         raise StackDataError(f"grading_group has {g} generators, over {MAX_GRADING_GENERATORS}")
     return g
@@ -474,7 +478,7 @@ def stackdata_from_json(obj):
     if "free_rank" in group_obj:
         r = _int_in(group_obj["free_rank"])
         torsion = _shaped(group_obj.get("torsion", []), list, "grading_group.torsion")
-        _generator_count(r + len(torsion))
+        _generator_count(max(r, 0) + len(torsion))  # canonical refuses r < 0
         G = FgAbelianGroup.canonical(r, [_int_in(m) for m in torsion])
     elif "generators" in group_obj:
         g = _generator_count(_int_in(group_obj["generators"]))

@@ -485,6 +485,33 @@ def brute_force_numerator(degrees, components, functional, window):
     return {d: c for d, c in full.items() if functional * d <= window and c}
 
 
+def _monomial_count(weights, d):
+    """#{a in N^n : w.a = d}, the monomials of degree d over positive weights."""
+    if d < 0:
+        return 0
+    ways = [1] + [0] * d
+    for w in weights:
+        for k in range(w, d + 1):
+            ways[k] += ways[k - w]
+    return ways[d]
+
+
+def euler_characteristic(data, element):
+    """chi of the class of a group-ring element, t^d read as O(d), on a
+    weighted projective stack: one free coordinate, positive weights w and
+    one component of all n variables.  Monomial counting gives H^0, and
+    Serre duality with omega = O(-sum w) gives H^(n-1), so
+    chi(O(d)) = #{a in N^n : w.a = d} + (-1)^(n-1) #{a : w.a = -d - sum w}."""
+    assert data.group.invariants() == (1, ()) and data.irrelevant == (tuple(data.variable_names()),)
+    weights = [v.degree.free[0] for v in data.variables]
+    assert all(w > 0 for w in weights)
+    n, total = len(weights), sum(weights)
+    return sum(
+        c * (_monomial_count(weights, d) + (-1) ** (n - 1) * _monomial_count(weights, -d - total))
+        for (d,), c in element.terms.items()
+    )
+
+
 class _MacaulayLattice:
     """Integer echelon of the lattice spanned by the shifts t^beta * q of
     group-ring generators q, grown one shell of free shifts at a time.

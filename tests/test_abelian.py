@@ -14,6 +14,7 @@ from kstacks.abelian import (
     smith_normal_form,
 )
 from kstacks.groupring import GroupRingElement
+from kstacks.stacks import stackdata_from_json
 
 from conftest import check_smith_decomposition, reference_smith_normal_form
 
@@ -209,6 +210,18 @@ def test_non_integers_are_type_errors():
         with pytest.raises(TypeError, match="coordinates must be ints"):
             GroupElement(G, free, residues)
     assert GroupElement(G, (1,), (5,)).key() == (1, 2)
+
+
+def test_torsion_factors_are_checked():
+    # ">= 2" is tested before the chain, which would divide by a zero factor
+    for torsion in ((0, 2), (1,), (-2, 4)):
+        with pytest.raises(ValueError, match="torsion factors must be >= 2"):
+            FgAbelianGroup.canonical(0, torsion)
+    with pytest.raises(ValueError, match="divisibility chain"):
+        FgAbelianGroup.canonical(0, (2, 3))
+    with pytest.raises(ValueError, match="torsion factors must be >= 2"):
+        stackdata_from_json({"grading_group": {"free_rank": 0, "torsion": [0, 2]}, "variables": []})
+    assert FgAbelianGroup.canonical(0, (2, 6)).invariants() == (0, (2, 6))
 
 
 def test_negative_column_count_rejected():

@@ -25,6 +25,7 @@ from conftest import (
     brute_force_numerator,
     determinant,
     equal_up_to_unit,
+    euler_characteristic,
     fp_quotient_dimension,
     inclusion_exclusion_class,
 )
@@ -122,6 +123,50 @@ def test_wps_presentation():
     t = lambda n: GroupRingElement.monomial(G.element([n]))
     assert len(pres.generators) == 1
     assert pres.generators[0] == (1 - t(4)) * (1 - t(6))
+
+
+EULER_WEIGHTS = [(1, 1), (2, 3), (4, 6), (1, 2, 3), (5, 7, 11, 13), (3, 7, 7, 9), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("weights", EULER_WEIGHTS, ids=str)
+def test_euler_characteristic_kills_the_ideal(weights):
+    # chi is additive on the stack, so each c -> chi(c * t^(-a)) is a map K0 -> Z
+    data = builtin_example("wps", weights)
+    pres = k0_presentation(data)
+    t = lambda n: GroupRingElement.monomial(data.group.element([n]))
+    total = sum(weights)
+    for q in pres.generators:
+        # q * t^s * t^(-a) for every s in [-3 sum w, 3 sum w) and a in [0, sum w)
+        for shift in range(-4 * total + 1, 3 * total):
+            assert euler_characteristic(data, q * t(shift)) == 0, (q, shift)
+
+
+@pytest.mark.parametrize("weights", EULER_WEIGHTS, ids=str)
+def test_euler_characteristic_decides_class_equality(weights):
+    # K0 is free on O(0), ..., O(sum w - 1) and the Euler form is unimodular
+    # there, so the twisted Euler characteristics separate classes
+    data = builtin_example("wps", weights)
+    pres = k0_presentation(data)
+    G, total = data.group, sum(weights)
+    rng = random.Random(f"euler/{weights}")
+
+    def draw():
+        out = GroupRingElement.zero(G)
+        for _ in range(rng.randint(0, 4)):
+            d = rng.randint(-2 * total, 2 * total)
+            out = out + GroupRingElement.monomial(G.element([d]), rng.randint(-3, 3))
+        return out
+
+    twists = [GroupRingElement.monomial(G.element([-a])) for a in range(total)]
+    seen = {True: 0, False: 0}
+    for _ in range(100):
+        f = draw()
+        g = f + draw() * rng.choice(pres.generators) if rng.random() < 0.5 else draw()
+        by_chi = all(euler_characteristic(data, (f - g) * u) == 0 for u in twists)
+        equal = equal_in_k0(K0Class(pres, f), K0Class(pres, g))
+        assert equal == by_chi, (f, g)
+        seen[equal] += 1
+    assert seen[True] and seen[False]
 
 
 def test_class_of_twist():

@@ -54,6 +54,9 @@ def test_validate_errors():
         make_stack_data(Z, [("x", [1], False), ("x", [2], False)], [])
     with pytest.raises(StackDataError):
         make_stack_data(Z, [("x", [1], False)], [[]])
+    # an entry without a degree is named, not an IndexError
+    with pytest.raises(StackDataError, match=r"variable entry \('x',\) needs a name and a degree"):
+        make_stack_data(Z, [("x",)], [])
     # an inverted variable in a component is no error: x inverted adds {x},
     # and {x} covers every component that holds x
     data = make_stack_data(Z, [("x", [1], True), ("y", [1], False)], [["x"], ["y", "x"]])
@@ -473,6 +476,9 @@ def test_json_errors():
         stackdata_from_json([1, 2])
     with pytest.raises(StackDataError):
         stackdata_from_json({"variables": []})
+    # a negative generator count names the field, not IntMatrix's column count
+    with pytest.raises(StackDataError, match=r"grading_group\.generators must be nonnegative, got -1"):
+        stackdata_from_json({"grading_group": {"generators": -1}, "variables": []})
     # a relation row of the wrong length names the field and the count it needs
     for row in ([1, 2, 3], [1]):
         with pytest.raises(StackDataError, match=r"grading_group\.relations needs 2 entries"):
