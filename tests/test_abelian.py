@@ -90,6 +90,8 @@ def test_canonicalize():
     assert rugby.invariants() == (1, (2,))
     assert rugby.element([2, 0]) == rugby.element([0, 2])
     assert rugby.element([1, 0]) != rugby.element([0, 1])
+    # another type is unequal, not an error
+    assert rugby.element([1, 0]) != (1, 0) and rugby != rugby.invariants()
 
     Z2 = FgAbelianGroup.canonical(2)
     assert Z2.zero().is_zero()
@@ -99,6 +101,7 @@ def test_equal_matrices_hash_equal():
     a, b = IntMatrix([[1, 2], [3, 4]]), IntMatrix([[1, 2], [3, 4]])
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b, IntMatrix([[1, 2], [3, 5]])}) == 2
+    assert a != a.entries
 
 
 def test_element_arithmetic_and_canonical_roundtrip():
@@ -229,7 +232,26 @@ def test_negative_column_count_rejected():
         IntMatrix([], cols=-2)
     with pytest.raises(ValueError, match="nonnegative"):
         IntMatrix.identity(-1)
+    with pytest.raises(ValueError, match="the generator count must be nonnegative, got -1"):
+        group_from_relations(-1, [])
+    with pytest.raises(ValueError, match="a 0-row matrix needs an explicit column count"):
+        IntMatrix([])
     assert IntMatrix([], cols=0).cols == 0
+
+
+def test_lengths_are_checked():
+    A = IntMatrix([[1, 2], [3, 4]])
+    G = FgAbelianGroup.canonical(1, (3,))
+    for make, message in ((lambda: IntMatrix([[1, 2], [3]]), "ragged matrix"),
+                          (lambda: A @ IntMatrix([[1, 2]]), "shape mismatch"),
+                          (lambda: A.apply_row((1, 2, 3)), "vector length mismatch"),
+                          (lambda: GroupElement(G, (1, 2), (0,)), "coordinate length mismatch"),
+                          (lambda: GroupElement(G, (1,), ()), "coordinate length mismatch"),
+                          (lambda: G.element([1]), "expected 2 coordinates, got 1"),
+                          (lambda: GroupHomomorphism(G, G, [[1, 0]]),
+                           "matrix shape does not match the generator counts")):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def _seeded_matrices(rng, count):

@@ -288,3 +288,6 @@ def test_group_elements_are_monomials_in_arithmetic():
     e = parse_element("1 + t^[1]", G)
     assert e + G.element([2]) == e + parse_element("t^[2]", G)
     assert e * G.element([2]) == e * parse_element("t^[2]", G)
+    assert parse_element("t^[2]", G) == G.element([2]) != parse_element("t^[2]", G) + 1
+    # another type is unequal, not an error, and so is an element over another group
+    assert e != "1 + t^[1]" and GroupRingElement.one(G) != GroupRingElement.one(FgAbelianGroup.canonical(2))

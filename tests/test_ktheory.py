@@ -370,6 +370,8 @@ def test_equal_in_k0_is_congruence():
         assert equal_in_k0(ca, cb)
         assert equal_in_k0(ca + K0Class(pres, c), cb + K0Class(pres, c))
         assert equal_in_k0(ca * K0Class(pres, c), cb * K0Class(pres, c))
+    # a class is unequal to anything but a class, its representative included
+    assert K0Class(pres, q) != q and K0Class(pres, q) != 0
 
 
 CANONICAL_STACKS = [

@@ -82,6 +82,9 @@ def test_constructor_normalizes_and_checks():
     ]:
         with pytest.raises(StackDataError):
             StackData(Z, variables, irrelevant)
+    # Z presented on two generators is isomorphic to Z, not the same grading group
+    with pytest.raises(StackDataError, match="degree of 'x' lies outside the grading group"):
+        StackData(Z, [Variable("x", group_from_relations(2, [[1, -1]]).element([1, 0]))], [])
     assert StackData(Z, [x, u], [["x", "u"]]).irrelevant == (("u",),)
     assert StackData(Z, [u, x, y], [["x", "y"]]).irrelevant == (("x", "y"), ("u",))
 
