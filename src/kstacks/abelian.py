@@ -8,12 +8,14 @@ generators, quotients, and homomorphisms.
 The public constructors are the checking boundary: non-integer entries or
 coordinates raise TypeError.  ``IntMatrix._of``, ``GroupElement._of`` and
 ``FgAbelianGroup._of`` take their int arguments as given and serve only ints
-kstacks produced itself.  One list kernel, ``_smith``, does every Smith
-pass: ``smith_normal_form`` wraps its output in a SmithDecomposition,
-``group_from_relations`` reads a group's coordinate changes straight off its
-lists, and ``grobner`` reads K0 invariants off its diagonal alone.  The
-pivot rule and operation order fix V, and through it every group's
-canonical coordinates, so that order is part of the output.
+kstacks produced itself.  ``==`` is the one group equality: two groups are
+equal when they present the same group on the same user generators, and
+every check that elements share a group asks it.  One list kernel,
+``_smith``, does every Smith pass: ``smith_normal_form`` wraps its output in
+a SmithDecomposition, ``group_from_relations`` reads a group's coordinate
+changes straight off its lists, and ``grobner`` reads K0 invariants off its
+diagonal alone.  The pivot rule and operation order fix V, and through it
+every group's canonical coordinates, so that order is part of the output.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.group.same_group(other.group) and self.key() == other.key()
+        return self.group == other.group and self.key() == other.key()
 
     def __hash__(self):
         return hash((self.free, self.residues))
@@ -301,7 +303,9 @@ class FgAbelianGroup:
     ``from_canonical`` picks a user-coordinate representative.  ``relations``
     spans the lattice of user-coordinate vectors that are zero in the group.
     ``canonical`` and ``group_from_relations`` check their arguments;
-    ``_of`` is the one field constructor.
+    ``_of`` is the one field constructor.  ``==`` is the one group
+    equality: same invariants and the same coordinate changes, with the
+    identity test first, as every checked sum of elements asks it.
     """
 
     __slots__ = (
@@ -345,12 +349,13 @@ class FgAbelianGroup:
         identity = IntMatrix.identity(g)
         return cls._of(r, torsion, g, identity, identity, IntMatrix._of(_torsion_rows(r, torsion), g), True)
 
-    def same_group(self, other):
+    def __eq__(self, other):
         if self is other:
             return True
+        if not isinstance(other, FgAbelianGroup):
+            return NotImplemented
         return (
-            isinstance(other, FgAbelianGroup)
-            and self.free_rank == other.free_rank
+            self.free_rank == other.free_rank
             and self.torsion == other.torsion
             and self.num_generators == other.num_generators
             and self.to_canonical == other.to_canonical
@@ -358,13 +363,9 @@ class FgAbelianGroup:
         )
 
     def require_same(self, other):
-        if not self.same_group(other):
+        # == reaches __eq__ in one step; != would first pass through object.__ne__
+        if not self == other:
             raise ValueError("elements lie in different groups")
-
-    def __eq__(self, other):
-        if not isinstance(other, FgAbelianGroup):
-            return NotImplemented
-        return self.same_group(other)
 
     def __hash__(self):
         return hash((self.free_rank, self.torsion, self.num_generators))

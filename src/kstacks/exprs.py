@@ -43,9 +43,9 @@ def _tokenize(text):
             tokens.append(("mono", mono[3:-1]))
         elif num:
             try:
-                tokens.append(("int", int(num)))
-            except ValueError:  # ASCII digits fail only on the interpreter's int-from-text limit
-                raise ParseError(_past_digit_limit(num)) from None
+                tokens.append(("int", ascii_int(num)))
+            except ValueError as exc:  # ASCII digits fail only on the interpreter's int-from-text limit
+                raise ParseError(str(exc)) from None
         elif op:
             tokens.append((op, op))
         elif name and (name[0].isalpha() or name[0] == "_"):
@@ -70,11 +70,8 @@ def ascii_int(text):
     try:
         return int(text)
     except ValueError:
-        raise ValueError(_past_digit_limit(digits)) from None
-
-
-def _past_digit_limit(digits):
-    return f"an integer literal of {len(digits)} digits exceeds the {sys.get_int_max_str_digits()}-digit limit"
+        raise ValueError(f"an integer literal of {len(digits)} digits exceeds the "
+                         f"{sys.get_int_max_str_digits()}-digit limit") from None
 
 
 def _parse_int_list(text, what):

@@ -6,7 +6,8 @@ exponent: the free coordinates, then the torsion residues in [0, m_i).
 Products add keys and reduce the residues, so monomial identities of the
 group (for instance t^(pe) = t^(qe') in a presented group) hold
 automatically at the element level.  ``GroupElement`` appears only at the
-boundary: ``monomial`` takes one, and a group element operand is read as
+boundary: ``monomial`` takes one, and ``_coerce``, the one reader of the
+other operand of ``+``, ``-``, ``*`` and ``==``, reads a group element as
 its monomial.  The operators and the expression parser share one set of
 kernels on term dicts: ``_combine``, ``_product`` and ``_power``.
 """
@@ -33,7 +34,8 @@ class GroupRingElement:
     residues, see the module docstring) to nonzero integer coefficients.
 
     The constructor checks its terms: a key entry or coefficient that is not
-    an int raises TypeError, and a key whose length is not r + k ValueError.
+    an int (a bool is not one) raises TypeError, and a key whose length is
+    not r + k ValueError.
     It reduces the residues into [0, m_i) and adds up the coefficients of
     keys that then meet.  ``_of`` takes terms kstacks computed as given.
     """
@@ -42,11 +44,10 @@ class GroupRingElement:
 
     def __init__(self, group, terms):
         r, torsion = group.free_rank, group.torsion
+        _require_ints(terms.values(), "coefficients")
         out = {}
         for key, c in terms.items():
             key = _require_ints(key, "key entries")
-            if not isinstance(c, int):
-                raise TypeError(f"coefficients must be ints, got {c!r}")
             if len(key) != r + len(torsion):
                 raise ValueError(f"key {key} has {len(key)} entries; the group needs {r + len(torsion)}")
             key = key[:r] + tuple(map(mod, key[r:], torsion))
@@ -87,24 +88,27 @@ class GroupRingElement:
         return e
 
     def _coerce(self, other):
-        """``other`` as a ring element over the same group, or None for an
-        unsupported type; an int is a constant, a group element its
-        monomial, and another group raises ValueError."""
-        if isinstance(other, int):
-            return GroupRingElement.constant(self.group, other)
+        """The term dict of the operand ``other`` read over this group, or
+        None for an unsupported type: an int is a constant and a group
+        element its monomial.  An operand over another group raises
+        ValueError."""
+        if other.__class__ is GroupRingElement and other.group is self.group:
+            return other.terms
+        if isinstance(other, int):  # True too, which the checked constant() refuses
+            group = self.group
+            return {(0,) * (group.free_rank + len(group.torsion)): other} if other else {}
         if isinstance(other, GroupElement):
             other = GroupRingElement.monomial(other)
         elif not isinstance(other, GroupRingElement):
             return None
         self.group.require_same(other.group)
-        return other
+        return other.terms
 
     def __add__(self, other):
-        if other.__class__ is not GroupRingElement or other.group is not self.group:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return GroupRingElement._of(self.group, _combine(self.terms, other.terms, 1))
+        terms = self._coerce(other)
+        if terms is None:
+            return NotImplemented
+        return GroupRingElement._of(self.group, _combine(self.terms, terms, 1))
 
     __radd__ = __add__
 
@@ -112,11 +116,10 @@ class GroupRingElement:
         return GroupRingElement._of(self.group, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        if other.__class__ is not GroupRingElement or other.group is not self.group:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return GroupRingElement._of(self.group, _combine(self.terms, other.terms, -1))
+        terms = self._coerce(other)
+        if terms is None:
+            return NotImplemented
+        return GroupRingElement._of(self.group, _combine(self.terms, terms, -1))
 
     def __rsub__(self, other):
         return -self + other
@@ -125,11 +128,10 @@ class GroupRingElement:
         group = self.group
         if isinstance(other, int):
             return GroupRingElement._of(group, {k: other * c for k, c in self.terms.items()} if other else {})
-        if other.__class__ is not GroupRingElement or other.group is not group:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return GroupRingElement._of(group, _product(self.terms, other.terms, group.free_rank, group.torsion))
+        terms = self._coerce(other)
+        if terms is None:
+            return NotImplemented
+        return GroupRingElement._of(group, _product(self.terms, terms, group.free_rank, group.torsion))
 
     __rmul__ = __mul__
 
@@ -138,13 +140,11 @@ class GroupRingElement:
         return GroupRingElement._of(group, _power(self.terms, n, group.free_rank, group.torsion))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.constant(self.group, other)
-        elif isinstance(other, GroupElement):
-            other = GroupRingElement.monomial(other)
-        elif not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self.group.same_group(other.group) and self.terms == other.terms
+        try:
+            terms = self._coerce(other)
+        except ValueError:  # an operand over another group
+            return False
+        return NotImplemented if terms is None else self.terms == terms
 
     def render(self):
         """Canonical text form: terms in key order, joined by ' + '/' - '.
@@ -256,8 +256,7 @@ def _power(a, n, r, torsion):
 
 def one_minus(exponent):
     """1 - t^exponent."""
-    group = exponent.group
-    return GroupRingElement.one(group) - GroupRingElement.monomial(exponent)
+    return one_minus_product(exponent.group, [exponent])
 
 
 def one_minus_product(group, degrees):

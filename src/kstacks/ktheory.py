@@ -10,7 +10,7 @@ read from the source data, is checked to land in the target ideal.
 
 from __future__ import annotations
 
-from operator import sub
+from operator import add, mul, sub
 
 from .abelian import GroupHomomorphism
 from .groupring import GroupRingElement, _combine, _product, component_product, one_minus_product
@@ -107,29 +107,26 @@ class K0Class:
     def is_zero(self):
         return self.presentation.reduce(self.representative).is_zero()
 
-    def _check_same(self, other):
+    def _apply(self, op, other):
+        """The class of op(self's representative, other's) for a class
+        ``other`` of this presentation, NotImplemented for anything else;
+        a class of another presentation raises ValueError."""
+        if not isinstance(other, K0Class):
+            return NotImplemented
         if self.presentation is not other.presentation:
             raise ValueError("classes live in different presentations")
+        return K0Class(self.presentation, op(self.representative, other.representative))
 
     def __add__(self, other):
-        if not isinstance(other, K0Class):
-            return NotImplemented
-        self._check_same(other)
-        return K0Class(self.presentation, self.representative + other.representative)
+        return self._apply(add, other)
 
     def __sub__(self, other):
-        if not isinstance(other, K0Class):
-            return NotImplemented
-        self._check_same(other)
-        return K0Class(self.presentation, self.representative - other.representative)
+        return self._apply(sub, other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return K0Class(self.presentation, other * self.representative)
-        if not isinstance(other, K0Class):
-            return NotImplemented
-        self._check_same(other)
-        return K0Class(self.presentation, self.representative * other.representative)
+        return self._apply(mul, other)
 
     __rmul__ = __mul__
 
@@ -145,8 +142,7 @@ class K0Class:
 def equal_in_k0(a, b):
     """Whether two classes agree in the quotient, that is, whether their
     reduced forms are equal: the difference has normal form zero."""
-    a._check_same(b)
-    return a.presentation.reduce(a.representative - b.representative).is_zero()
+    return (a - b).is_zero()
 
 
 def class_of_twist(pres, alpha):

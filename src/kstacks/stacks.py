@@ -55,7 +55,7 @@ class StackData:
         self.group = group
         self.variables = tuple(variables)
         for v in self.variables:
-            if not group.same_group(v.degree.group):
+            if v.degree.group != group:
                 raise StackDataError(f"degree of {v.name!r} lies outside the grading group")
         self.irrelevant = validate(self.variables, irrelevant)
         self.label = label
@@ -374,7 +374,7 @@ def builtin_example(name, params=()):
             f"unknown example {name!r}; available: {', '.join(sorted(EXAMPLES))}"
         ) from None
     try:
-        params = [_int_in(p) for p in params]
+        params = [_int_in(p, name) for p in params]
     except StackDataError:
         raise StackDataError(f"{name} parameters must be positive integers") from None
     if not (params if text.endswith("...") else len(params) == len(text.split())):
@@ -404,17 +404,17 @@ def _int_out(x):
     return x if _I64_MIN <= x <= _I64_MAX else str(x)
 
 
-def _int_in(x):
-    if isinstance(x, bool):
-        raise StackDataError("expected an integer")
-    if isinstance(x, int):
+def _int_in(x, what):
+    """``x``, a JSON integer or the text of one, as an int; StackDataError
+    naming the field ``what`` otherwise."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         try:
             return ascii_int(x)
         except ValueError as exc:
-            raise StackDataError(str(exc)) from None
-    raise StackDataError(f"expected an integer, got {type(x).__name__}")
+            raise StackDataError(f"{exc} in {what}") from None
+    raise StackDataError(f"{what} must be an integer, got {type(x).__name__}")
 
 
 def stackdata_to_json(data):
@@ -460,9 +460,15 @@ def _shaped(value, kind, what):
 MAX_GRADING_GENERATORS = 256
 
 
+def _count_in(x, what):
+    """``x`` read by ``_int_in`` as a nonnegative int."""
+    n = _int_in(x, what)
+    if n < 0:
+        raise StackDataError(f"{what} must be nonnegative, got {n}")
+    return n
+
+
 def _generator_count(g):
-    if g < 0:
-        raise StackDataError(f"grading_group.generators must be nonnegative, got {g}")
     if g > MAX_GRADING_GENERATORS:
         raise StackDataError(f"grading_group has {g} generators, over {MAX_GRADING_GENERATORS}")
     return g
@@ -476,15 +482,19 @@ def stackdata_from_json(obj):
     if label is not None and not isinstance(label, str):
         raise StackDataError("label must be a JSON string or null")
     if "free_rank" in group_obj:
-        r = _int_in(group_obj["free_rank"])
+        r = _count_in(group_obj["free_rank"], "grading_group.free_rank")
         torsion = _shaped(group_obj.get("torsion", []), list, "grading_group.torsion")
-        _generator_count(max(r, 0) + len(torsion))  # canonical refuses r < 0
-        G = FgAbelianGroup.canonical(r, [_int_in(m) for m in torsion])
+        _generator_count(r + len(torsion))
+        torsion = [_int_in(m, "grading_group.torsion") for m in torsion]
+        try:
+            G = FgAbelianGroup.canonical(r, torsion)
+        except ValueError as exc:  # factors below 2, or not a divisibility chain
+            raise StackDataError(f"{exc} in grading_group.torsion") from None
     elif "generators" in group_obj:
-        g = _generator_count(_int_in(group_obj["generators"]))
+        g = _generator_count(_count_in(group_obj["generators"], "grading_group.generators"))
         rows = []
         for row in _shaped(group_obj.get("relations", []), list, "grading_group.relations"):
-            rows.append([_int_in(x) for x in _shaped(row, list, "each relation")])
+            rows.append([_int_in(x, "grading_group.relations") for x in _shaped(row, list, "each relation")])
             if len(row) != g:
                 raise StackDataError(
                     f"each row of grading_group.relations needs {g} entries, one per generator; "
@@ -501,7 +511,7 @@ def stackdata_from_json(obj):
         inverted = v.get("inverted", False)
         if not isinstance(inverted, bool):
             raise StackDataError(f"inverted of {name!r} must be a JSON boolean")
-        vs.append((name, [_int_in(x) for x in degree], inverted))
+        vs.append((name, [_int_in(x, f"degree of {name!r}") for x in degree], inverted))
     irrelevant = [
         [_shaped(n, str, "each component entry")
          for n in _shaped(c, list, "each irrelevant component")]

@@ -203,10 +203,16 @@ def test_non_integers_are_type_errors():
                  lambda: FgAbelianGroup.canonical(1, (True,)),
                  lambda: Z.element([True]),
                  lambda: GroupElement(Z, (False,), ()),
-                 lambda: GroupRingElement(Z, {(True,): 1})):
+                 lambda: GroupRingElement(Z, {(True,): 1}),
+                 # so are bool coefficients, which the operators still read as ints
+                 lambda: GroupRingElement(Z, {(1,): True}),
+                 lambda: GroupRingElement.monomial(Z.element([1]), True),
+                 lambda: GroupRingElement.constant(Z, True)):
         with pytest.raises(TypeError):
             make()
     assert group_from_relations(2, [[2, 0]]).invariants() == (1, (2,))
+    t = GroupRingElement.monomial(Z.element([1]))
+    assert t * True == t ** True == t and (t + True).terms == {(1,): 1, (0,): 1}
     # canonical coordinates used to go through int() as well
     G = FgAbelianGroup.canonical(1, (3,))
     for free, residues in (((1.5,), (2,)), ((1,), (2.7,)), (("7",), (0,)), ((1,), ("2",))):

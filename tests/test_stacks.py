@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -487,6 +488,23 @@ def test_json_errors():
         with pytest.raises(StackDataError, match=r"grading_group\.relations needs 2 entries"):
             stackdata_from_json({"grading_group": {"generators": 2, "relations": [[2, -3], row]},
                                  "variables": []})
+    # every other malformed field is named as well
+    for group, variables, message in (
+            ({"free_rank": None}, [], "grading_group.free_rank must be an integer, got NoneType"),
+            ({"free_rank": True}, [], "grading_group.free_rank must be an integer, got bool"),
+            ({"free_rank": -1}, [], "grading_group.free_rank must be nonnegative, got -1"),
+            ({"free_rank": "1_0"}, [], "bad integer '1_0' in grading_group.free_rank"),
+            ({"free_rank": 0, "torsion": [0, 2]}, [], "torsion factors must be >= 2 in grading_group.torsion"),
+            ({"free_rank": 0, "torsion": [2, 3]}, [],
+             "torsion factors must form a divisibility chain in grading_group.torsion"),
+            ({"free_rank": 0, "torsion": [2.0]}, [], "grading_group.torsion must be an integer, got float"),
+            ({"generators": None}, [], "grading_group.generators must be an integer, got NoneType"),
+            ({"generators": 1, "relations": [[False]]}, [],
+             "grading_group.relations must be an integer, got bool"),
+            ({"free_rank": 1}, [{"name": "x", "degree": [1.5]}], "degree of 'x' must be an integer, got float"),
+            ({"free_rank": 1}, [{"name": "x", "degree": ["1 "]}], "bad integer '1 ' in degree of 'x'")):
+        with pytest.raises(StackDataError, match=f"^{re.escape(message)}$"):
+            stackdata_from_json({"grading_group": group, "variables": variables})
 
 
 def test_load_refuses_deeply_nested_json(tmp_path):
