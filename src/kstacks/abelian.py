@@ -18,8 +18,6 @@ diagonal alone.  The pivot rule and operation order fix V, and through it
 every group's canonical coordinates, so that order is part of the output.
 """
 
-from __future__ import annotations
-
 from operator import add, mod, mul, neg
 
 

@@ -1,11 +1,14 @@
 """Command-line surface: drivers over the library plus machine-readable reports.
 
-Each command is a function of the parsed arguments that returns
-``(exit code, input label, payload, text lines)``.  ``main`` does the rest
-once for all of them: it times the command, builds the report (``command``,
-``input``, the payload, ``timing_ms``), prints the lines and writes the
-report where --json PATH says ("-" meaning stdout).  Reports are
-deterministic byte-for-byte except for the timing_ms field.
+Each command is a function ``cmd_x(args, data)`` of the parsed arguments
+and the stack data, returning ``(exit code, payload, text lines)``.
+``main`` does the rest once for all of them: it loads the stack that
+--example or --input names (``data`` is None for ``example``, which takes
+neither; ``map`` loads its --target itself), times the load and the
+command, builds the report (``command``, ``input`` from ``data.label``,
+the payload, ``timing_ms``), prints the lines and writes the report where
+--json PATH says ("-" meaning stdout).  Reports are deterministic
+byte-for-byte except for the timing_ms field.
 
 The K-group commands (k0, eq, class, map) compute on any valid input: the
 presentation formula gives the K-group whether or not the degree-zero
@@ -23,8 +26,6 @@ Exit codes: 0 success (or: equal, connected), 1 input or parse error,
 not_connected or unknown).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -40,7 +41,6 @@ from .stacks import (
     builtin_example,
     check_connected,
     connectify,
-    dump_stackdata,
     example_symbols,
     load_stackdata,
     stackdata_to_json,
@@ -72,10 +72,6 @@ def _group_json(group):
     }
 
 
-def _vec_json(group, element):
-    return [int(x) for x in group.user_representative(element)]
-
-
 def _parse_vector(text, length, what):
     vec = _parse_int_list(text, what)
     if len(vec) != length:
@@ -95,8 +91,7 @@ def _parse_vectors(text, length, what):
 # commands
 
 
-def cmd_k0(args):
-    data = _load(args.example, args.input)
+def cmd_k0(args, data):
     generators = [q.render() for q in _ideal_generators(data)]
     payload = {"group": _group_json(data.group), "generators": generators}
     lines = [f"K0 presentation of {data.label or 'input'}:"]
@@ -114,32 +109,29 @@ def cmd_k0(args):
         else:
             desc = describe_invariants(inv.free_rank, inv.torsion)
             lines.append(f"  invariants: {desc} (status: {inv.status})")
-    return EXIT_OK, data.label, payload, lines
+    return EXIT_OK, payload, lines
 
 
-def cmd_pic(args):
-    data = _load(args.example, args.input)
-    removed = None
+def cmd_pic(args, data):
+    removed = None  # the degree as given
     if args.remove_degree is not None:
-        vec = _parse_vector(args.remove_degree, data.group.num_generators, "--remove-degree")
-        removed = data.group.element(vec)
-        quotient = pic_open(data, removed)
+        removed = list(_parse_vector(args.remove_degree, data.group.num_generators, "--remove-degree"))
+        quotient = pic_open(data, data.group.element(removed))
     else:
         quotient = pic(data)
     payload = {
         "group": _group_json(quotient),
-        "units_degrees": [_vec_json(data.group, u) for u in _unit_degrees(data)],
-        "removed_degree": _vec_json(data.group, removed) if removed is not None else None,
+        "units_degrees": [list(data.group.user_representative(u)) for u in _unit_degrees(data)],
+        "removed_degree": removed,
     }
     what = data.label or "input"
     if removed is not None:
-        what += f" minus a hypersurface of degree {list(_vec_json(data.group, removed))}"
+        what += f" minus a hypersurface of degree {removed}"
     lines = [f"Pic of {what}: {quotient.describe()}"]
-    return EXIT_OK, data.label, payload, lines
+    return EXIT_OK, payload, lines
 
 
-def cmd_eq(args):
-    data = _load(args.example, args.input)
+def cmd_eq(args, data):
     symbols = example_symbols(args.example[0], data) if args.example is not None else {}
     lhs = parse_element(args.lhs, data.group, symbols)
     rhs = parse_element(args.rhs, data.group, symbols)
@@ -155,11 +147,10 @@ def cmd_eq(args):
     }
     verdict = "equal" if equal else "not equal"
     lines = [f"{args.lhs}  vs  {args.rhs}: {verdict} in K0({data.label or 'input'})"]
-    return (EXIT_OK if equal else EXIT_NEGATIVE), data.label, payload, lines
+    return (EXIT_OK if equal else EXIT_NEGATIVE), payload, lines
 
 
-def cmd_check_connected(args):
-    data = _load(args.example, args.input)
+def cmd_check_connected(args, data):
     result = check_connected(data, bound=args.bound)
     lines = [f"degree-zero check for {data.label or 'input'}: {result.verdict}"]
     if result.witness is not None:
@@ -168,27 +159,27 @@ def cmd_check_connected(args):
         )
         lines.append(f"  witness monomial of degree zero: {named}")
     code = EXIT_OK if result.is_connected() else EXIT_NEGATIVE
-    return code, data.label, result.to_json(), lines
+    return code, result.to_json(), lines
 
 
-def cmd_connectify(args):
-    data = _load(args.example, args.input)
+def cmd_connectify(args, data):
     out = connectify(data)
     obj = stackdata_to_json(out)
     payload = {"output": obj, "output_path": args.output}
     lines = [f"connectified {data.label or 'input'} -> {out.label}"]
     lines.append(f"  grading group: {out.group.describe()}")
     lines.append(f"  components: {[list(c) for c in out.irrelevant]}")
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if args.output:
-        dump_stackdata(out, args.output)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
         lines.append(f"  written to {args.output}")
     else:
-        lines.append(json.dumps(obj, indent=2, sort_keys=True))
-    return EXIT_OK, data.label, payload, lines
+        lines.append(text)
+    return EXIT_OK, payload, lines
 
 
-def cmd_class(args):
-    data = _load(args.example, args.input)
+def cmd_class(args, data):
     vectors = _parse_vectors(args.koszul, data.group.num_generators, "--koszul")
     degrees = [data.group.element(v) for v in vectors]
     cls = class_of_koszul_quotient(k0_presentation(data), degrees)
@@ -204,11 +195,10 @@ def cmd_class(args):
         f"  representative: {cls.representative.render()}",
         f"  reduced: {reduced.render()}",
     ]
-    return EXIT_OK, data.label, payload, lines
+    return EXIT_OK, payload, lines
 
 
-def cmd_map(args):
-    data = _load(args.example, args.input)
+def cmd_map(args, data):
     target_data = _load(args.target, args.target_input, ("--target", "--target-input"), "a target")
     rows = _parse_vectors(args.matrix, target_data.group.num_generators, "--matrix rows")
     if len(rows) != data.group.num_generators:
@@ -221,7 +211,7 @@ def cmd_map(args):
         pushed = induced_map(rows, data, target)
     except ValueError as exc:
         payload.update({"ok": False, "reason": str(exc)})
-        return EXIT_NEGATIVE, data.label, payload, [f"induced map check failed: {exc}"]
+        return EXIT_NEGATIVE, payload, [f"induced map check failed: {exc}"]
     images = [
         {"generator": q.render(), "image": image.render()}
         for q, image in zip(pushed.generators, pushed.images)
@@ -229,10 +219,10 @@ def cmd_map(args):
     payload.update({"ok": True, "generator_images": images})
     lines = [f"induced map {data.label or 'input'} -> {target_data.label or 'target'}: ok"]
     lines.extend(f"  {entry['generator']}  |->  {entry['image']}" for entry in images)
-    return EXIT_OK, data.label, payload, lines
+    return EXIT_OK, payload, lines
 
 
-def cmd_example(args):
+def cmd_example(args, data):
     rows = [
         {"name": name, "params": params, "description": description}
         for name, (params, description, _, _) in sorted(EXAMPLES.items())
@@ -241,7 +231,7 @@ def cmd_example(args):
     for row in rows:
         params = f" {row['params']}" if row["params"] else ""
         lines.append(f"  {row['name']}{params}: {row['description']}")
-    return EXIT_OK, None, {"examples": rows}, lines
+    return EXIT_OK, {"examples": rows}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +321,10 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     started = time.perf_counter()
     try:
-        code, label, payload, lines = args.func(args)
-        report = {"command": args.command, "input": label, **payload,
+        # every command but example takes --example/--input
+        data = _load(args.example, args.input) if "input" in args else None
+        code, payload, lines = args.func(args, data)
+        report = {"command": args.command, "input": None if data is None else data.label, **payload,
                   "timing_ms": round((time.perf_counter() - started) * 1000.0, 3)}
         for line in lines:
             print(line)

@@ -14,8 +14,6 @@ resolved through a symbol table (bound only for built-in examples), so
 parse-then-render is the identity on canonical forms.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from operator import mod
@@ -41,11 +39,8 @@ def _tokenize(text):
     for mono, unterminated, num, name, op, bad in _TOKEN.findall(text):
         if mono:
             tokens.append(("mono", mono[3:-1]))
-        elif num:
-            try:
-                tokens.append(("int", ascii_int(num)))
-            except ValueError as exc:  # ASCII digits fail only on the interpreter's int-from-text limit
-                raise ParseError(str(exc)) from None
+        elif num:  # ASCII digits fail only on the interpreter's int-from-text limit
+            tokens.append(("int", ascii_int(num)))
         elif op:
             tokens.append((op, op))
         elif name and (name[0].isalpha() or name[0] == "_"):
@@ -140,10 +135,7 @@ class _Parser:
                 raise ParseError("powers must be nonnegative integers")
             if kind != "int":
                 raise ParseError(f"expected an exponent, got {n!r}")
-            try:
-                value = _power(value, n, self.r, self.torsion)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
+            value = _power(value, n, self.r, self.torsion)
         return value
 
     def atom(self):
@@ -183,8 +175,15 @@ class _Parser:
 def parse_element(text, group, symbols=None):
     """Parse an expression into a GroupRingElement over ``group``.  Each
     level of parentheses takes a few frames of the recursive descent, and
-    nesting past the interpreter's recursion limit raises ParseError."""
+    nesting past the interpreter's recursion limit raises ParseError.  This
+    is the one place where a ValueError from below (``ascii_int``, the
+    POWER_BUDGET guards, a symbol over another group) becomes a ParseError
+    with the same message."""
     try:
         return _Parser(_tokenize(text), group, symbols).parse()
     except RecursionError:
         raise ParseError("the expression nests too deeply") from None
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

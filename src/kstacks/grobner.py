@@ -56,8 +56,6 @@ zero, and so do the G-polynomial and, unless they form a product pair
 (``_pair_polys``), the S-polynomial of every pair of basis elements.
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
 import sys

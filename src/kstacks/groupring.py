@@ -10,22 +10,30 @@ boundary: ``monomial`` takes one, and ``_coerce``, the one reader of the
 other operand of ``+``, ``-``, ``*`` and ``==``, reads a group element as
 its monomial.  The operators and the expression parser share one set of
 kernels on term dicts: ``_combine``, ``_product`` and ``_power``.
-"""
 
-from __future__ import annotations
+Every product of two term dicts goes through ``_product``, which refuses
+one of more than POWER_BUDGET term pairs with a ValueError before it runs:
+an expression's ``*``, ``GroupRingElement.__mul__``, ``one_minus_product``
+(component products and Koszul classes) and the steps of ``_power``, which
+also weighs the coefficients' bit lengths.
+"""
 
 import sys
 from operator import add, mod
 
 from .abelian import GroupElement, _require_ints
 
-#: the most weight one product inside a power may have.  A term dict weighs
-#: its number of terms times 1 + b // 1024, for b the bit length of its
-#: largest coefficient, and a product the product of its factors' weights:
-#: below 1024 bits a coefficient product costs no more than a few times the
+#: the most weight one product may have.  Every product weighs at least
+#: the product of its factors' term counts, the pairs it multiplies, which
+#: ``_product`` checks in O(1).  Inside a power a term dict weighs its
+#: number of terms times 1 + b // 1024, for b the bit length of its largest
+#: coefficient, and a product the product of its factors' weights: below
+#: 1024 bits a coefficient product costs no more than a few times the
 #: bookkeeping of one term, and schoolbook multiplication grows with both
 #: sizes.  (1 + t)^1000 squares 501 terms of under 1024 bits, 2^1000000 one
-#: term of 500001 bits (weight 489); (1 + t)^2000 would square 1001 terms
+#: term of 500001 bits (weight 489); (1 + t)^2000 would square 1001 terms.
+#: A product of distinct binomials doubles its terms with each factor, and
+#: the 19th of (1 + t^(2^i)) would multiply 2^18 terms by 2
 POWER_BUDGET = 500_000
 
 
@@ -213,7 +221,11 @@ def _combine(a, b, sign):
 
 def _product(a, b, r, torsion):
     """Terms of the product of term dicts a and b over a group of free rank
-    r and the given torsion: keys add, and the residues wrap."""
+    r and the given torsion: keys add, and the residues wrap.  More than
+    POWER_BUDGET term pairs raise ValueError before it runs."""
+    weight = len(a) * len(b)
+    if weight > POWER_BUDGET:
+        raise ValueError(_too_heavy(a, b, weight))
     terms = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
@@ -222,6 +234,11 @@ def _product(a, b, r, torsion):
                 key = key[:r] + tuple(map(mod, key[r:], torsion))
             terms[key] = terms.get(key, 0) + c1 * c2
     return {key: c for key, c in terms.items() if c}
+
+
+def _too_heavy(a, b, weight):
+    return (f"a product of {len(a)} by {len(b)} terms weighs {weight}, "
+            f"more than POWER_BUDGET = {POWER_BUDGET}")
 
 
 def _weight(terms):
@@ -242,8 +259,7 @@ def _power(a, n, r, torsion):
     def step(x, y):
         weight = _weight(x) * _weight(y)
         if weight > POWER_BUDGET:
-            raise ValueError(f"power ^{n}: a product of {len(x)} by {len(y)} terms weighs {weight}, "
-                             f"more than POWER_BUDGET = {POWER_BUDGET}")
+            raise ValueError(f"power ^{n}: {_too_heavy(x, y, weight)}")
         return _product(x, y, r, torsion)
 
     out = {(0,) * (r + len(torsion)): 1}

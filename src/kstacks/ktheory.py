@@ -8,8 +8,6 @@ a stack's group ring to another's K-group once each source ideal generator,
 read from the source data, is checked to land in the target ideal.
 """
 
-from __future__ import annotations
-
 from operator import add, mul, sub
 
 from .abelian import GroupHomomorphism

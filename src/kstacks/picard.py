@@ -15,8 +15,6 @@ quotient group; its user generators are the grading group's canonical
 coordinates, so the class of a degree d is ``pic(data).element(d.key())``.
 """
 
-from __future__ import annotations
-
 from .abelian import quotient_by_subgroup
 
 

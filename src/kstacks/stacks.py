@@ -14,8 +14,6 @@ hypothesis by adding one variable of an extra grading coordinate, and
 holds the registry of built-in examples.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 
@@ -527,9 +525,3 @@ def load_stackdata(path):
         except RecursionError:  # the decoder recurses once per level of nesting
             raise StackDataError("the JSON document nests too deeply") from None
     return stackdata_from_json(obj)
-
-
-def dump_stackdata(data, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stackdata_to_json(data), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -240,6 +240,8 @@ def test_negative_column_count_rejected():
         IntMatrix.identity(-1)
     with pytest.raises(ValueError, match="the generator count must be nonnegative, got -1"):
         group_from_relations(-1, [])
+    with pytest.raises(ValueError, match="the free rank must be nonnegative, got -1"):
+        FgAbelianGroup.canonical(-1)
     with pytest.raises(ValueError, match="a 0-row matrix needs an explicit column count"):
         IntMatrix([])
     assert IntMatrix([], cols=0).cols == 0

@@ -87,6 +87,13 @@ def test_pic_commands(tmp_path, capsys):
     code, out, _ = run(["pic", "--example", "wps", "4", "6", "--remove-degree", "12"], capsys)
     assert code == 0 and "Z/12" in out
 
+    # the removed degree is echoed as given, not as another representative of its class
+    path = tmp_path / "open.json"
+    argv = ["pic", "--example", "rugby", "4", "6", "--remove-degree", "1,1", "--json", str(path)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out == "Pic of rugby(4,6) minus a hypersurface of degree [1, 1]: Z/10\n"
+    assert read_report(path)["removed_degree"] == [1, 1]
+
     path = tmp_path / "pic.json"
     code, out, _ = run(["pic", "--example", "b-mu", "7", "--json", str(path)], capsys)
     assert code == 0 and "Z/7" in out
@@ -233,10 +240,26 @@ def test_non_ascii_integers_are_input_errors(capsys):
     assert run(["k0", "--example", "wps", "+1", "2"], capsys)[0] == 0
 
 
-def test_power_budget_and_degree_bound_are_input_errors(capsys):
-    # a power over the parser's budget, and a monomial of total degree 2^29
-    # (too high for the packed Groebner kernels), each exit 1 with a reason
+def test_power_budget_and_degree_bound_are_input_errors(tmp_path, capsys):
+    # a power over the parser's budget, products of the 30 binomials
+    # 1 - t^(2^i) (in an expression, a component product and a Koszul class;
+    # each multiplies 2^18 terms by 2 before it would double again), and a
+    # monomial of total degree 2^29 (too high for the packed Groebner
+    # kernels), each exit 1 with a reason
+    names = [f"x{i}" for i in range(30)]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "grading_group": {"free_rank": 1},
+        "variables": [{"name": n, "degree": [2 ** i]} for i, n in enumerate(names)],
+        "irrelevant": [names],
+    }))
+    binomials = "*".join(f"(1+t^[{2 ** i}])" for i in range(30))
+    koszul = ";".join(str(2 ** i) for i in range(30))
     for argv, reason in ((["eq", "--example", "p1", "--lhs", "(1+t^[1])^4000", "--rhs", "1"], "POWER_BUDGET"),
+                         (["eq", "--example", "p1", "--lhs", binomials, "--rhs", "1"],
+                          "a product of 262144 by 2 terms weighs 524288, more than POWER_BUDGET"),
+                         (["k0", "--input", str(wide)], "262144 by 2 terms"),
+                         (["class", "--example", "wps", "1", "1", "--koszul", koszul], "262144 by 2 terms"),
                          (["eq", "--example", "p1", "--lhs", "t^[536870912]", "--rhs", "1"], "(536870912, 0)"),
                          (["eq", "--example", "p1", "--lhs", "1", "--rhs", "t^[-536870912]"], "(0, 536870912)")):
         code, out, err = run(argv, capsys)

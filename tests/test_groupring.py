@@ -6,7 +6,7 @@ import pytest
 from kstacks.abelian import FgAbelianGroup, GroupElement, group_from_relations
 from kstacks.exprs import ParseError, parse_element
 from kstacks.grobner import PolyPresentation
-from kstacks.groupring import POWER_BUDGET, GroupRingElement, one_minus
+from kstacks.groupring import POWER_BUDGET, GroupRingElement, one_minus, one_minus_product
 
 
 def laurent():
@@ -155,6 +155,14 @@ def test_power_budget():
     with pytest.raises(ValueError, match="POWER_BUDGET"):
         parse_element(wide, Z) ** 2
     assert 801**2 > POWER_BUDGET >= 501**2
+    # every product is budgeted by its term pairs: a plain multiply, and the
+    # 19th binomial of a product of 1 - t^(2^i), which would double 2^18 terms
+    with pytest.raises(ValueError, match="a product of 801 by 801 terms weighs 641601, more than POWER_BUDGET"):
+        parse_element(wide, Z) * parse_element(wide, Z)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="a product of 262144 by 2 terms"):
+        one_minus_product(Z, [Z.element([2**i]) for i in range(30)])
+    assert time.perf_counter() - started < 5.0
 
 
 def test_power_budget_weighs_coefficients():

@@ -372,6 +372,8 @@ def test_equal_in_k0_is_congruence():
         assert equal_in_k0(ca * K0Class(pres, c), cb * K0Class(pres, c))
     # a class is unequal to anything but a class, its representative included
     assert K0Class(pres, q) != q and K0Class(pres, q) != 0
+    # class_of is the K0Class constructor, and an ideal generator's class is zero
+    assert pres.class_of(q) == K0Class(pres, q) and pres.class_of(q).is_zero()
 
 
 CANONICAL_STACKS = [
